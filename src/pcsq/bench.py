@@ -1,5 +1,5 @@
-"""Micro-benchmarks: step timing per kernel backend, partition-function
-amortization counts, and the log-space vs linear-space overflow sweep.
+"""Micro-benchmarks: training-step timing, partition-function amortization
+counts, and the log-space vs linear-space overflow sweep.
 
 Writes one flat CSV; rows belong to a ``section`` and leave unrelated
 columns empty.  The overflow sweep records the smallest variable count at
@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 
-from pcsq import engine, inference, kernels
+from pcsq import engine, inference
 from pcsq.circuits import from_region_graph
 from pcsq.families import GaussianFamily
 from pcsq.learning import TrainConfig, _Adam, _accumulate_gradients, init_parameters
@@ -23,7 +23,6 @@ from pcsq.squaring import square
 
 _COLUMNS = [
     "section",
-    "backend",
     "k",
     "batch_size",
     "steps",
@@ -51,12 +50,15 @@ def _timed_steps(model, batch, steps, seed):
     d = model.variable_count
     x = rng.normal(size=(batch, d))
     opt = _Adam([model.store], TrainConfig(batch_size=batch))
-    # one warm-up step outside the clock (kernel JIT, caches)
+    # one warm-up step outside the clock (caches); its peak memory is
+    # reported, so the timed loop runs without tracemalloc's overhead
+    tracemalloc.start()
     model.store.zero_grad()
     _accumulate_gradients(model, x)
     opt.step()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     z_before = inference.z_eval_count(model)
-    tracemalloc.start()
     t0 = time.perf_counter()
     t_z = 0.0
     for _ in range(steps):
@@ -69,8 +71,6 @@ def _timed_steps(model, batch, steps, seed):
         engine.backward(res.tape, engine.log_grad_seed(res.root, np.full(batch, 2.0 / batch)))
         opt.step()
     elapsed = time.perf_counter() - t0
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
     z_per_step = (inference.z_eval_count(model) - z_before) / steps
     return elapsed / steps, t_z / steps, peak / 1e6, z_per_step
 
@@ -80,39 +80,29 @@ def run_benchmarks(
     batch_sizes=(64, 256, 1024),
     variables=8,
     steps=3,
-    backends=("numba", "numpy"),
     overflow_variables=(16, 32, 64, 128),
     overflow_k=64,
     overflow_init="uniform(0,4)",
     seed=0,
 ):
     rows = []
-    previous = kernels.backend_name()
-    try:
-        for backend in backends:
-            if backend not in kernels.available_backends():
-                continue
-            kernels.set_backend(backend)
-            for k in k_values:
-                for batch in batch_sizes:
-                    model = _gaussian_squared_model(variables, k, seed)
-                    sec, z_sec, peak_mb, z_per_step = _timed_steps(model, batch, steps, seed)
-                    rows.append(
-                        {
-                            "section": "step_timing",
-                            "backend": backend,
-                            "k": k,
-                            "batch_size": batch,
-                            "steps": steps,
-                            "z_evals_per_step": z_per_step,
-                            "seconds_per_step": sec,
-                            "z_seconds": z_sec,
-                            "peak_mb": peak_mb,
-                            "variables": variables,
-                        }
-                    )
-    finally:
-        kernels.set_backend(previous)
+    for k in k_values:
+        for batch in batch_sizes:
+            model = _gaussian_squared_model(variables, k, seed)
+            sec, z_sec, peak_mb, z_per_step = _timed_steps(model, batch, steps, seed)
+            rows.append(
+                {
+                    "section": "step_timing",
+                    "k": k,
+                    "batch_size": batch,
+                    "steps": steps,
+                    "z_evals_per_step": z_per_step,
+                    "seconds_per_step": sec,
+                    "z_seconds": z_sec,
+                    "peak_mb": peak_mb,
+                    "variables": variables,
+                }
+            )
     crossover = None
     for v in overflow_variables:
         model = _gaussian_squared_model(v, overflow_k, seed, init=overflow_init)

@@ -71,10 +71,6 @@ def _int_list(text):
     return [int(t) for t in text.split(",") if t.strip()]
 
 
-def _str_list(text):
-    return [t.strip() for t in text.split(",") if t.strip()]
-
-
 _COMMON_KEYS = {"seed": (int, 0), "out": (str, "")}
 
 _DATASET_KEYS = {
@@ -155,7 +151,6 @@ _SCHEMAS = {
         "bench.batch_sizes": (_int_list, [64, 256, 1024]),
         "bench.variables": (int, 8),
         "bench.steps": (int, 3),
-        "bench.backends": (_str_list, ["numba", "numpy"]),
         "bench.overflow_variables": (_int_list, [16, 32, 64, 128]),
         "bench.overflow_k": (int, 64),
         "bench.overflow_init": (str, "uniform(0,4)"),
@@ -475,7 +470,6 @@ def _cmd_bench(cfg, out):
         batch_sizes=cfg["bench.batch_sizes"],
         variables=cfg["bench.variables"],
         steps=cfg["bench.steps"],
-        backends=cfg["bench.backends"],
         overflow_variables=cfg["bench.overflow_variables"],
         overflow_k=cfg["bench.overflow_k"],
         overflow_init=cfg["bench.overflow_init"],

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot numeric kernels: the sign-aware sums behind every sum layer.
 
 The two operations below dominate circuit evaluation and backprop:
 
@@ -7,37 +7,35 @@ The two operations below dominate circuit evaluation and backprop:
 * ``slse_pair_accum`` -- sign-aware accumulation of outer products over a
   shared leading axis, used for weight gradients.
 
-Backend selection: set ``PCSQ_BACKEND=numpy`` (or ``numba``) in the
-environment before import, or call :func:`set_backend` at runtime.  The
-default is numba when importable.  Both backends implement identical
-semantics; they may differ in the last ulp because of summation order.
+Both are vectorized numpy.  Each factors the largest magnitude out of the
+terms it sums before exponentiating, so exact zeros stay zero, exact
+cancellations give sign 0, and no term overflows.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
+def backend_name():
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
+def available_backends():
+    return ["numpy"]
 
 
-def _slse_matmul_numpy(weights, log_mag, sign):
+def slse_matmul(weights, log_mag, sign):
+    """Sign-aware log-sum-exp matmul.
+
+    Computes y = W @ x for x given as (log|x|, sign(x)) row batches, where
+    the max over each row's non-zero entries is factored out before
+    exponentiation.  Rows that are entirely zero stay zero; exact
+    cancellations produce sign 0 and log-magnitude -inf.
+
+    Parameters are a real (S, K) matrix and two (M, K) arrays; returns two
+    (M, S) arrays.
+    """
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         alpha = np.max(np.where(sign != 0.0, log_mag, -np.inf), axis=1)
         shifted = log_mag - alpha[:, None]
@@ -48,7 +46,12 @@ def _slse_matmul_numpy(weights, log_mag, sign):
     return out_log, out_sign
 
 
-def _slse_pair_accum_numpy(a_log, a_sign, b_log, b_sign, chunk=4096):
+def slse_pair_accum(a_log, a_sign, b_log, b_sign, chunk=4096):
+    """Sign-aware sum of outer products over the shared leading axis.
+
+    out[s, k] = sum_m a[m, s] * b[m, k], computed stably in log-space.
+    Used to accumulate sum-layer weight gradients over a batch.
+    """
     s, k = a_log.shape[1], b_log.shape[1]
     alpha = np.full((s, k), -np.inf)
     acc = np.zeros((s, k))
@@ -70,159 +73,3 @@ def _slse_pair_accum_numpy(a_log, a_sign, b_log, b_sign, chunk=4096):
         out_log = np.where(np.isfinite(alpha), alpha + np.log(np.abs(acc)), -np.inf)
     out_sign = np.where(np.isfinite(alpha), np.sign(acc), 0.0)
     return out_log, out_sign
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-
-@njit(cache=True)
-def _slse_matmul_loop(weights, log_mag, sign, out_log, out_sign):
-    m, k = log_mag.shape
-    s = weights.shape[0]
-    scaled = np.empty(k)
-    for i in range(m):
-        alpha = -np.inf
-        for j in range(k):
-            if sign[i, j] != 0.0 and log_mag[i, j] > alpha:
-                alpha = log_mag[i, j]
-        if alpha == -np.inf:
-            for r in range(s):
-                out_log[i, r] = -np.inf
-                out_sign[i, r] = 0.0
-            continue
-        for j in range(k):
-            if sign[i, j] != 0.0:
-                scaled[j] = sign[i, j] * np.exp(log_mag[i, j] - alpha)
-            else:
-                scaled[j] = 0.0
-        for r in range(s):
-            acc = 0.0
-            for j in range(k):
-                acc += weights[r, j] * scaled[j]
-            if acc > 0.0:
-                out_log[i, r] = alpha + np.log(acc)
-                out_sign[i, r] = 1.0
-            elif acc < 0.0:
-                out_log[i, r] = alpha + np.log(-acc)
-                out_sign[i, r] = -1.0
-            elif acc == 0.0:
-                out_log[i, r] = -np.inf
-                out_sign[i, r] = 0.0
-            else:  # NaN
-                out_log[i, r] = np.nan
-                out_sign[i, r] = np.nan
-
-
-def _slse_matmul_numba(weights, log_mag, sign):
-    m = log_mag.shape[0]
-    s = weights.shape[0]
-    out_log = np.empty((m, s))
-    out_sign = np.empty((m, s))
-    _slse_matmul_loop(weights, log_mag, sign, out_log, out_sign)
-    return out_log, out_sign
-
-
-@njit(cache=True)
-def _slse_pair_accum_loop(a_log, a_sign, b_log, b_sign, alpha, acc):
-    m, s = a_log.shape
-    k = b_log.shape[1]
-    for i in range(m):
-        for r in range(s):
-            if a_sign[i, r] == 0.0:
-                continue
-            for j in range(k):
-                if b_sign[i, j] == 0.0:
-                    continue
-                lm = a_log[i, r] + b_log[i, j]
-                if lm > alpha[r, j]:
-                    alpha[r, j] = lm
-    for i in range(m):
-        for r in range(s):
-            if a_sign[i, r] == 0.0:
-                continue
-            for j in range(k):
-                if b_sign[i, j] == 0.0:
-                    continue
-                lm = a_log[i, r] + b_log[i, j]
-                acc[r, j] += a_sign[i, r] * b_sign[i, j] * np.exp(lm - alpha[r, j])
-
-
-def _slse_pair_accum_numba(a_log, a_sign, b_log, b_sign):
-    s, k = a_log.shape[1], b_log.shape[1]
-    alpha = np.full((s, k), -np.inf)
-    acc = np.zeros((s, k))
-    _slse_pair_accum_loop(a_log, a_sign, b_log, b_sign, alpha, acc)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_log = np.where(np.isfinite(alpha), alpha + np.log(np.abs(acc)), -np.inf)
-    out_sign = np.where(np.isfinite(alpha), np.sign(acc), 0.0)
-    return out_log, out_sign
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-_BACKENDS = {
-    "numpy": {
-        "slse_matmul": _slse_matmul_numpy,
-        "slse_pair_accum": _slse_pair_accum_numpy,
-    },
-}
-if _HAVE_NUMBA:
-    _BACKENDS["numba"] = {
-        "slse_matmul": _slse_matmul_numba,
-        "slse_pair_accum": _slse_pair_accum_numba,
-    }
-
-
-def _default_backend():
-    name = os.environ.get("PCSQ_BACKEND", "").strip().lower()
-    if name:
-        if name not in _BACKENDS:
-            raise ValueError(
-                f"PCSQ_BACKEND={name!r} not available; choices: {sorted(_BACKENDS)}"
-            )
-        return name
-    return "numba" if "numba" in _BACKENDS else "numpy"
-
-
-_active = _default_backend()
-
-
-def backend_name():
-    return _active
-
-
-def available_backends():
-    return sorted(_BACKENDS)
-
-
-def set_backend(name):
-    """Switch the active kernel backend ('numba' or 'numpy')."""
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; choices: {sorted(_BACKENDS)}")
-    _active = name
-
-
-def slse_matmul(weights, log_mag, sign):
-    """Sign-aware log-sum-exp matmul.
-
-    Computes y = W @ x for x given as (log|x|, sign(x)) row batches, where
-    the max over each row's non-zero entries is factored out before
-    exponentiation.  Rows that are entirely zero stay zero; exact
-    cancellations produce sign 0 and log-magnitude -inf.
-
-    Parameters are a real (S, K) matrix and two (M, K) arrays; returns two
-    (M, S) arrays.
-    """
-    return _BACKENDS[_active]["slse_matmul"](weights, log_mag, sign)
-
-
-def slse_pair_accum(a_log, a_sign, b_log, b_sign):
-    """Sign-aware sum of outer products over the shared leading axis.
-
-    out[s, k] = sum_m a[m, s] * b[m, k], computed stably in log-space.
-    Used to accumulate sum-layer weight gradients over a batch.
-    """
-    return _BACKENDS[_active]["slse_pair_accum"](a_log, a_sign, b_log, b_sign)

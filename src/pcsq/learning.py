@@ -185,13 +185,14 @@ def _accumulate_mixture_gradients(model: CircuitMixture, x):
     resp = np.exp(shifted)
     resp /= resp.sum(axis=1, keepdims=True)
 
-    logz = model.component_log_partitions()
+    # one taped Z per component serves both rho and the Z backward pass
+    zs = [inference.partition_function(comp, want_tape=True) for comp in model.components]
+    logz = np.array([float(z.log_magnitude) for z, _ in zs])
     with np.errstate(divide="ignore"):
         zsh = logz + np.log(lam)
     zsh -= zsh.max()
     rho = np.exp(zsh)
     rho /= rho.sum()
-    model.partition()  # counts one normalizer evaluation for this step
 
     scale = 2.0 if model.squared else 1.0
     for i, comp in enumerate(model.components):
@@ -199,7 +200,7 @@ def _accumulate_mixture_gradients(model: CircuitMixture, x):
         res = engine.forward(graph, x, want_tape=True)
         coeff = scale * resp[:, i] / b
         engine.backward(res.tape, engine.log_grad_seed(res.root, coeff))
-        _, zres = inference.partition_function(comp, want_tape=True)
+        zres = zs[i][1]
         engine.backward(zres.tape, engine.log_grad_seed(zres.root, np.array([-rho[i]])))
     with np.errstate(divide="ignore"):
         eff = (resp.mean(axis=0) - rho) / lam

@@ -71,6 +71,12 @@ def _store_from_parts(blocks, values_doc):
 
 
 def circuit_to_dict(c: TensorizedCircuit):
+    annotated = [l.layer_id for l in c.layers if l.squared or l.perm is not None]
+    if annotated:
+        raise ConfigError(
+            f"layers {annotated} carry squaring annotations that a model document does "
+            "not keep; save the SquaredCircuit instead of its engine graph"
+        )
     return {
         "variable_count": c.variable_count,
         "output_layer": c.output_layer,
@@ -176,8 +182,9 @@ def model_from_dict(doc):
 
 
 def save_model(model, path):
+    doc = model_to_dict(model)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
+        json.dump(doc, fh)
         fh.write("\n")
 
 

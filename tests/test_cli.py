@@ -174,7 +174,7 @@ class TestCommands:
             tmp_path,
             "b.cfg",
             "bench.k = 4\nbench.batch_sizes = 16,32\nbench.variables = 4\n"
-            "bench.steps = 2\nbench.backends = numpy\nbench.overflow_variables = 8\n",
+            "bench.steps = 2\nbench.overflow_variables = 8\n",
         )
         out = tmp_path / "b"
         assert main(["bench", "--config", cfg, "--out", str(out)]) == 0

@@ -15,6 +15,7 @@ from pcsq.learning import (
     parse_init,
     train,
 )
+from pcsq.mixtures import CircuitMixture
 from pcsq.regions import build_linear_tree, linear_tree_from_order
 from pcsq.squaring import square
 
@@ -99,15 +100,20 @@ class TestTrain:
         rows = rng.integers(0, 3, size=(600, 2))
         ds = _discrete_dataset(rows, 3)
         rg = build_linear_tree(2, 0)
-        sq = square(
-            from_region_graph(rg, 2, "hadamard", lambda s, k: EmbeddingFamily(k, 3))
-        )
-        init_parameters(sq, "uniform(0,1)", seed=1)
-        for batch_size in (32, 120, 480):
-            report = train(
-                sq, ds, TrainConfig(batch_size=batch_size, max_epochs=2, patience=5, seed=0)
+
+        def squared(seed):
+            sq = square(
+                from_region_graph(rg, 2, "hadamard", lambda s, k: EmbeddingFamily(k, 3))
             )
-            assert report.z_evals_per_step == pytest.approx(1.0)
+            return init_parameters(sq, "uniform(0,1)", seed=seed)
+
+        mixture = CircuitMixture.from_components([squared(2), squared(3)])
+        for model in (squared(1), mixture):
+            for batch_size in (32, 120, 480):
+                report = train(
+                    model, ds, TrainConfig(batch_size=batch_size, max_epochs=2, patience=5, seed=0)
+                )
+                assert report.z_evals_per_step == pytest.approx(1.0)
 
     def test_monotonic_circuit_stays_monotonic(self, rng):
         rows = rng.integers(0, 4, size=(500, 2))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pcsq.circuits import from_region_graph
+from pcsq.errors import ConfigError
 from pcsq.families import CategoricalFamily, GaussianFamily, SplineFamily
 from pcsq.inference import evaluate, partition_function
 from pcsq.mixtures import CircuitMixture
@@ -60,6 +61,37 @@ def test_deserialized_model_evaluates_bit_identically(rng, tmp_path):
     assert float(partition_function(sq).log_magnitude) == float(
         partition_function(again).log_magnitude
     )
+
+
+@pytest.mark.parametrize(
+    "product, family, draw",
+    [
+        ("hadamard", lambda s, k: GaussianFamily(k), lambda rng: rng.normal(size=(32, 4))),
+        (
+            "kronecker",
+            lambda s, k: CategoricalFamily(k, 3),
+            lambda rng: rng.integers(0, 3, size=(32, 4)).astype(float),
+        ),
+    ],
+    ids=["hadamard-gaussian", "kronecker-categorical"],
+)
+def test_squared_engine_graph_is_refused(rng, tmp_path, product, family, draw):
+    # the engine graph's squared flags and Kronecker permutations are not
+    # part of the document, so it would reload as a different function
+    c = from_region_graph(build_binary_tree(4, seed=3), 3, product, family)
+    _nasty_values(c.store, rng)
+    sq = square(c)
+    refused = tmp_path / "graph.json"
+    with pytest.raises(ConfigError, match="save the SquaredCircuit"):
+        save_model(sq.circuit, refused)
+    assert not refused.exists()
+    path = tmp_path / "model.json"
+    save_model(sq, path)
+    again = load_model(path)
+    x = draw(rng)
+    a, b = evaluate(sq, x), evaluate(again, x)
+    np.testing.assert_array_equal(a.log_magnitude, b.log_magnitude)
+    np.testing.assert_array_equal(a.sign, b.sign)
 
 
 def test_squared_flag_in_document(rng, tmp_path):
