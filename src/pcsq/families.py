@@ -217,16 +217,12 @@ class _TableFamily(InputFamily):
         return SignedLogTensor.from_linear(self._table(store)[:, xi].T)
 
     def log_eval_vjp(self, store, x, adj):
-        xi = self._check_states(x)
-        grad = np.zeros((self.units, self.states))
-        for s in range(self.states):
-            rows = xi == s
-            if rows.any():
-                part = signed_sum(
-                    SignedLogTensor(adj.log_magnitude[rows], adj.sign[rows]), axis=0
-                )
-                grad[:, s] = part.to_linear()
-        self._table_vjp(store, grad)
+        # grad[:, s] sums adj over the rows observed in state s
+        onehot = SignedLogTensor.from_linear(np.eye(self.states)[self._check_states(x)])
+        lm, sg = kernels.slse_pair_accum(
+            adj.log_magnitude, adj.sign, onehot.log_magnitude, onehot.sign
+        )
+        self._table_vjp(store, SignedLogTensor(lm, sg).to_linear())
 
     def integral_vector(self, store):
         return SignedLogTensor.from_linear(self._table(store).sum(axis=1))

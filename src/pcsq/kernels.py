@@ -7,9 +7,18 @@ The two operations below dominate circuit evaluation and backprop:
 * ``slse_pair_accum`` -- sign-aware accumulation of outer products over a
   shared leading axis, used for weight gradients.
 
-Both are vectorized numpy.  Each factors the largest magnitude out of the
-terms it sums before exponentiating, so exact zeros stay zero, exact
-cancellations give sign 0, and no term overflows.
+Both scale each input row by its largest live (non-zero) magnitude,
+exponentiate once per input entry and hand the sum to one dense BLAS
+matmul.  ``slse_matmul`` sums one row at a time, so its row maximum is
+the shift.  ``slse_pair_accum`` sums across rows, so it also factors out
+one global shift G, the largest row-pair maximum; this is the
+log-einsum-exp trick of EinsumNetworks (Peharz et al., ICML 2020).  Its
+scaled terms are at most 1 in magnitude, and a guard checks in
+O(M (S + K)) that the smallest is at least exp(-700), so every term is a
+normal float.  Inputs that span a wider exponent range than that take the
+per-entry kernel, which factors a separate maximum out of each output
+entry.  Either way exact zeros stay zero, exact cancellations give sign 0
+and log-magnitude -inf, and no term overflows.
 """
 
 from __future__ import annotations
@@ -46,11 +55,59 @@ def slse_matmul(weights, log_mag, sign):
     return out_log, out_sign
 
 
-def slse_pair_accum(a_log, a_sign, b_log, b_sign, chunk=4096):
+# smallest scaled exponent slse_pair_accum admits: exp(-700) ~ 1e-304 is
+# still a normal float64, so no live term underflows or loses precision
+_MIN_SCALED_EXPONENT = -700.0
+
+
+def slse_pair_accum(a_log, a_sign, b_log, b_sign):
     """Sign-aware sum of outer products over the shared leading axis.
 
     out[s, k] = sum_m a[m, s] * b[m, k], computed stably in log-space.
     Used to accumulate sum-layer weight gradients over a batch.
+
+    Row m is scaled by its live maxima la[m] and lb[m], and all rows share
+    the shift G = max_m (la + lb):
+
+        A[m, s] = sign_a * exp(a_log - la + (la + lb - G))
+        B[m, k] = sign_b * exp(b_log - lb)
+        out = G + log|A.T @ B|
+
+    so M (S + K) exponentials and one GEMM replace the M S K exponentials
+    of a per-entry shift.  When the smallest live term would fall below
+    exp(-700), the whole call runs the per-entry kernel instead.  Takes
+    (M, S) and (M, K) arrays; returns two (S, K) arrays.
+    """
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        a_live, b_live = a_sign != 0.0, b_sign != 0.0
+        la = np.max(np.where(a_live, a_log, -np.inf), axis=1, initial=-np.inf)
+        lb = np.max(np.where(b_live, b_log, -np.inf), axis=1, initial=-np.inf)
+        pair = la + lb  # -inf where row m has no live term
+        g = np.max(pair, initial=-np.inf)
+        if g == -np.inf:  # every term is zero
+            shape = (a_log.shape[1], b_log.shape[1])
+            return np.full(shape, -np.inf), np.zeros(shape)
+        # the smallest live term of row m is exp(min a_log + min b_log - G);
+        # a NaN or infinite input fails this test and takes the exact kernel
+        a_min = np.min(np.where(a_live, a_log, np.inf), axis=1, initial=np.inf)
+        b_min = np.min(np.where(b_live, b_log, np.inf), axis=1, initial=np.inf)
+        live = pair > -np.inf
+        if not np.min(a_min[live] + b_min[live]) - g >= _MIN_SCALED_EXPONENT:
+            return _slse_pair_accum_exact(a_log, a_sign, b_log, b_sign)
+        shift = (pair - g)[:, None]
+        a_hat = np.where(a_live, a_sign * np.exp(a_log - la[:, None] + shift), 0.0)
+        b_hat = np.where(b_live, b_sign * np.exp(b_log - lb[:, None]), 0.0)
+        raw = a_hat.T @ b_hat
+        out_log = g + np.log(np.abs(raw))
+    return out_log, np.sign(raw)
+
+
+def _slse_pair_accum_exact(a_log, a_sign, b_log, b_sign, chunk=4096):
+    """Per-entry form of ``slse_pair_accum``: every output entry factors out
+    the largest magnitude among its own terms, accumulating chunks of rows
+    under a running maximum.  Accurate over any exponent range, but costs
+    M S K exponentials; ``slse_pair_accum`` falls back to it, and the tests
+    use it as the oracle.
     """
     s, k = a_log.shape[1], b_log.shape[1]
     alpha = np.full((s, k), -np.inf)

@@ -1,6 +1,9 @@
 """The signed log-space kernels against linear float64 oracles."""
 
+import functools
+
 import numpy as np
+import pytest
 
 from pcsq import kernels
 
@@ -37,15 +40,57 @@ def test_matmul_matches_linear_oracle(rng):
         _assert_matches_oracle(out, x @ w.T, np.abs(x) @ np.abs(w).T)
 
 
-def test_pair_accum_matches_linear_oracle(rng):
+PAIR_ACCUM_KERNELS = {
+    "gemm": kernels.slse_pair_accum,
+    # chunk=3 makes the running maximum rescale across chunks
+    "exact-chunk3": functools.partial(kernels._slse_pair_accum_exact, chunk=3),
+}
+
+
+@pytest.mark.parametrize("kernel", list(PAIR_ACCUM_KERNELS))
+def test_pair_accum_matches_linear_oracle(rng, kernel):
     for _ in range(25):
         m, s, k = rng.integers(1, 16, size=3)
         a_lm, a_sg = _random_signed(rng, (m, s))
         b_lm, b_sg = _random_signed(rng, (m, k))
         a, b = _linear(a_lm, a_sg), _linear(b_lm, b_sg)
-        # chunk=3 makes the running maximum rescale across chunks
-        out = kernels.slse_pair_accum(a_lm, a_sg, b_lm, b_sg, chunk=3)
+        out = PAIR_ACCUM_KERNELS[kernel](a_lm, a_sg, b_lm, b_sg)
         _assert_matches_oracle(out, a.T @ b, np.abs(a).T @ np.abs(b))
+
+
+def test_pair_accum_wide_exponent_range_matches_exact(rng):
+    # rows sit 800 nats apart, beyond what one shared shift keeps normal;
+    # columns 0-1 of b are live only in the low rows, so their entries
+    # consist solely of terms far below the global maximum
+    m, s, k = 12, 5, 4
+    a_lm, a_sg = _random_signed(rng, (m, s), zero_fraction=0.0)
+    b_lm, b_sg = _random_signed(rng, (m, k), zero_fraction=0.0)
+    low = np.arange(m) % 2 == 1
+    a_lm += np.where(low, -400.0, 400.0)[:, None]
+    b_lm += np.where(low, -400.0, 400.0)[:, None]
+    b_lm[~low, :2] = -np.inf
+    b_sg[~low, :2] = 0.0
+    got_lm, got_sg = kernels.slse_pair_accum(a_lm, a_sg, b_lm, b_sg)
+    want_lm, want_sg = kernels._slse_pair_accum_exact(a_lm, a_sg, b_lm, b_sg)
+    assert np.all(np.isfinite(want_lm))
+    np.testing.assert_array_equal(got_sg, want_sg)
+    np.testing.assert_allclose(got_lm, want_lm, rtol=1e-12)
+
+
+def test_pair_accum_zero_rows_among_live_rows(rng):
+    m, s, k = 9, 4, 3
+    a_lm, a_sg = _random_signed(rng, (m, s))
+    b_lm, b_sg = _random_signed(rng, (m, k))
+    a_lm[[0, 4]], a_sg[[0, 4]] = -np.inf, 0.0
+    b_lm[[4, 8]], b_sg[[4, 8]] = -np.inf, 0.0
+    # unit 1 of a and unit 2 of b are zero in every row
+    a_lm[:, 1], a_sg[:, 1] = -np.inf, 0.0
+    b_lm[:, 2], b_sg[:, 2] = -np.inf, 0.0
+    a, b = _linear(a_lm, a_sg), _linear(b_lm, b_sg)
+    out = kernels.slse_pair_accum(a_lm, a_sg, b_lm, b_sg)
+    scale = np.abs(a).T @ np.abs(b)
+    assert (scale == 0.0).sum() == k + s - 1
+    _assert_matches_oracle(out, a.T @ b, scale)
 
 
 def test_pair_accum_exact_cancellation_is_signed_zero():
@@ -64,3 +109,6 @@ def test_all_zero_rows_stay_zero():
     out_lm, out_sg = kernels.slse_matmul(w, lm, sg)
     assert np.all(np.isneginf(out_lm))
     assert np.all(out_sg == 0.0)
+    out_lm, out_sg = kernels.slse_pair_accum(lm, sg, np.zeros((2, 3)), np.ones((2, 3)))
+    assert out_lm.shape == (4, 3)
+    assert np.all(np.isneginf(out_lm)) and np.all(out_sg == 0.0)

@@ -7,16 +7,18 @@ import pytest
 from pcsq.circuits import check_property, from_region_graph
 from pcsq.data import Dataset, Column, generate_synthetic
 from pcsq.errors import ConfigError
-from pcsq.families import CategoricalFamily, EmbeddingFamily, GaussianFamily
+from pcsq.families import CategoricalFamily, EmbeddingFamily, GaussianFamily, SplineFamily
 from pcsq.inference import log_likelihood, partition_function
 from pcsq.learning import (
     TrainConfig,
+    _accumulate_gradients,
     init_parameters,
     parse_init,
     train,
 )
 from pcsq.mixtures import CircuitMixture
-from pcsq.regions import build_linear_tree, linear_tree_from_order
+from pcsq.regions import build_binary_tree, build_linear_tree, linear_tree_from_order
+from pcsq.splines import BSplineBasis
 from pcsq.squaring import square
 
 
@@ -202,8 +204,6 @@ class TestGradientOfObjective:
         assert c.store.values.size == 6
         x = np.array([[0.0], [1.0], [1.0]])
 
-        from pcsq.learning import _accumulate_gradients
-
         c.store.zero_grad()
         _accumulate_gradients(sq, x)
         auto = c.store.gradients.copy()
@@ -224,3 +224,37 @@ class TestGradientOfObjective:
             c.store.bump()
             fd = (up - down) / (2 * h)
             assert auto[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+    @pytest.mark.parametrize("family", ["spline", "categorical"])
+    def test_squared_circuit_matches_finite_differences(self, family, rng):
+        # acceptance criterion 8's method and threshold, for the families
+        # whose input VJPs accumulate through kernels.slse_pair_accum
+        if family == "spline":
+            basis = BSplineBasis.uniform(2, 6, (-3.0, 3.0))
+            factory = lambda s, k: SplineFamily(k, basis)
+            x = rng.uniform(-2.9, 2.9, size=(10, 4))
+        else:
+            factory = lambda s, k: CategoricalFamily(k, 4)
+            x = rng.integers(0, 4, size=(10, 4)).astype(float)
+        c = from_region_graph(build_binary_tree(4, seed=1), 3, "hadamard", factory)
+        init_parameters(c, "normal(0.3,0.5)", seed=2)
+        sq = square(c)
+
+        c.store.zero_grad()
+        _accumulate_gradients(sq, x)
+        auto = c.store.gradients.copy()
+
+        h = 1e-6
+        for i in range(c.store.values.size):
+            keep = c.store.values[i]
+            c.store.values[i] = keep + h
+            c.store.bump()
+            up = log_likelihood(sq, x)
+            c.store.values[i] = keep - h
+            c.store.bump()
+            down = log_likelihood(sq, x)
+            c.store.values[i] = keep
+            c.store.bump()
+            fd = (up - down) / (2 * h)
+            rel = abs(auto[i] - fd) / max(abs(fd), 1e-8)
+            assert rel < 1e-4, f"parameter {i}: autodiff {auto[i]}, fd {fd}"
