@@ -314,20 +314,23 @@ def backward(tape: Tape, seed_output: SignedLogTensor):
             if layer.perm is not None:
                 inv = np.argsort(layer.perm)
                 adj = SignedLogTensor(adj.log_magnitude[..., inv], adj.sign[..., inv])
-            a = tape.outputs[layer.inputs[0]]
-            b = tape.outputs[layer.inputs[1]]
-            ka, kb = a.shape[-1], b.shape[-1]
-            batch = adj.shape[0]
-            adj3 = adj.reshape(batch, ka, kb)
-            b3 = SignedLogTensor(b.log_magnitude[:, None, :], b.sign[:, None, :])
-            a3 = SignedLogTensor(a.log_magnitude[:, :, None], a.sign[:, :, None])
-            push(layer.inputs[0], signed_sum(signed_mul(adj3, b3), axis=-1))
-            push(layer.inputs[1], signed_sum(signed_mul(adj3, a3), axis=-2))
+            da, db = _kron_vjp(adj, *(tape.outputs[j] for j in layer.inputs))
+            push(layer.inputs[0], da)
+            push(layer.inputs[1], db)
         else:  # input layer
             _backward_input(circuit, layer, tape, adj)
     store_grads = store.gradients
     if np.isnan(store_grads).any():
         raise NumericError("NaN in accumulated gradients")
+
+
+def _kron_vjp(adj, a, b):
+    """Adjoints of the two factors of the row-wise Kronecker product a (x) b,
+    given the product's adjoint ``adj`` (batch, ka * kb)."""
+    adj3 = adj.reshape(adj.shape[0], a.shape[-1], b.shape[-1])
+    b3 = SignedLogTensor(b.log_magnitude[:, None, :], b.sign[:, None, :])
+    a3 = SignedLogTensor(a.log_magnitude[:, :, None], a.sign[:, :, None])
+    return signed_sum(signed_mul(adj3, b3), axis=-1), signed_sum(signed_mul(adj3, a3), axis=-2)
 
 
 def _backward_sum_squared(weights, u, adj, v):
@@ -385,16 +388,8 @@ def _backward_input(circuit, layer, tape, adj):
             layer.family.integral_matrix_vjp(store, total)
             return
         f = tape.saved[layer.layer_id]
-        batch = adj.shape[0]
-        adj3 = adj.reshape(batch, k, k)
-        f_row = SignedLogTensor(f.log_magnitude[:, None, :], f.sign[:, None, :])
-        t1 = signed_sum(signed_mul(adj3, f_row), axis=-1)
-        adj3t = SignedLogTensor(
-            adj3.log_magnitude.transpose(0, 2, 1), adj3.sign.transpose(0, 2, 1)
-        )
-        t2 = signed_sum(signed_mul(adj3t, f_row), axis=-1)
         layer.family.log_eval_vjp(
-            store, _scope_values(tape.x, layer.scope), signed_add(t1, t2)
+            store, _scope_values(tape.x, layer.scope), signed_add(*_kron_vjp(adj, f, f))
         )
         return
     if marg:

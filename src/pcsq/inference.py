@@ -164,13 +164,21 @@ def _family_for_variable(model, v):
     raise ConfigError(f"no input layer covers variable {v}")
 
 
+# sample rows (continuous columns) or distinct prefixes (discrete columns)
+# evaluated together in one batch of conditional passes
+_CHUNK = 256
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
 def sample(model, n, seed=0):
     """Draw ``n`` exact samples autoregressively (natural variable order).
 
-    Discrete variables enumerate their conditional PMF exactly; continuous
-    variables invert the conditional CDF by bisection over an adaptively
-    refined quadrature of the 1-d conditional density, to a CDF tolerance
-    of 1e-9 per step.
+    Discrete variables enumerate their conditional PMF once per distinct
+    prefix, in batched passes over chunks of prefixes; continuous variables
+    invert the conditional CDF by bisection over array-form adaptive
+    quadrature panels of the 1-d conditional density, to a CDF tolerance of
+    1e-9 per step.
     """
     graph = _graph(model)
     d = graph.variable_count
@@ -188,169 +196,105 @@ def sample(model, n, seed=0):
 
 
 def _sample_discrete_column(model, out, v, m, rest, rng):
-    n = out.shape[0]
-    memo = {}
-    draws = rng.random(n)
-    for i in range(n):
-        key = tuple(out[i, :v])
-        pmf = memo.get(key)
-        if pmf is None:
-            x = np.tile(out[i], (m, 1))
-            x[:, v] = np.arange(m)
-            vals = marginal_batch(model, x, rest)
-            if np.any(vals.sign < 0.0):
-                raise NumericError(f"negative conditional mass at variable {v}")
-            shift = np.max(vals.log_magnitude)
-            if not np.isfinite(shift):
-                raise NumericError(f"conditional PMF at variable {v} is identically zero")
-            w = np.where(vals.sign > 0.0, np.exp(vals.log_magnitude - shift), 0.0)
-            pmf = np.cumsum(w / w.sum())
-            memo[key] = pmf
-        out[i, v] = int(np.searchsorted(pmf, draws[i], side="right"))
+    draws = rng.random(out.shape[0])
+    prefixes, which = np.unique(out[:, :v], axis=0, return_inverse=True)
+    cdf = np.empty((prefixes.shape[0], m))
+    for start in range(0, prefixes.shape[0], _CHUNK):
+        block = prefixes[start : start + _CHUNK]
+        x = np.zeros((block.shape[0] * m, out.shape[1]))
+        x[:, :v] = np.repeat(block, m, axis=0)
+        x[:, v] = np.tile(np.arange(m), block.shape[0])
+        vals = marginal_batch(model, x, rest)
+        if np.any(vals.sign < 0.0):
+            raise NumericError(f"negative conditional mass at variable {v}")
+        lm, sg = vals.log_magnitude.reshape(-1, m), vals.sign.reshape(-1, m)
+        shift = np.max(lm, axis=1, keepdims=True)
+        if not np.all(np.isfinite(shift)):
+            raise NumericError(f"conditional PMF at variable {v} is identically zero")
+        w = np.where(sg > 0.0, np.exp(lm - shift), 0.0)
+        cdf[start : start + _CHUNK] = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+    # the number of CDF entries <= u is searchsorted(cdf, u, side="right")
+    out[:, v] = np.sum(cdf[which] <= draws[:, None], axis=1)
 
 
-def _sample_continuous_column(model, out, v, rest, rng, chunk=256, cdf_tol=1e-9):
+def _sample_continuous_column(model, out, v, rest, rng, cdf_tol=1e-9):
     lo, hi = _family_for_variable(model, v).sample_bracket(_graph(model).store)
-    n = out.shape[0]
-    for start in range(0, n, chunk):
-        rows = out[start : start + chunk]
-        b = rows.shape[0]
+    for start in range(0, out.shape[0], _CHUNK):
+        rows = out[start : start + _CHUNK]
 
-        def density(ts, row_idx):
-            # ts: flat points, row_idx: matching sample row per point
-            x = rows[row_idx].copy()
-            x[:, v] = ts
+        def integrate(row, a, b):
+            # 16-point Gauss-Legendre integral of row's conditional density over [a, b]
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            x = rows[np.repeat(row, 16)]
+            x[:, v] = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
             vals = marginal_batch(model, x, rest)
-            lin = np.where(vals.sign > 0.0, np.exp(vals.log_magnitude), 0.0)
             if np.any(vals.sign < 0.0):
                 # squared models are non-negative up to rounding; clamp dust
                 neg = vals.sign < 0.0
                 if np.any(vals.log_magnitude[neg] > np.max(vals.log_magnitude) - 25):
                     raise NumericError(f"negative conditional density at variable {v}")
-            return lin
+            lin = np.where(vals.sign > 0.0, np.exp(vals.log_magnitude), 0.0)
+            return np.einsum("pi,pi->p", lin.reshape(-1, 16), half[:, None] * _GL_WEIGHTS)
 
-        panels = _refine_panels(density, lo, hi, b)
-        totals = np.array([p.total() for p in panels])
+        a, b, whole, count = _refine_panels(integrate, lo, hi, rows.shape[0])
+        cum = np.cumsum(whole, axis=1)
+        totals = cum[:, -1]
         if np.any(~np.isfinite(totals)) or np.any(totals <= 0.0):
             raise NumericError(f"non-finite conditional mass at variable {v}")
-        targets = rng.random(b) * totals
-        rows[:, v] = _invert_cdf(density, panels, targets, totals, cdf_tol)
-        out[start : start + chunk] = rows
+        targets = rng.random(rows.shape[0]) * totals
+        # the panel holding each target: the number of panel ends at or below it
+        j = np.minimum(np.sum(cum <= targets[:, None], axis=1), count - 1)
+        i = np.arange(rows.shape[0])
+        base = np.where(j > 0, cum[i, j - 1], 0.0)
+        rows[:, v] = _invert_cdf(integrate, a[i, j], b[i, j], base, targets, totals, cdf_tol)
 
 
-class _PanelSet:
-    """Adaptively refined quadrature panels of one 1-d density."""
+def _refine_panels(integrate, lo, hi, n, max_rounds=24, rel_tol=1e-11):
+    """Halve each of n rows' 8 initial panels of [lo, hi] in rounds until
+    each panel's 16-point quadrature is stable under splitting, relative to
+    the row's running sum of |panel integrals|.
 
-    __slots__ = ("edges", "integrals")
-
-    def __init__(self, edges, integrals):
-        self.edges = edges
-        self.integrals = integrals
-
-    def total(self):
-        return float(np.sum(self.integrals))
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _gl_points(a, b):
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * _GL_NODES, half * _GL_WEIGHTS
-
-
-def _refine_panels(density, lo, hi, b, max_rounds=24, rel_tol=1e-11):
-    """Per-sample panel subdivision until each panel's 16-point quadrature
-    is stable under splitting."""
-    init_edges = np.linspace(lo, hi, 9)
-    pending = [[(init_edges[i], init_edges[i + 1]) for i in range(8)] for _ in range(b)]
-    # evaluate initial panels
-    values = [dict() for _ in range(b)]  # (a, b) -> integral
-    done = [[] for _ in range(b)]
-
-    def batch_eval(requests):
-        # requests: list of (sample, a, b); returns integrals in order
-        if not requests:
-            return []
-        ts, idx, spans = [], [], []
-        for s, a, bb in requests:
-            pts, wts = _gl_points(a, bb)
-            ts.append(pts)
-            idx.append(np.full(16, s))
-            spans.append(wts)
-        vals = density(np.concatenate(ts), np.concatenate(idx))
-        vals = vals.reshape(len(requests), 16)
-        return [float(v @ w) for v, w in zip(vals, spans)]
-
-    requests = [(s, a, bb) for s in range(b) for (a, bb) in pending[s]]
-    ints = batch_eval(requests)
-    for (s, a, bb), val in zip(requests, ints):
-        values[s][(a, bb)] = val
-
+    Panels are held as flat (row, a, b, integral) arrays.  Returns (n, P)
+    tables of panel starts, ends and integrals, ascending in a and
+    zero-padded past each row's panel count, and the counts.
+    """
+    edges = np.linspace(lo, hi, 9)
+    row = np.repeat(np.arange(n), 8)
+    a, bb = np.tile(edges[:-1], n), np.tile(edges[1:], n)
+    whole = integrate(row, a, bb)
+    scale = np.zeros(n)
+    np.add.at(scale, row, np.abs(whole))  # in evaluation order, as a running sum
+    done = []
     for _ in range(max_rounds):
-        requests = []
-        for s in range(b):
-            for (a, bb) in pending[s]:
-                m = 0.5 * (a + bb)
-                requests.append((s, a, m))
-                requests.append((s, m, bb))
-        if not requests:
+        if not row.size:
             break
-        ints = batch_eval(requests)
-        for (s, a, bb), val in zip(requests, ints):
-            values[s][(a, bb)] = val
-        nxt = [[] for _ in range(b)]
-        for s in range(b):
-            scale = max(sum(abs(v) for v in values[s].values()), 1e-300)
-            for (a, bb) in pending[s]:
-                m = 0.5 * (a + bb)
-                whole = values[s][(a, bb)]
-                split = values[s][(a, m)] + values[s][(m, bb)]
-                if abs(whole - split) <= rel_tol * scale or (bb - a) < 1e-13 * (hi - lo):
-                    done[s].append((a, m, values[s][(a, m)]))
-                    done[s].append((m, bb, values[s][(m, bb)]))
-                else:
-                    nxt[s].append((a, m))
-                    nxt[s].append((m, bb))
-        pending = nxt
-        if not any(pending):
-            break
-    for s in range(b):
-        for (a, bb) in pending[s]:
-            done[s].append((a, bb, values[s][(a, bb)]))
-        done[s].sort()
-    out = []
-    for s in range(b):
-        edges = np.array([a for (a, _, _) in done[s]] + [done[s][-1][1]])
-        out.append(_PanelSet(edges, np.array([v for (_, _, v) in done[s]])))
-    return out
+        m = 0.5 * (a + bb)
+        crow = np.repeat(row, 2)
+        ca, cb = np.stack([a, m], axis=1).ravel(), np.stack([m, bb], axis=1).ravel()
+        half = integrate(crow, ca, cb)
+        np.add.at(scale, crow, np.abs(half))
+        split = half[0::2] + half[1::2]
+        stable = np.abs(whole - split) <= rel_tol * np.maximum(scale[row], 1e-300)
+        keep = np.repeat(stable | ((bb - a) < 1e-13 * (hi - lo)), 2)
+        done.append((crow[keep], ca[keep], cb[keep], half[keep]))
+        row, a, bb, whole = crow[~keep], ca[~keep], cb[~keep], half[~keep]
+    done.append((row, a, bb, whole))
+    row, a, bb, whole = (np.concatenate(parts) for parts in zip(*done))
+    order = np.lexsort((a, row))
+    count = np.bincount(row, minlength=n)
+    col = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    table = np.zeros((3, n, count.max()))
+    table[:, row[order], col] = a[order], bb[order], whole[order]
+    return (*table, count)
 
 
-def _invert_cdf(density, panels, targets, totals, cdf_tol, max_iter=80):
-    b = len(panels)
-    lo = np.empty(b)
-    hi = np.empty(b)
-    base = np.empty(b)
-    for s, p in enumerate(panels):
-        cum = np.concatenate([[0.0], np.cumsum(p.integrals)])
-        j = int(np.searchsorted(cum, targets[s], side="right") - 1)
-        j = min(max(j, 0), len(p.integrals) - 1)
-        lo[s], hi[s] = p.edges[j], p.edges[j + 1]
-        base[s] = cum[j]
-    left = lo.copy()
+def _invert_cdf(integrate, lo, hi, base, targets, totals, cdf_tol, max_iter=80):
+    """Bisect each row's panel [lo, hi] for the point where the CDF (base
+    plus the integral from lo) reaches its target."""
+    row, start = np.arange(lo.size), lo
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        # partial integral from panel start to mid, per sample, in one batch
-        ts, idx, wts = [], [], []
-        for s in range(b):
-            pts, w = _gl_points(left[s], mid[s])
-            ts.append(pts)
-            idx.append(np.full(16, s))
-            wts.append(w)
-        vals = density(np.concatenate(ts), np.concatenate(idx)).reshape(b, 16)
-        partial = np.einsum("bi,bi->b", vals, np.stack(wts))
-        cdf = base + partial
-        err = cdf - targets
+        err = base + integrate(row, start, mid) - targets
         done = np.abs(err) <= cdf_tol * np.maximum(totals, 1e-300)
         if done.all() or np.max(hi - lo) < 1e-14 * np.max(np.abs(hi) + np.abs(lo) + 1.0):
             return mid

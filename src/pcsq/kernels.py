@@ -126,7 +126,9 @@ def _slse_pair_accum_exact(a_log, a_sign, b_log, b_sign, chunk=4096):
             part = np.where(sg != 0.0, sg * np.exp(lm - new_alpha[None]), 0.0).sum(axis=0)
         acc = acc * rescale + part
         alpha = new_alpha
+    # only an entry without live terms is zero; NaN input comes back as NaN
+    empty = alpha == -np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        out_log = np.where(np.isfinite(alpha), alpha + np.log(np.abs(acc)), -np.inf)
-    out_sign = np.where(np.isfinite(alpha), np.sign(acc), 0.0)
+        out_log = np.where(empty, -np.inf, alpha + np.log(np.abs(acc)))
+    out_sign = np.where(empty, 0.0, np.sign(acc))
     return out_log, out_sign

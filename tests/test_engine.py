@@ -198,6 +198,23 @@ def test_nan_parameters_rejected(rng):
         engine.forward(c, np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
+def test_nan_in_weight_gradient_input_raises(rng, squared):
+    # a NaN in the root sum layer's recorded input reaches only that
+    # layer's weight gradient; backward must report it, not zero it
+    rg = build_binary_tree(4, 0)
+    c = from_region_graph(rg, 2, "hadamard", lambda s, k: GaussianFamily(k))
+    c.store.values[:] = rng.normal(size=c.store.values.size)
+    c.store.bump()
+    graph = square(c).circuit if squared else c
+    res = engine.forward(graph, rng.normal(size=(5, 4)), want_tape=True)
+    u = res.tape.outputs[graph.layer(graph.output_layer).inputs[0]]
+    assert u.sign[2, 1] != 0.0
+    u.log_magnitude[2, 1] = np.nan
+    with pytest.raises(NumericError, match="NaN in accumulated gradients"):
+        engine.backward(res.tape, engine.log_grad_seed(res.root, np.full(5, 0.2)))
+
+
 def test_linear_and_slog_spaces_agree(rng):
     for _ in range(20):
         from conftest import random_discrete_circuit

@@ -58,6 +58,22 @@ def test_pair_accum_matches_linear_oracle(rng, kernel):
         _assert_matches_oracle(out, a.T @ b, np.abs(a).T @ np.abs(b))
 
 
+@pytest.mark.parametrize("kernel", list(PAIR_ACCUM_KERNELS))
+def test_pair_accum_nan_input_comes_back_nan(rng, kernel):
+    m, s, k = 6, 4, 3
+    a_lm, a_sg = _random_signed(rng, (m, s), zero_fraction=0.0)
+    b_lm, b_sg = _random_signed(rng, (m, k), zero_fraction=0.0)
+    a, b = _linear(a_lm, a_sg), _linear(b_lm, b_sg)
+    a_lm[4, 1] = np.nan  # a live entry, in the second chunk of exact-chunk3
+    out_lm, out_sg = PAIR_ACCUM_KERNELS[kernel](a_lm, a_sg, b_lm, b_sg)
+    # the NaN feeds every entry of unit 1 and no other
+    assert np.isnan(out_lm[1]).all()
+    others = np.arange(s) != 1
+    _assert_matches_oracle(
+        (out_lm[others], out_sg[others]), (a.T @ b)[others], (np.abs(a).T @ np.abs(b))[others]
+    )
+
+
 def test_pair_accum_wide_exponent_range_matches_exact(rng):
     # rows sit 800 nats apart, beyond what one shared shift keeps normal;
     # columns 0-1 of b are live only in the low rows, so their entries
