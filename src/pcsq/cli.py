@@ -51,7 +51,7 @@ from pcsq.reductions import (
     udisj_matrix,
 )
 from pcsq.splines import BSplineBasis
-from pcsq.squaring import SquaredCircuit, square
+from pcsq.squaring import square
 
 
 # ---------------------------------------------------------------------------
@@ -351,23 +351,15 @@ def _cmd_sample(cfg, out):
 
 
 def _grid_bounds(cfg, model):
+    first = model.components[0] if isinstance(model, CircuitMixture) else model
     bounds = []
-    graph = model.source if isinstance(model, SquaredCircuit) else model
-    if isinstance(model, CircuitMixture):
-        graph = model.components[0]
-        graph = graph.source if isinstance(graph, SquaredCircuit) else graph
     for v, key in ((0, "x1"), (1, "x2")):
         lo = cfg[f"grid.{key}_lo"]
         hi = cfg[f"grid.{key}_hi"]
         if np.isnan(lo) or np.isnan(hi):
-            fam = None
-            for layer in graph.input_layers():
-                if v in layer.scope:
-                    fam = layer.family
-            if fam is None or not hasattr(fam, "sample_bracket"):
-                raise ConfigError(f"grid bounds for {key} not given and not derivable")
+            fam = inference._family_for_variable(first, v)
             try:
-                lo2, hi2 = fam.sample_bracket(graph.store)
+                lo2, hi2 = fam.sample_bracket(first.store)
             except NotImplementedError as exc:
                 raise ConfigError(f"grid bounds for {key} not given and not derivable") from exc
             lo = lo2 if np.isnan(lo) else lo
@@ -380,8 +372,10 @@ def _cmd_grid(cfg, out):
     model = _require_model(cfg)
     if model.variable_count != 2:
         raise ConfigError("grid export is defined for 2-variable models")
-    (lo1, hi1), (lo2, hi2) = _grid_bounds(cfg, model)
     r = cfg["grid.resolution"]
+    if r < 1:
+        raise ConfigError(f"grid.resolution must be at least 1, got {r}")
+    (lo1, hi1), (lo2, hi2) = _grid_bounds(cfg, model)
     xs = np.linspace(lo1, hi1, r)
     ys = np.linspace(lo2, hi2, r)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")

@@ -5,7 +5,8 @@ signed log-space tensors (the default, overflow-proof) or plain float64
 arrays (the "linear" space, used by oracles and the overflow benchmark).
 Input layers evaluate pointwise on evidence variables and substitute
 their integral vector (plain circuits) or integral matrix (squared
-circuits) on marginalized variables.
+circuits) on marginalized variables, and their integrals up to the
+evidence value on variables in ``below`` (exact CDFs for sampling).
 
 With ``want_tape=True`` the pass records a tape; :func:`backward` then
 replays it in exact reverse order, propagating adjoints of the scalar
@@ -22,7 +23,7 @@ import numpy as np
 
 from pcsq import kernels
 from pcsq.circuits import HADAMARD, INPUT, KRONECKER, SUM, TensorizedCircuit
-from pcsq.errors import NumericError, UnsupportedStructureError
+from pcsq.errors import ConfigError, NumericError, UnsupportedStructureError
 from pcsq.slog import (
     SignedLogTensor,
     signed_logsumexp,
@@ -101,13 +102,18 @@ def _broadcast(slog, batch):
     return SignedLogTensor(lm, sg)
 
 
-def _forward_input(circuit, layer, x, marginalized, batch, saved):
+def _forward_input(circuit, layer, x, marginalized, below, batch, saved):
     scope = set(layer.scope)
     marg = scope & marginalized
-    if marg and marg != scope:
+    if (marg and marg != scope) or (scope & below and len(scope) > 1):
         raise UnsupportedStructureError(
-            f"input layer {layer.layer_id} is only partially marginalized"
+            f"input layer {layer.layer_id} is only partially marginalized or integrated"
         )
+    if scope & below:
+        t = _scope_values(x, layer.scope)
+        if layer.squared:
+            return layer.family.partial_integral_matrix(circuit.store, t).reshape(batch, -1)
+        return layer.family.partial_integral_vector(circuit.store, t)
     if layer.squared:
         if marg:
             mat = _input_integral(circuit, layer, matrix=True)
@@ -154,15 +160,21 @@ def forward(
     marginalized=frozenset(),
     space="slog",
     want_tape=False,
+    below=frozenset(),
 ):
     """Evaluate every layer; returns an :class:`EvalResult`.
 
     ``x`` is a (batch, variable_count) array of evidence (ignored columns
     for marginalized variables); it may be None when every variable is
     marginalized.  ``space`` selects signed log-space or plain linear
-    float64 arithmetic.
+    float64 arithmetic.  Variables in ``below`` are integrated from their
+    domain's lower end up to the evidence value (no tape, no overlap with
+    ``marginalized``).
     """
     marginalized = frozenset(marginalized)
+    below = frozenset(below)
+    if below and (want_tape or below & marginalized):
+        raise ConfigError("variables integrated up to a point cannot be taped or marginalized")
     if x is None:
         x = np.zeros((1, circuit.variable_count))
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -172,12 +184,12 @@ def forward(
         )
     batch = x.shape[0]
     if space == "linear":
-        return _forward_linear(circuit, x, marginalized, batch)
+        return _forward_linear(circuit, x, marginalized, below, batch)
     saved = {}
     outputs = []
     for layer in circuit.layers:
         if layer.kind == INPUT:
-            out = _forward_input(circuit, layer, x, marginalized, batch, saved)
+            out = _forward_input(circuit, layer, x, marginalized, below, batch, saved)
         elif layer.kind == SUM:
             u = outputs[layer.inputs[0]]
             weights = circuit.effective_weights(layer)
@@ -202,11 +214,11 @@ def forward(
     return EvalResult(outputs, circuit.output_layer, tape)
 
 
-def _forward_linear(circuit, x, marginalized, batch):
+def _forward_linear(circuit, x, marginalized, below, batch):
     outputs = []
     for layer in circuit.layers:
         if layer.kind == INPUT:
-            out = _forward_input(circuit, layer, x, marginalized, batch, {})
+            out = _forward_input(circuit, layer, x, marginalized, below, batch, {})
             out = out.to_linear() if isinstance(out, SignedLogTensor) else out
             if out.shape[0] != batch:
                 out = np.broadcast_to(out, (batch, out.shape[-1]))

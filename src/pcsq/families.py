@@ -9,8 +9,10 @@ inference:
 * the integral matrix (pairwise product integrals, for squared layers),
 
 together with the VJPs of all three so gradients reach the parameter
-store.  Free parameters live in the circuit's ParameterStore; families
-hold only block names and hyperparameters.
+store, and, for 1-d continuous units, both integrals from the domain's
+lower end up to t in closed form (the sampler's exact CDFs).  Free
+parameters live in the circuit's ParameterStore; families hold only
+block names and hyperparameters.
 """
 
 from __future__ import annotations
@@ -109,7 +111,31 @@ class InputFamily:
         }
 
 
-class GaussianFamily(InputFamily):
+class _GaussianShaped:
+    """Integrals up to each t_n, (len(t), K) and (len(t), K, K), of units
+    proportional to Gaussian densities (means, stds = ``_params(store)``):
+    a product of two such units is one too, so each is the full one * Phi."""
+
+    def partial_integral_vector(self, store, t):
+        return self._times_phi(self.integral_vector(store), *self._params(store), t)
+
+    def partial_integral_matrix(self, store, t):
+        mean, std = self._params(store)
+        var = std * std
+        s = var[:, None] + var[None, :]
+        m = (mean[:, None] * var[None, :] + mean[None, :] * var[:, None]) / s
+        return self._times_phi(self.integral_matrix(store), m, np.sqrt(np.outer(var, var) / s), t)
+
+    @staticmethod
+    def _times_phi(integral, mean, std, t):
+        z = (np.reshape(t, (-1,) + (1,) * np.ndim(mean)) - mean) / std
+        phi = 0.5 * np.vectorize(math.erfc, otypes=[np.float64])(-z / math.sqrt(2.0))
+        with np.errstate(divide="ignore"):
+            lm = integral.log_magnitude + np.log(phi)
+        return SignedLogTensor(lm, np.where(phi > 0.0, integral.sign, 0.0))
+
+
+class GaussianFamily(_GaussianShaped, InputFamily):
     """K Gaussian densities; std kept positive through exp reparameterization."""
 
     kind = "gaussian"
@@ -445,6 +471,15 @@ class SplineFamily(InputFamily):
         ).to_linear()
         store.accumulate_effective_grad(self.blocks["coeffs"], left + right)
 
+    def partial_integral_vector(self, store, t):
+        # the bases sum to one, so each basis integral is a Gram row sum
+        ints = self.basis.partial_gram(t).sum(axis=2)  # (len(t), bases)
+        return SignedLogTensor.from_linear(ints @ self._coeffs(store).T)
+
+    def partial_integral_matrix(self, store, t):
+        c = self._coeffs(store)
+        return SignedLogTensor.from_linear(c @ self.basis.partial_gram(t) @ c.T)
+
     def sample_bracket(self, store):
         return self.basis.bounds
 
@@ -452,7 +487,7 @@ class SplineFamily(InputFamily):
         return {"basis": self.basis.to_dict(), "monotonic": self.monotonic}
 
 
-class RbfKernelFamily(InputFamily):
+class RbfKernelFamily(_GaussianShaped, InputFamily):
     """Fixed RBF kernel units k_i(x) = exp(-||x - anchor_i||^2 / (2 h^2)).
 
     Anchors and bandwidth are hyperparameters, not trained; the family may
@@ -504,6 +539,11 @@ class RbfKernelFamily(InputFamily):
 
     def integral_matrix_vjp(self, store, adj):
         pass
+
+    def _params(self, store):
+        # means and stds of 1-d units; the engine integrates up to a point
+        # only over single-variable scopes
+        return self.anchors[:, 0], np.full(self.units, self.bandwidth)
 
     def sample_bracket(self, store):
         pad = 12.0 * self.bandwidth

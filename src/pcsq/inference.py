@@ -151,14 +151,8 @@ def log_likelihood(model, x) -> float:
 # exact sampling
 
 
-def _model_states(model):
-    graph = model.source if isinstance(model, SquaredCircuit) else model
-    return graph.states_per_variable()
-
-
 def _family_for_variable(model, v):
-    graph = model.source if isinstance(model, SquaredCircuit) else model
-    for layer in graph.input_layers():
+    for layer in _graph(model).input_layers():
         if v in layer.scope:
             return layer.family
     raise ConfigError(f"no input layer covers variable {v}")
@@ -168,23 +162,23 @@ def _family_for_variable(model, v):
 # evaluated together in one batch of conditional passes
 _CHUNK = 256
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
 
 def sample(model, n, seed=0):
     """Draw ``n`` exact samples autoregressively (natural variable order).
 
     Discrete variables enumerate their conditional PMF once per distinct
-    prefix, in batched passes over chunks of prefixes; continuous variables
-    invert the conditional CDF by bisection over array-form adaptive
-    quadrature panels of the 1-d conditional density, to a CDF tolerance of
-    1e-9 per step.
+    prefix, in batched passes over chunks of prefixes.  Continuous
+    variables bisect their exact conditional CDF, one forward pass with the
+    variable integrated up to the midpoint per step, to 1e-9 of the
+    conditional mass.  Raises ConfigError for n < 0.
     """
+    if n < 0:
+        raise ConfigError(f"cannot draw a negative number of samples ({n})")
     graph = _graph(model)
     d = graph.variable_count
     partition_function(model)  # fail fast on degenerate models
     rng = np.random.default_rng(seed)
-    states = _model_states(model)
+    states = graph.states_per_variable()
     out = np.zeros((n, d))
     for v in range(d):
         rest = frozenset(range(v + 1, d))
@@ -217,87 +211,22 @@ def _sample_discrete_column(model, out, v, m, rest, rng):
     out[:, v] = np.sum(cdf[which] <= draws[:, None], axis=1)
 
 
-def _sample_continuous_column(model, out, v, rest, rng, cdf_tol=1e-9):
-    lo, hi = _family_for_variable(model, v).sample_bracket(_graph(model).store)
+def _sample_continuous_column(model, out, v, rest, rng, cdf_tol=1e-9, max_steps=80):
+    lo, hi = _family_for_variable(model, v).sample_bracket(model.store)
     for start in range(0, out.shape[0], _CHUNK):
         rows = out[start : start + _CHUNK]
-
-        def integrate(row, a, b):
-            # 16-point Gauss-Legendre integral of row's conditional density over [a, b]
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            x = rows[np.repeat(row, 16)]
-            x[:, v] = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-            vals = marginal_batch(model, x, rest)
-            if np.any(vals.sign < 0.0):
-                # squared models are non-negative up to rounding; clamp dust
-                neg = vals.sign < 0.0
-                if np.any(vals.log_magnitude[neg] > np.max(vals.log_magnitude) - 25):
-                    raise NumericError(f"negative conditional density at variable {v}")
-            lin = np.where(vals.sign > 0.0, np.exp(vals.log_magnitude), 0.0)
-            return np.einsum("pi,pi->p", lin.reshape(-1, 16), half[:, None] * _GL_WEIGHTS)
-
-        a, b, whole, count = _refine_panels(integrate, lo, hi, rows.shape[0])
-        cum = np.cumsum(whole, axis=1)
-        totals = cum[:, -1]
-        if np.any(~np.isfinite(totals)) or np.any(totals <= 0.0):
+        mass = marginal_batch(model, rows, rest | {v}).to_linear()
+        if np.any(~np.isfinite(mass)) or np.any(mass <= 0.0):
             raise NumericError(f"non-finite conditional mass at variable {v}")
-        targets = rng.random(rows.shape[0]) * totals
-        # the panel holding each target: the number of panel ends at or below it
-        j = np.minimum(np.sum(cum <= targets[:, None], axis=1), count - 1)
-        i = np.arange(rows.shape[0])
-        base = np.where(j > 0, cum[i, j - 1], 0.0)
-        rows[:, v] = _invert_cdf(integrate, a[i, j], b[i, j], base, targets, totals, cdf_tol)
-
-
-def _refine_panels(integrate, lo, hi, n, max_rounds=24, rel_tol=1e-11):
-    """Halve each of n rows' 8 initial panels of [lo, hi] in rounds until
-    each panel's 16-point quadrature is stable under splitting, relative to
-    the row's running sum of |panel integrals|.
-
-    Panels are held as flat (row, a, b, integral) arrays.  Returns (n, P)
-    tables of panel starts, ends and integrals, ascending in a and
-    zero-padded past each row's panel count, and the counts.
-    """
-    edges = np.linspace(lo, hi, 9)
-    row = np.repeat(np.arange(n), 8)
-    a, bb = np.tile(edges[:-1], n), np.tile(edges[1:], n)
-    whole = integrate(row, a, bb)
-    scale = np.zeros(n)
-    np.add.at(scale, row, np.abs(whole))  # in evaluation order, as a running sum
-    done = []
-    for _ in range(max_rounds):
-        if not row.size:
-            break
-        m = 0.5 * (a + bb)
-        crow = np.repeat(row, 2)
-        ca, cb = np.stack([a, m], axis=1).ravel(), np.stack([m, bb], axis=1).ravel()
-        half = integrate(crow, ca, cb)
-        np.add.at(scale, crow, np.abs(half))
-        split = half[0::2] + half[1::2]
-        stable = np.abs(whole - split) <= rel_tol * np.maximum(scale[row], 1e-300)
-        keep = np.repeat(stable | ((bb - a) < 1e-13 * (hi - lo)), 2)
-        done.append((crow[keep], ca[keep], cb[keep], half[keep]))
-        row, a, bb, whole = crow[~keep], ca[~keep], cb[~keep], half[~keep]
-    done.append((row, a, bb, whole))
-    row, a, bb, whole = (np.concatenate(parts) for parts in zip(*done))
-    order = np.lexsort((a, row))
-    count = np.bincount(row, minlength=n)
-    col = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
-    table = np.zeros((3, n, count.max()))
-    table[:, row[order], col] = a[order], bb[order], whole[order]
-    return (*table, count)
-
-
-def _invert_cdf(integrate, lo, hi, base, targets, totals, cdf_tol, max_iter=80):
-    """Bisect each row's panel [lo, hi] for the point where the CDF (base
-    plus the integral from lo) reaches its target."""
-    row, start = np.arange(lo.size), lo
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        err = base + integrate(row, start, mid) - targets
-        done = np.abs(err) <= cdf_tol * np.maximum(totals, 1e-300)
-        if done.all() or np.max(hi - lo) < 1e-14 * np.max(np.abs(hi) + np.abs(lo) + 1.0):
-            return mid
-        hi = np.where(err > 0, mid, hi)
-        lo = np.where(err > 0, lo, mid)
-    return 0.5 * (lo + hi)
+        targets = rng.random(rows.shape[0]) * mass
+        a, b = np.full(rows.shape[0], lo), np.full(rows.shape[0], hi)
+        for _ in range(max_steps):
+            mid = 0.5 * (a + b)
+            rows[:, v] = mid
+            cdf = engine.forward(_graph(model), rows, marginalized=rest, below={v}).root
+            err = cdf.to_linear() - targets
+            done = np.all(np.abs(err) <= cdf_tol * mass)
+            if done or np.max(b - a) < 1e-14 * np.max(np.abs(a) + np.abs(b) + 1.0):
+                break
+            b = np.where(err > 0, mid, b)
+            a = np.where(err > 0, a, mid)

@@ -214,8 +214,9 @@ def _mean_ll(model, x):
 
 
 def _model_z_count(model):
+    # a mixture computes each component's Z once per step: count the mean
     if isinstance(model, CircuitMixture):
-        return inference.z_eval_count(model.components[0])
+        return float(np.mean([inference.z_eval_count(c) for c in model.components]))
     return inference.z_eval_count(model)
 
 

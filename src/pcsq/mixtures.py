@@ -113,6 +113,8 @@ class CircuitMixture:
         return float(np.mean(self.log_density(np.atleast_2d(x))))
 
     def sample(self, n, seed=0):
+        if n < 0:
+            raise ConfigError(f"cannot draw a negative number of samples ({n})")
         rng = np.random.default_rng(seed)
         logz = self.component_log_partitions()
         with np.errstate(divide="ignore"):
@@ -120,8 +122,8 @@ class CircuitMixture:
         w = np.exp(w - np.max(w))
         w = w / w.sum()
         counts = rng.multinomial(n, w)
-        parts = []
-        for i, (c, m) in enumerate(zip(self.components, counts)):
+        parts = [np.zeros((0, self.variable_count))]
+        for c, m in zip(self.components, counts):
             if m:
                 parts.append(inference.sample(c, int(m), seed=int(rng.integers(2**31))))
         out = np.concatenate(parts, axis=0)

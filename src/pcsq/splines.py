@@ -4,7 +4,7 @@ A basis of order k over n interior knots in (a, b) uses the clamped knot
 vector [a]*(k+1) + interior + [b]*(k+1) and spans n + k + 1 basis
 functions.  Basis values come from the Cox-de Boor recursion; products of
 two basis pieces are polynomials of degree <= 2k, so per-span
-Gauss-Legendre with k+1 points integrates them exactly.
+Gauss-Legendre with k+1 points integrates them exactly, also on part of a span.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ class BSplineBasis:
         k = self.order
         self.knots = np.concatenate([np.full(k + 1, a), interior, np.full(k + 1, b)])
         self.num_bases = interior.size + k + 1
+        self._gram_below = None
 
     @classmethod
     def uniform(cls, order, num_knots, bounds):
@@ -107,6 +108,25 @@ class BSplineBasis:
         nodes, weights = self._quad_nodes()
         design = self.design_matrix(nodes)
         return (design * weights[:, None]).T @ design
+
+    def partial_gram(self, t):
+        """Pairwise product integrals over [a, t_n], (len(t), B, B): a table
+        of whole spans, plus Gauss-Legendre on the part of t_n's span."""
+        q = self.order + 1
+        if self._gram_below is None:  # per span, the Gram matrix of all spans below
+            nodes, weights = self._quad_nodes()
+            design = self.design_matrix(nodes).reshape(-1, q, self.num_bases)
+            grams = np.einsum("sq,sqa,sqb->sab", weights.reshape(-1, q), design, design)
+            self._gram_below = np.cumsum(grams, axis=0) - grams
+        t = self.check_domain(np.atleast_1d(t))
+        edges = np.unique(self.knots)
+        span = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, edges.size - 2)
+        pts, wts = np.polynomial.legendre.leggauss(q)
+        half = 0.5 * (t - edges[span])
+        nodes = edges[span][:, None] + half[:, None] * (1.0 + pts)  # never below the span
+        design = self.design_matrix(nodes.reshape(-1)).reshape(t.size, q, self.num_bases)
+        partial = np.einsum("nq,nqa,nqb->nab", half[:, None] * wts, design, design)
+        return self._gram_below[span] + partial
 
     def to_dict(self):
         return {

@@ -32,6 +32,14 @@ train.learning_rate = 0.01
 """
 
 
+def _psd_model(tmp_path, dim):
+    """Path of a saved reduce-psd mixture over ``dim`` variables."""
+    cfg = _write_config(tmp_path, "p.cfg", f"seed = 2\npsd.anchor_count = 3\npsd.dim = {dim}\n")
+    out = tmp_path / f"psd{dim}"
+    assert main(["reduce-psd", "--config", cfg, "--out", str(out)]) == 0
+    return out / "model.json"
+
+
 class TestConfigParsing:
     def test_key_value_with_comments(self):
         raw = parse_config_text("# hi\nseed = 4\n\nmodel.k= 8 # tail\n")
@@ -169,6 +177,18 @@ class TestCommands:
         line = (out2 / "verification.csv").read_text().splitlines()[1]
         assert float(line.split(",")[1]) < 1e-6
 
+    @pytest.mark.parametrize("dim,code", [(1, 0), (2, 2)])
+    def test_sample_reduce_psd_model(self, tmp_path, dim, code):
+        # 1-d kernel units integrate up to a point in closed form; a 2-d
+        # kernel unit cannot be conditioned on one of its variables
+        cfg = _write_config(
+            tmp_path, "s.cfg", f"model.path = {_psd_model(tmp_path, dim)}\nsample.n = 20\n"
+        )
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == code
+        if code == 0:
+            rows = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1, ndmin=2)
+            assert rows.shape == (20, 1) and np.all(np.isfinite(rows))
+
     def test_bench_counts_one_z_per_step(self, tmp_path):
         cfg = _write_config(
             tmp_path,
@@ -224,3 +244,17 @@ class TestExitCodes:
             tmp_path, "deg.cfg", f"model.path = {model_path}\nsample.n = 5\n"
         )
         assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 5
+
+    @pytest.mark.parametrize(
+        "command,key,value,code",
+        [
+            ("sample", "sample.n", -3, 2),
+            ("sample", "sample.n", 0, 0),
+            ("grid", "grid.resolution", -2, 2),
+            ("grid", "grid.resolution", 0, 2),
+        ],
+    )
+    def test_draw_counts_and_grid_sizes(self, tmp_path, command, key, value, code):
+        model_path = _psd_model(tmp_path, 2)
+        cfg = _write_config(tmp_path, "c.cfg", f"model.path = {model_path}\n{key} = {value}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == code

@@ -6,7 +6,7 @@ import pytest
 
 from pcsq import engine
 from pcsq.circuits import from_region_graph
-from pcsq.errors import NumericError
+from pcsq.errors import ConfigError, NumericError
 from pcsq.families import (
     BinomialFamily,
     CategoricalFamily,
@@ -238,3 +238,21 @@ def test_marginalized_batch_broadcasts(rng):
     assert out.shape == (4,)
     single = engine.forward(sq.circuit, x[1:2], marginalized=frozenset({1, 2})).root
     assert out.log_magnitude[1] == pytest.approx(single.log_magnitude[0], rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"want_tape": True}, {"marginalized": frozenset({0, 1})}],
+    ids=["taped", "overlaps-marginalized"],
+)
+def test_partial_integral_query_rejects_tape_and_overlap(rng, kwargs):
+    rg = build_linear_tree(2, 0)
+    c = from_region_graph(rg, 2, "hadamard", lambda s, k: GaussianFamily(k))
+    c.store.values[:] = rng.normal(size=c.store.values.size)
+    c.store.bump()
+    x = rng.normal(size=(3, 2))
+    slog = engine.forward(c, x, below={0}).root.to_linear()  # accepted on its own
+    lin = engine.forward(c, x, below={0}, space="linear").root
+    np.testing.assert_allclose(slog, lin, rtol=1e-12)
+    with pytest.raises(ConfigError):
+        engine.forward(c, np.zeros((3, 2)), below={0}, **kwargs)

@@ -168,6 +168,79 @@ class TestProductIntegrals:
         assert mat[2, 2] == pytest.approx(product(2, 2), rel=1e-7)
 
 
+def _gaussian_shaped_case(kind):
+    """A 3-unit family with Gaussian-shaped units and a scalar oracle f(t, i)."""
+    if kind == "gaussian":
+        fam = GaussianFamily(3)
+        store = _make(fam, seed=5)
+        mean = store.effective(fam.blocks["mean"])
+        std = store.effective(fam.blocks["std"])
+        return fam, store, lambda t, i: stats.norm.pdf(t, mean[i], std[i])
+    anchors = np.array([[-0.8], [0.1], [1.3]])
+    fam = RbfKernelFamily(anchors, bandwidth=0.6)
+    return fam, ParameterStore(), lambda t, i: math.exp(-((t - anchors[i, 0]) ** 2) / 0.72)
+
+
+class TestPartialIntegrals:
+    """Integrals from the domain's lower end up to t, against adaptive
+    quadrature; at the upper end they are the full integrals."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rbf"])
+    def test_gaussian_shaped_vs_quadrature(self, kind):
+        fam, store, f = _gaussian_shaped_case(kind)
+        ts = np.array([-2.5, -0.4, 0.0, 0.7, 2.2])
+        vec = fam.partial_integral_vector(store, ts).to_linear()
+        mat = fam.partial_integral_matrix(store, ts).to_linear()
+        assert vec.shape == (5, 3) and mat.shape == (5, 3, 3)
+        quad = lambda g, t: integrate.quad(g, -np.inf, t, epsabs=1e-15, epsrel=1e-12)[0]
+        for n, t in enumerate(ts):
+            for i in range(3):
+                assert vec[n, i] == pytest.approx(quad(lambda s: f(s, i), t), rel=1e-10, abs=1e-15)
+                for j in range(3):
+                    want = quad(lambda s: f(s, i) * f(s, j), t)
+                    assert mat[n, i, j] == pytest.approx(want, rel=1e-10, abs=1e-15)
+
+    def test_spline_span_by_span_vs_quadrature(self):
+        basis = BSplineBasis.uniform(2, 5, (-1.0, 2.0))
+        fam = SplineFamily(3, basis)
+        store = _make(fam, seed=7)
+        coeffs = store.effective(fam.blocks["coeffs"])
+        edges = np.unique(basis.knots)
+        # every knot, and a point inside every span
+        ts = np.concatenate([edges, edges[:-1] + 0.37 * np.diff(edges)])
+        vec = fam.partial_integral_vector(store, ts).to_linear()
+        mat = fam.partial_integral_matrix(store, ts).to_linear()
+
+        def f(s, i):
+            return float((basis.design_matrix(np.atleast_1d(s)) @ coeffs[i])[0])
+
+        def quad(g, t):
+            pieces = [(lo, min(hi, t)) for lo, hi in zip(edges[:-1], edges[1:]) if lo < t]
+            return sum(
+                integrate.quad(g, lo, hi, epsabs=1e-15, epsrel=1e-13)[0] for lo, hi in pieces
+            )
+
+        for n, t in enumerate(ts):
+            for i in range(3):
+                assert vec[n, i] == pytest.approx(quad(lambda s: f(s, i), t), rel=1e-10, abs=1e-13)
+                for j in range(3):
+                    want = quad(lambda s: f(s, i) * f(s, j), t)
+                    assert mat[n, i, j] == pytest.approx(want, rel=1e-10, abs=1e-13)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rbf", "spline"])
+    def test_upper_end_is_full_integral(self, kind):
+        if kind == "spline":
+            fam = SplineFamily(3, BSplineBasis.uniform(2, 5, (-1.0, 2.0)))
+            store = _make(fam, seed=7)
+        else:
+            fam, store, _ = _gaussian_shaped_case(kind)
+        _, hi = fam.sample_bracket(store)
+        vec = fam.partial_integral_vector(store, [hi]).to_linear()[0]
+        mat = fam.partial_integral_matrix(store, [hi]).to_linear()[0]
+        np.testing.assert_allclose(vec, fam.integral_vector(store).to_linear(), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mat, fam.integral_matrix(store).to_linear(), rtol=1e-12, atol=0)
+
+
 class TestIntegralMatrixProperties:
     @pytest.mark.parametrize("maker", [
         lambda: GaussianFamily(4),

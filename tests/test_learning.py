@@ -12,6 +12,7 @@ from pcsq.inference import log_likelihood, partition_function
 from pcsq.learning import (
     TrainConfig,
     _accumulate_gradients,
+    _model_z_count,
     init_parameters,
     parse_init,
     train,
@@ -116,6 +117,23 @@ class TestTrain:
                     model, ds, TrainConfig(batch_size=batch_size, max_epochs=2, patience=5, seed=0)
                 )
                 assert report.z_evals_per_step == pytest.approx(1.0)
+
+    def test_mixture_z_count_sees_every_component(self):
+        rg = build_linear_tree(2, 0)
+        comps = [
+            init_parameters(
+                square(from_region_graph(rg, 2, "hadamard", lambda s, k: EmbeddingFamily(k, 3))),
+                "uniform(0,1)",
+                seed=seed,
+            )
+            for seed in (2, 3)
+        ]
+        mixture = CircuitMixture.from_components(comps)
+        before = _model_z_count(mixture)
+        for _ in range(2):  # two fresh evaluations, on the second component only
+            comps[1].store.bump()
+            partition_function(comps[1])
+        assert _model_z_count(mixture) - before == pytest.approx(1.0)
 
     def test_monotonic_circuit_stays_monotonic(self, rng):
         rows = rng.integers(0, 4, size=(500, 2))

@@ -7,7 +7,7 @@ from pcsq.circuits import from_region_graph
 from pcsq.data import Column, Dataset
 from pcsq.errors import ConfigError
 from pcsq.families import EmbeddingFamily
-from pcsq.inference import partition_function
+from pcsq.inference import partition_function, sample
 from pcsq.learning import TrainConfig, init_parameters, train
 from pcsq.mixtures import CircuitMixture
 from pcsq.regions import build_linear_tree
@@ -92,3 +92,16 @@ def test_mixture_sampling_matches_density(rng):
     idx = (draws[:, 0] * 2 + draws[:, 1]).astype(int)
     freq = np.bincount(idx, minlength=4) / draws.shape[0]
     assert 0.5 * np.abs(freq - pmf).sum() < 0.02
+
+
+@pytest.mark.parametrize("mixture", [False, True], ids=["single", "mixture"])
+@pytest.mark.parametrize("n", [-3, -1, 0])
+def test_draw_counts(rng, n, mixture):
+    comps = [_component(rng, s, d=2) for s in range(2)]
+    model = CircuitMixture.from_components(comps) if mixture else comps[0]
+    draw = model.sample if mixture else lambda k, seed: sample(model, k, seed=seed)
+    if n < 0:
+        with pytest.raises(ConfigError):
+            draw(n, seed=1)
+    else:
+        assert draw(n, seed=1).shape == (0, 2)

@@ -5,9 +5,11 @@ import pytest
 from scipy import integrate, stats
 
 from pcsq.circuits import from_region_graph
-from pcsq.families import CategoricalFamily, EmbeddingFamily, GaussianFamily
+from pcsq.families import CategoricalFamily, EmbeddingFamily, GaussianFamily, SplineFamily
 from pcsq.inference import log_density, marginal_batch, partition_function, sample
+from pcsq.reductions import PsdModel, psd_to_circuit
 from pcsq.regions import build_linear_tree, linear_tree_from_order
+from pcsq.splines import BSplineBasis
 from pcsq.squaring import square
 
 from conftest import enumerate_assignments
@@ -113,20 +115,80 @@ def test_continuous_multimodal_ks(rng):
     assert result.pvalue > 0.01, result
 
 
-def test_continuous_cdf_inverted_to_1e9():
-    # each draw must sit where the exact CDF reaches the draw's uniform, to
-    # the sampler's 1e-9 stopping rule plus the quadrature oracle's own error
-    c, sq = _bimodal_gaussian()
-    z = partition_function(sq).to_linear()
-    lo, _ = c.input_layers()[0].family.sample_bracket(c.store)
-    n = 300  # more than one 256-row chunk
-    draws = sample(sq, n, seed=21)[:, 0]
-    uniforms = np.random.default_rng(21).random(n)
-    dens = lambda s: (stats.norm.pdf(s, -1.2, 1.0) - stats.norm.pdf(s, 1.2, 1.0)) ** 2 / z
-    cdf = np.array(
-        [integrate.quad(dens, lo, t, epsabs=1e-14, epsrel=1e-13, limit=200)[0] for t in draws]
-    )
-    assert np.max(np.abs(cdf - uniforms)) <= 1.1e-9
+def _plain_gaussian_mixture():
+    # an unsquared (monotonic) circuit: the sampler integrates its plain
+    # input layer up to each midpoint
+    rg = linear_tree_from_order([0])
+    c = from_region_graph(rg, 2, "hadamard", lambda s, k: GaussianFamily(k))
+    fam = c.input_layers()[0].family
+    c.store.set_free(fam.blocks["mean"], [-1.0, 2.0])
+    c.store.set_free(fam.blocks["std"], [0.0, np.log(0.5)])
+    c.store.set_free(c.layer(c.output_layer).param_block, [[0.3, 0.7]])
+    return c
+
+
+def _squared_spline_pair():
+    basis = BSplineBasis.uniform(2, 6, (-2.0, 2.0))
+    rg = linear_tree_from_order([0, 1])
+    c = from_region_graph(rg, 3, "hadamard", lambda s, k: SplineFamily(k, basis))
+    c.store.values[:] = np.random.default_rng(3).normal(size=c.store.values.size)
+    c.store.bump()
+    return square(c)
+
+
+def _squared_rbf_component():
+    # one squared 1-d kernel component of a PSD-model reduction
+    anchors = np.array([[-1.0], [0.2], [1.1], [2.0]])
+    m = np.random.default_rng(4).normal(size=(4, 4))
+    return psd_to_circuit(PsdModel(anchors, 0.7, m @ m.T)).components[0]
+
+
+# model builder, draws, seed
+CDF_CASES = {
+    "bimodal-gaussian": (lambda: _bimodal_gaussian()[1], 300, 21),  # beyond one 256-row chunk
+    "plain-gaussian-mixture": (_plain_gaussian_mixture, 64, 3),
+    "squared-spline-2d": (_squared_spline_pair, 48, 5),
+    "squared-rbf-component": (_squared_rbf_component, 64, 6),
+}
+
+
+@pytest.mark.parametrize("case", list(CDF_CASES))
+def test_continuous_cdf_inverted_to_1e9(case):
+    # each draw must sit where its exact conditional CDF reaches the draw's
+    # uniform, to the sampler's 1e-9 stopping rule plus the oracle's own
+    # error; the oracle integrates pointwise conditional densities (later
+    # variables marginalized) with adaptive quadrature, knot span by span
+    build, n, seed = CDF_CASES[case]
+    model = build()
+    draws = sample(model, n, seed=seed)
+    d = draws.shape[1]
+    uniforms = np.random.default_rng(seed).random(d * n).reshape(d, n)  # column by column
+    graph = getattr(model, "source", model)
+    for v in range(d):
+        fam = next(layer.family for layer in graph.input_layers() if v in layer.scope)
+        lo, hi = fam.sample_bracket(model.store)
+        breaks = np.unique(fam.basis.knots) if isinstance(fam, SplineFamily) else []
+
+        def cdf_integral(density, t):
+            edges = [lo, *(e for e in breaks if lo < e < t), t]
+            return sum(
+                integrate.quad(density, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(edges[:-1], edges[1:])
+            )
+
+        masses = {}  # per distinct prefix
+        for i in range(n):
+            x = draws[i : i + 1].copy()
+
+            def density(s):
+                x[0, v] = s
+                return float(marginal_batch(model, x, range(v + 1, d)).to_linear()[0])
+
+            prefix = tuple(draws[i, :v])
+            if prefix not in masses:
+                masses[prefix] = cdf_integral(density, hi)
+            cdf = cdf_integral(density, draws[i, v]) / masses[prefix]
+            assert abs(cdf - uniforms[v, i]) <= 1.1e-9, (v, i)
 
 
 def test_mixed_model_beyond_one_chunk_matches_per_row_oracle():
