@@ -12,7 +12,9 @@ With ``want_tape=True`` the pass records a tape; :func:`backward` then
 replays it in exact reverse order, propagating adjoints of the scalar
 objective w.r.t. each layer's linear-space output (the adjoints
 themselves are carried in signed log-space) and accumulating parameter
-gradients into the store.
+gradients into the store.  The tape keeps each evaluated input layer's
+values and features (spline design matrices, Gaussian z-scores), so the
+input VJPs reuse them; untaped passes keep nothing.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class Tape:
     """Forward-pass record for one batch; replayed once by backward()."""
 
     circuit: TensorizedCircuit
-    x: np.ndarray
     marginalized: frozenset
     outputs: list
     saved: dict = field(default_factory=dict)
@@ -114,18 +115,20 @@ def _forward_input(circuit, layer, x, marginalized, below, batch, saved):
         if layer.squared:
             return layer.family.partial_integral_matrix(circuit.store, t).reshape(batch, -1)
         return layer.family.partial_integral_vector(circuit.store, t)
-    if layer.squared:
-        if marg:
-            mat = _input_integral(circuit, layer, matrix=True)
-            k = layer.family.units
-            flat = SignedLogTensor(mat.log_magnitude.reshape(k * k), mat.sign.reshape(k * k))
-            return _broadcast(flat, batch)
-        f = layer.family.log_eval(circuit.store, _scope_values(x, layer.scope))
-        saved[layer.layer_id] = f
-        return signed_outer(f, f)
     if marg:
-        return _broadcast(_input_integral(circuit, layer, matrix=False), batch)
-    return layer.family.log_eval(circuit.store, _scope_values(x, layer.scope))
+        if not layer.squared:
+            return _broadcast(_input_integral(circuit, layer, matrix=False), batch)
+        mat = _input_integral(circuit, layer, matrix=True)
+        k = layer.family.units
+        flat = SignedLogTensor(mat.log_magnitude.reshape(k * k), mat.sign.reshape(k * k))
+        return _broadcast(flat, batch)
+    values = _scope_values(x, layer.scope)
+    if saved is None:
+        f = layer.family.log_eval(circuit.store, values)
+    else:  # taped: keep f and its features so backward re-derives nothing
+        f, features = layer.family._eval(circuit.store, values)
+        saved[layer.layer_id] = (f, features)
+    return signed_outer(f, f) if layer.squared else f
 
 
 def _forward_sum_squared(weights, u, save_to=None, layer_id=None):
@@ -185,7 +188,7 @@ def forward(
     batch = x.shape[0]
     if space == "linear":
         return _forward_linear(circuit, x, marginalized, below, batch)
-    saved = {}
+    saved = {} if want_tape else None
     outputs = []
     for layer in circuit.layers:
         if layer.kind == INPUT:
@@ -194,9 +197,7 @@ def forward(
             u = outputs[layer.inputs[0]]
             weights = circuit.effective_weights(layer)
             if layer.squared:
-                out = _forward_sum_squared(
-                    weights, u, save_to=saved if want_tape else None, layer_id=layer.layer_id
-                )
+                out = _forward_sum_squared(weights, u, save_to=saved, layer_id=layer.layer_id)
             else:
                 out = signed_logsumexp(weights, u)
         elif layer.kind == HADAMARD:
@@ -210,7 +211,7 @@ def forward(
         if np.isnan(out.log_magnitude).any() or np.isnan(out.sign).any():
             raise NumericError(f"NaN produced at layer {layer.layer_id} ({layer.kind})")
         outputs.append(out)
-    tape = Tape(circuit, x, marginalized, outputs, saved) if want_tape else None
+    tape = Tape(circuit, marginalized, outputs, saved) if want_tape else None
     return EvalResult(outputs, circuit.output_layer, tape)
 
 
@@ -218,7 +219,7 @@ def _forward_linear(circuit, x, marginalized, below, batch):
     outputs = []
     for layer in circuit.layers:
         if layer.kind == INPUT:
-            out = _forward_input(circuit, layer, x, marginalized, below, batch, {})
+            out = _forward_input(circuit, layer, x, marginalized, below, batch, None)
             out = out.to_linear() if isinstance(out, SignedLogTensor) else out
             if out.shape[0] != batch:
                 out = np.broadcast_to(out, (batch, out.shape[-1]))
@@ -393,18 +394,14 @@ def _backward_input(circuit, layer, tape, adj):
     store = circuit.store
     scope = set(layer.scope)
     marg = scope & tape.marginalized
-    if layer.squared:
-        k = layer.family.units
-        if marg:
-            total = signed_sum(adj, axis=0).reshape(k, k)
-            layer.family.integral_matrix_vjp(store, total)
-            return
-        f = tape.saved[layer.layer_id]
-        layer.family.log_eval_vjp(
-            store, _scope_values(tape.x, layer.scope), signed_add(*_kron_vjp(adj, f, f))
-        )
-        return
     if marg:
-        layer.family.integral_vector_vjp(store, signed_sum(adj, axis=0))
+        if layer.squared:
+            k = layer.family.units
+            layer.family.integral_matrix_vjp(store, signed_sum(adj, axis=0).reshape(k, k))
+        else:
+            layer.family.integral_vector_vjp(store, signed_sum(adj, axis=0))
         return
-    layer.family.log_eval_vjp(store, _scope_values(tape.x, layer.scope), adj)
+    f, features = tape.saved[layer.layer_id]
+    if layer.squared:
+        adj = signed_add(*_kron_vjp(adj, f, f))
+    layer.family.log_eval_vjp(store, adj, f, features)

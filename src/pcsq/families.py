@@ -4,7 +4,8 @@ Each family computes K univariate (or, for kernel units, multivariate)
 functions per input layer and supports three views needed by circuit
 inference:
 
-* pointwise evaluation f_i(x) in signed log-space,
+* pointwise evaluation f_i(x) in signed log-space (``_eval`` also
+  returns the features its VJP needs, which taped passes keep),
 * the integral vector (integral of each f_i over the variable's domain),
 * the integral matrix (pairwise product integrals, for squared layers),
 
@@ -65,9 +66,16 @@ class InputFamily:
         return None
 
     def log_eval(self, store, x) -> SignedLogTensor:
+        return self._eval(store, x)[0]
+
+    def _eval(self, store, x):
+        """(f(x), features): the values in signed log-space and the state
+        ``log_eval_vjp`` needs besides them (taped passes keep both)."""
         raise NotImplementedError
 
-    def log_eval_vjp(self, store, x, adj: SignedLogTensor):
+    def log_eval_vjp(self, store, adj: SignedLogTensor, f: SignedLogTensor, features):
+        """Accumulate parameter gradients given the adjoint of f(x) and the
+        pair ``_eval`` returned for the same x."""
         raise NotImplementedError
 
     def integral_vector(self, store) -> SignedLogTensor:
@@ -150,16 +158,15 @@ class GaussianFamily(_GaussianShaped, InputFamily):
     def _params(self, store):
         return store.effective(self.blocks["mean"]), store.effective(self.blocks["std"])
 
-    def log_eval(self, store, x):
+    def _eval(self, store, x):
         mean, std = self._params(store)
         z = (np.asarray(x, dtype=np.float64)[:, None] - mean[None, :]) / std[None, :]
         lm = -0.5 * z * z - np.log(std)[None, :] - 0.5 * _LOG_2PI
-        return SignedLogTensor(lm, np.ones_like(lm))
+        return SignedLogTensor(lm, np.ones_like(lm)), z
 
-    def log_eval_vjp(self, store, x, adj):
-        mean, std = self._params(store)
-        z = (np.asarray(x, dtype=np.float64)[:, None] - mean[None, :]) / std[None, :]
-        t = signed_mul(adj, self.log_eval(store, x))
+    def log_eval_vjp(self, store, adj, f, z):
+        std = store.effective(self.blocks["std"])
+        t = signed_mul(adj, f)
         store.accumulate_effective_grad(
             self.blocks["mean"], _weighted_batch_sum(t, z / std[None, :])
         )
@@ -238,13 +245,13 @@ class _TableFamily(InputFamily):
     def value_table(self, store):
         return self._table(store)
 
-    def log_eval(self, store, x):
+    def _eval(self, store, x):
         xi = self._check_states(x)
-        return SignedLogTensor.from_linear(self._table(store)[:, xi].T)
+        return SignedLogTensor.from_linear(self._table(store)[:, xi].T), xi
 
-    def log_eval_vjp(self, store, x, adj):
+    def log_eval_vjp(self, store, adj, f, xi):
         # grad[:, s] sums adj over the rows observed in state s
-        onehot = SignedLogTensor.from_linear(np.eye(self.states)[self._check_states(x)])
+        onehot = SignedLogTensor.from_linear(np.eye(self.states)[xi])
         lm, sg = kernels.slse_pair_accum(
             adj.log_magnitude, adj.sign, onehot.log_magnitude, onehot.sign
         )
@@ -355,14 +362,14 @@ class BinomialFamily(InputFamily):
             raise DomainError(f"count outside [0, {self.trials}] for binomial family")
         return xi
 
-    def log_eval(self, store, x):
-        lm = self._log_pmf(store, self._check(x))
-        return SignedLogTensor(lm, np.ones_like(lm))
-
-    def log_eval_vjp(self, store, x, adj):
+    def _eval(self, store, x):
         xi = self._check(x)
+        lm = self._log_pmf(store, xi)
+        return SignedLogTensor(lm, np.ones_like(lm)), xi
+
+    def log_eval_vjp(self, store, adj, f, xi):
         p = self._p(store)
-        t = signed_mul(adj, self.log_eval(store, xi))
+        t = signed_mul(adj, f)
         factor = xi[:, None] - self.trials * p[None, :]
         store.accumulate_effective_grad(
             self.blocks["logit_p"], _weighted_batch_sum(t, factor)
@@ -438,12 +445,11 @@ class SplineFamily(InputFamily):
             self._marg = self.basis.basis_integrals()
         return self._marg
 
-    def log_eval(self, store, x):
+    def _eval(self, store, x):
         design = self.basis.design_matrix(x)
-        return SignedLogTensor.from_linear(design @ self._coeffs(store).T)
+        return SignedLogTensor.from_linear(design @ self._coeffs(store).T), design
 
-    def log_eval_vjp(self, store, x, adj):
-        design = self.basis.design_matrix(x)
+    def log_eval_vjp(self, store, adj, f, design):
         d_slog = SignedLogTensor.from_linear(design)
         lm, sg = kernels.slse_pair_accum(
             adj.log_magnitude, adj.sign, d_slog.log_magnitude, d_slog.sign
@@ -511,15 +517,15 @@ class RbfKernelFamily(_GaussianShaped, InputFamily):
     def register(self, store, prefix):
         return self
 
-    def log_eval(self, store, x):
+    def _eval(self, store, x):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
             x = x[:, None]
         diff = x[:, None, :] - self.anchors[None, :, :]
         lm = -np.sum(diff * diff, axis=2) / (2.0 * self.bandwidth**2)
-        return SignedLogTensor(lm, np.ones_like(lm))
+        return SignedLogTensor(lm, np.ones_like(lm)), None
 
-    def log_eval_vjp(self, store, x, adj):
+    def log_eval_vjp(self, store, adj, f, features):
         pass  # kernel units carry no free parameters
 
     def integral_vector(self, store):

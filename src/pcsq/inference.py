@@ -215,7 +215,10 @@ def _sample_continuous_column(model, out, v, rest, rng, cdf_tol=1e-9, max_steps=
     lo, hi = _family_for_variable(model, v).sample_bracket(model.store)
     for start in range(0, out.shape[0], _CHUNK):
         rows = out[start : start + _CHUNK]
-        mass = marginal_batch(model, rows, rest | {v}).to_linear()
+        if v == 0:  # no evidence: every row's conditional mass is Z
+            mass = np.full(rows.shape[0], float(partition_function(model).to_linear()))
+        else:
+            mass = marginal_batch(model, rows, rest | {v}).to_linear()
         if np.any(~np.isfinite(mass)) or np.any(mass <= 0.0):
             raise NumericError(f"non-finite conditional mass at variable {v}")
         targets = rng.random(rows.shape[0]) * mass

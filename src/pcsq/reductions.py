@@ -1,8 +1,8 @@
 """Constructive translations into circuits.
 
 * PSD kernel models decompose into a non-negative mixture of squared
-  one-sum circuits over shared kernel units (eigendecomposition by cyclic
-  Jacobi rotations).
+  one-sum circuits over shared kernel units (symmetric
+  eigendecomposition).
 * Matrix-product states translate to a linear-tree circuit after a CP
   decomposition of each interior core; squaring it yields the Born-machine
   distribution.
@@ -36,48 +36,20 @@ from pcsq.squaring import SquaredCircuit, square
 
 
 # ---------------------------------------------------------------------------
-# dense symmetric eigendecomposition (cyclic Jacobi)
+# dense symmetric eigendecomposition
 
 
-def jacobi_eigh(a, tol=1e-14, max_sweeps=100):
-    """Eigenvalues/vectors of a real symmetric matrix by cyclic Jacobi
-    rotations; returns (values desc, column vectors)."""
+def jacobi_eigh(a):
+    """Eigenvalues/vectors of a real symmetric matrix (LAPACK's symmetric
+    solver); returns (values desc, column vectors)."""
     a = np.array(a, dtype=np.float64)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ConfigError("jacobi_eigh needs a square matrix")
     if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
         raise ConfigError("jacobi_eigh needs a symmetric matrix")
-    a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    scale = max(np.abs(a).max(), 1.0)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                vev_p = c * v[:, p] - s * v[:, q]
-                vev_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vev_p, vev_q
-    values = np.diag(a).copy()
-    order = np.argsort(values)[::-1]
-    return values[order], v[:, order]
+    values, vectors = np.linalg.eigh(0.5 * (a + a.T))
+    return values[::-1], vectors[:, ::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 A basis of order k over n interior knots in (a, b) uses the clamped knot
 vector [a]*(k+1) + interior + [b]*(k+1) and spans n + k + 1 basis
-functions.  Basis values come from the Cox-de Boor recursion; products of
-two basis pieces are polynomials of degree <= 2k, so per-span
-Gauss-Legendre with k+1 points integrates them exactly, also on part of a span.
+functions.  At a point only the k + 1 bases of its knot span are nonzero,
+so evaluation finds the span by binary search and runs the Cox-de Boor
+recursion on that band alone, as de Boor's BSPLVB does (A Practical Guide
+to Splines): O(k^2) work per point instead of a pass over every basis.
+Products of two basis pieces are polynomials of degree <= 2k, so per-span
+Gauss-Legendre with k+1 points integrates them exactly, also on part of a
+span.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ class BSplineBasis:
         k = self.order
         self.knots = np.concatenate([np.full(k + 1, a), interior, np.full(k + 1, b)])
         self.num_bases = interior.size + k + 1
+        # span edges and the (k+1)-point Gauss-Legendre rule on [-1, 1]
+        self._edges = np.unique(self.knots)
+        self._gl_points, self._gl_weights = np.polynomial.legendre.leggauss(k + 1)
         self._gram_below = None
 
     @classmethod
@@ -57,44 +64,38 @@ class BSplineBasis:
     def design_matrix(self, x):
         """Evaluate all basis functions at ``x``: returns (len(x), num_bases).
 
-        Points must lie inside [a, b]; the right endpoint is attached to the
-        final span so the closed interval is covered.
+        Points must lie inside [a, b].  Spans are half-open [t_i, t_{i+1}),
+        except that x == b joins the last non-degenerate span so the closed
+        interval is covered.
         """
         x = self.check_domain(np.atleast_1d(x))
         t = self.knots
         k = self.order
-        m = x.shape[0]
-        n_cols = len(t) - 1
-        # order-0: half-open spans [t_j, t_{j+1}), except x == b joins the last
-        # non-degenerate span
-        basis = np.zeros((m, n_cols))
-        for j in range(n_cols):
-            if t[j] < t[j + 1]:
-                basis[:, j] = (t[j] <= x) & (x < t[j + 1])
-        last = np.nonzero(np.diff(t) > 0)[0][-1]
-        basis[x == self.bounds[1], last] = 1.0
+        span = np.clip(np.searchsorted(t, x, side="right") - 1, k, self.num_bases - 1)
+        # band[:, r] holds basis span - d + r at degree d; degree 0 is one
+        band = np.ones((x.size, 1))
         for d in range(1, k + 1):
-            nxt = np.zeros((m, n_cols - d))
-            for j in range(n_cols - d):
-                left = 0.0
-                if t[j + d] > t[j]:
-                    left = (x - t[j]) / (t[j + d] - t[j]) * basis[:, j]
-                right = 0.0
-                if t[j + d + 1] > t[j + 1]:
-                    right = (t[j + d + 1] - x) / (t[j + d + 1] - t[j + 1]) * basis[:, j + 1]
-                nxt[:, j] = left + right
-            basis = nxt
-        return basis
+            # degree d-1 basis j = span-d+1+r, supported on [t_j, t_{j+d}),
+            # feeds B_{j,d} by the left Cox-de Boor term and B_{j-1,d} by
+            # the right one; both divide by that width
+            lo = t[span[:, None] + np.arange(1 - d, 1)]
+            hi = t[span[:, None] + np.arange(1, d + 1)]
+            width = hi - lo
+            nxt = np.zeros((x.size, d + 1))
+            nxt[:, 1:] = (x[:, None] - lo) / width * band
+            nxt[:, :-1] += (hi - x[:, None]) / width * band
+            band = nxt
+        out = np.zeros((x.size, self.num_bases))
+        np.put_along_axis(out, span[:, None] - k + np.arange(k + 1), band, axis=1)
+        return out
 
     def _quad_nodes(self):
         """Gauss-Legendre nodes/weights on every non-degenerate knot span."""
-        pts, wts = np.polynomial.legendre.leggauss(self.order + 1)
-        edges = np.unique(self.knots)
-        lo, hi = edges[:-1], edges[1:]
+        lo, hi = self._edges[:-1], self._edges[1:]
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        nodes = (mid[:, None] + half[:, None] * pts[None, :]).reshape(-1)
-        weights = (half[:, None] * wts[None, :]).reshape(-1)
+        nodes = (mid[:, None] + half[:, None] * self._gl_points[None, :]).reshape(-1)
+        weights = (half[:, None] * self._gl_weights[None, :]).reshape(-1)
         return nodes, weights
 
     def basis_integrals(self):
@@ -119,13 +120,12 @@ class BSplineBasis:
             grams = np.einsum("sq,sqa,sqb->sab", weights.reshape(-1, q), design, design)
             self._gram_below = np.cumsum(grams, axis=0) - grams
         t = self.check_domain(np.atleast_1d(t))
-        edges = np.unique(self.knots)
+        edges = self._edges
         span = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, edges.size - 2)
-        pts, wts = np.polynomial.legendre.leggauss(q)
         half = 0.5 * (t - edges[span])
-        nodes = edges[span][:, None] + half[:, None] * (1.0 + pts)  # never below the span
+        nodes = edges[span][:, None] + half[:, None] * (1.0 + self._gl_points)  # never below the span
         design = self.design_matrix(nodes.reshape(-1)).reshape(t.size, q, self.num_bases)
-        partial = np.einsum("nq,nqa,nqb->nab", half[:, None] * wts, design, design)
+        partial = np.einsum("nq,nqa,nqb->nab", half[:, None] * self._gl_weights, design, design)
         return self._gram_below[span] + partial
 
     def to_dict(self):

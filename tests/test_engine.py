@@ -256,3 +256,25 @@ def test_partial_integral_query_rejects_tape_and_overlap(rng, kwargs):
     np.testing.assert_allclose(slog, lin, rtol=1e-12)
     with pytest.raises(ConfigError):
         engine.forward(c, np.zeros((3, 2)), below={0}, **kwargs)
+
+
+@pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
+def test_gaussian_vjp_reuses_taped_values(squared, rng, monkeypatch):
+    # the tape keeps each input layer's f(x) and z-scores, so the backward
+    # pass evaluates no Gaussian again
+    c = _CASES["gaussian-bt-hadamard"]()
+    c.store.values[:] = rng.normal(size=c.store.values.size) * 0.6 + 0.3
+    c.store.bump()
+    graph = square(c).circuit if squared else c
+    x = rng.normal(size=(5, c.variable_count))
+    res = engine.forward(graph, x, want_tape=True)
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("backward evaluated an input layer again")
+
+    monkeypatch.setattr(GaussianFamily, "log_eval", evaluated)
+    monkeypatch.setattr(GaussianFamily, "_eval", evaluated, raising=False)
+    graph.store.zero_grad()
+    engine.backward(res.tape, engine.log_grad_seed(res.root, np.full(5, 0.2)))
+    grads = graph.store.gradients
+    assert np.all(np.isfinite(grads)) and np.any(grads != 0.0)

@@ -212,6 +212,30 @@ class TestTrain:
             TrainConfig(optimizer="lbfgs").check()
 
 
+def test_taped_step_builds_one_design_matrix_per_spline_layer(rng, monkeypatch):
+    # the data pass keeps each spline layer's design matrix on the tape and
+    # its VJP reuses it; the Z pass reads cached Gram matrices
+    basis = BSplineBasis.uniform(2, 6, (-2.0, 2.0))
+    c = from_region_graph(
+        linear_tree_from_order([0, 1, 2]), 3, "hadamard", lambda s, k: SplineFamily(k, basis)
+    )
+    c.store.values[:] = rng.normal(size=c.store.values.size)
+    c.store.bump()
+    sq = square(c)
+    x = rng.uniform(-1.9, 1.9, size=(8, 3))
+    _accumulate_gradients(sq, x)  # fills each family's Gram cache
+    rows = []
+    original = BSplineBasis.design_matrix
+
+    def counted(self, t):
+        rows.append(len(t))
+        return original(self, t)
+
+    monkeypatch.setattr(BSplineBasis, "design_matrix", counted)
+    _accumulate_gradients(sq, x)
+    assert rows == [8] * len(c.input_layers())
+
+
 class TestGradientOfObjective:
     def test_six_parameter_model_matches_finite_differences(self, rng):
         # K=2 embedding over one binary variable: 4 table + 2 weight params

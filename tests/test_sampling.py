@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from pcsq import engine
 from pcsq.circuits import from_region_graph
 from pcsq.families import CategoricalFamily, EmbeddingFamily, GaussianFamily, SplineFamily
 from pcsq.inference import log_density, marginal_batch, partition_function, sample
@@ -217,6 +218,24 @@ def test_mixed_model_beyond_one_chunk_matches_per_row_oracle():
         pmf = np.where(vals.sign > 0.0, np.exp(vals.log_magnitude - vals.log_magnitude.max()), 0.0)
         state = np.searchsorted(np.cumsum(pmf / pmf.sum()), uniforms[i], side="right")
         assert draws[i, 1] == state, i
+
+
+def test_first_variable_mass_is_the_cached_z(monkeypatch):
+    # with nothing before variable 0, its conditional mass is Z for every
+    # row: sample() computes Z once and runs no other all-marginalized pass
+    sq = _squared_spline_pair()
+    everything = frozenset(range(sq.circuit.variable_count))
+    passes = []
+    original = engine.forward
+
+    def counted(circuit, x=None, marginalized=frozenset(), **kwargs):
+        if frozenset(marginalized) == everything:
+            passes.append(0 if x is None else len(x))
+        return original(circuit, x, marginalized, **kwargs)
+
+    monkeypatch.setattr(engine, "forward", counted)
+    sample(sq, 300, seed=4)  # two 256-row chunks
+    assert passes == [0]
 
 
 def test_sampling_determinism(rng):

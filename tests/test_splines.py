@@ -1,4 +1,4 @@
-"""B-spline bases: Cox-de Boor values and exact product integrals, checked
+"""B-spline bases: local de Boor values and exact product integrals, checked
 against scipy and adaptive quadrature oracles."""
 
 import numpy as np
@@ -26,11 +26,48 @@ def test_partition_of_unity_and_nonnegativity(rng):
 
 
 def test_matches_scipy_design(rng):
-    basis = BSplineBasis.uniform(2, 8, (0.0, 4.0))
-    x = rng.uniform(0.0, 4.0, size=200)
-    mine = basis.design_matrix(x)
-    theirs = interpolate.BSpline.design_matrix(x, basis.knots, 2).toarray()
-    np.testing.assert_allclose(mine, theirs, atol=1e-12)
+    # random points plus every knot and both bounds, for orders 0-3 over
+    # uniform and non-uniform interior knots
+    interiors = (np.linspace(0.0, 4.0, 10)[1:-1], [0.05, 0.3, 1.7, 1.75, 3.2, 3.99])
+    for order in (0, 1, 2, 3):
+        for interior in interiors:
+            basis = BSplineBasis(order, interior, (0.0, 4.0))
+            x = np.concatenate([rng.uniform(0.0, 4.0, size=200), np.unique(basis.knots)])
+            mine = basis.design_matrix(x)
+            theirs = interpolate.BSpline.design_matrix(x, basis.knots, order).toarray()
+            np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-12)
+
+
+def _dense_cox_de_boor(basis, x):
+    """The textbook recursion over every knot column and degree."""
+    t, k = basis.knots, basis.order
+    n_cols = len(t) - 1
+    values = np.zeros((x.size, n_cols))
+    for j in range(n_cols):
+        if t[j] < t[j + 1]:
+            values[:, j] = (t[j] <= x) & (x < t[j + 1])
+    values[x == basis.bounds[1], np.nonzero(np.diff(t) > 0)[0][-1]] = 1.0
+    for d in range(1, k + 1):
+        nxt = np.zeros((x.size, n_cols - d))
+        for j in range(n_cols - d):
+            left = right = 0.0
+            if t[j + d] > t[j]:
+                left = (x - t[j]) / (t[j + d] - t[j]) * values[:, j]
+            if t[j + d + 1] > t[j + 1]:
+                right = (t[j + d + 1] - x) / (t[j + d + 1] - t[j + 1]) * values[:, j + 1]
+            nxt[:, j] = left + right
+        values = nxt
+    return values
+
+
+def test_banded_evaluation_equals_dense_recursion(rng):
+    # the local recursion does the dense one's arithmetic on the nonzero
+    # band only, so the two agree bit for bit
+    for order in (0, 1, 2, 3):
+        for interior in (np.linspace(-1.0, 2.0, 7)[1:-1], [-0.9, -0.85, 0.4, 1.99], []):
+            basis = BSplineBasis(order, interior, (-1.0, 2.0))
+            x = np.concatenate([rng.uniform(-1.0, 2.0, size=300), np.unique(basis.knots)])
+            np.testing.assert_array_equal(basis.design_matrix(x), _dense_cox_de_boor(basis, x))
 
 
 def test_endpoint_membership():
