@@ -143,6 +143,8 @@ def ingest_csv(path, schema, standardize=False, split_fractions=(0.8, 0.1, 0.1),
                 rows[i, j] = float(record[col_idx])
             except ValueError as exc:
                 raise IngestError(f"{path}: line {i + 2}: non-numeric cell {record[col_idx]!r}") from exc
+            if not np.isfinite(rows[i, j]):
+                raise IngestError(f"{path}: line {i + 2}: non-finite cell {record[col_idx]!r}")
     n = rows.shape[0]
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)

@@ -133,27 +133,15 @@ def _forward_input(circuit, layer, x, marginalized, below, batch, saved):
 
 def _forward_sum_squared(weights, u, save_to=None, layer_id=None):
     b = u.shape[0]
-    k = weights.shape[1]
-    s = weights.shape[0]
-    u3_lm = u.log_magnitude.reshape(b, k, k)
-    u3_sg = u.sign.reshape(b, k, k)
+    s, k = weights.shape
     # stage 1: V[b, s, j] = sum_k W[s, k] U[b, k, j]
-    rows = SignedLogTensor(
-        np.ascontiguousarray(u3_lm.transpose(0, 2, 1)).reshape(b * k, k),
-        np.ascontiguousarray(u3_sg.transpose(0, 2, 1)).reshape(b * k, k),
+    v_lm, v_sg = kernels.slse_batched_matmul(
+        weights, u.log_magnitude.reshape(b, k, k), u.sign.reshape(b, k, k)
     )
-    v = signed_logsumexp(weights, rows)  # (b*k, s)
-    v = SignedLogTensor(
-        np.ascontiguousarray(v.log_magnitude.reshape(b, k, s).transpose(0, 2, 1)),
-        np.ascontiguousarray(v.sign.reshape(b, k, s).transpose(0, 2, 1)),
-    )  # (b, s, k)
     if save_to is not None:
-        save_to[layer_id] = v
+        save_to[layer_id] = SignedLogTensor(v_lm, v_sg)
     # stage 2: Y[b, s1, s2] = sum_j W[s2, j] V[b, s1, j]
-    y = signed_logsumexp(
-        weights,
-        SignedLogTensor(v.log_magnitude.reshape(b * s, k), v.sign.reshape(b * s, k)),
-    )
+    y = signed_logsumexp(weights, SignedLogTensor(v_lm.reshape(b * s, k), v_sg.reshape(b * s, k)))
     return SignedLogTensor(y.log_magnitude.reshape(b, s * s), y.sign.reshape(b, s * s))
 
 
@@ -351,34 +339,26 @@ def _backward_sum_squared(weights, u, adj, v):
     s, k = weights.shape
     g_lm = adj.log_magnitude.reshape(b, s, s)
     g_sg = adj.sign.reshape(b, s, s)
-    u_lm = u.log_magnitude.reshape(b, k, k)
-    u_sg = u.sign.reshape(b, k, k)
     wt = np.ascontiguousarray(weights.T)
 
     # input adjoint: dU = A^T G A
-    rows = SignedLogTensor(
-        np.ascontiguousarray(g_lm.transpose(0, 2, 1)).reshape(b * s, s),
-        np.ascontiguousarray(g_sg.transpose(0, 2, 1)).reshape(b * s, s),
-    )
-    t1 = signed_logsumexp(wt, rows)  # (b*s2, k1)
-    t1 = SignedLogTensor(
-        np.ascontiguousarray(t1.log_magnitude.reshape(b, s, k).transpose(0, 2, 1)).reshape(b * k, s),
-        np.ascontiguousarray(t1.sign.reshape(b, s, k).transpose(0, 2, 1)).reshape(b * k, s),
-    )
-    du = signed_logsumexp(wt, t1)  # (b*k1, k2)
+    t1_lm, t1_sg = kernels.slse_batched_matmul(wt, g_lm, g_sg)  # (b, k1, s2)
+    du = signed_logsumexp(wt, SignedLogTensor(t1_lm.reshape(b * k, s), t1_sg.reshape(b * k, s)))
     adj_in = SignedLogTensor(du.log_magnitude.reshape(b, k * k), du.sign.reshape(b, k * k))
 
-    # weight gradient: sum_b G A U^T + G^T A U
-    ga = signed_logsumexp(
-        wt, SignedLogTensor(g_lm.reshape(b * s, s), g_sg.reshape(b * s, s))
-    )  # (b*s1, k2)
-    ga_lm = ga.log_magnitude.reshape(b, s, k)
-    ga_sg = ga.sign.reshape(b, s, k)
+    # weight gradient: sum_b G A U^T + G^T A U; the first term pairs the
+    # columns of G A and of U, so it reads (G A)^T straight from the batched
+    # kernel, while U's columns still need one transposed copy
+    ga_lm, ga_sg = kernels.slse_batched_matmul(
+        wt, g_lm.transpose(0, 2, 1), g_sg.transpose(0, 2, 1)
+    )  # (b, k2, s1)
+    u_lm = u.log_magnitude.reshape(b, k, k).transpose(0, 2, 1)
+    u_sg = u.sign.reshape(b, k, k).transpose(0, 2, 1)
     lm1, sg1 = kernels.slse_pair_accum(
-        np.ascontiguousarray(ga_lm.transpose(0, 2, 1)).reshape(b * k, s),
-        np.ascontiguousarray(ga_sg.transpose(0, 2, 1)).reshape(b * k, s),
-        np.ascontiguousarray(u_lm.transpose(0, 2, 1)).reshape(b * k, k),
-        np.ascontiguousarray(u_sg.transpose(0, 2, 1)).reshape(b * k, k),
+        ga_lm.reshape(b * k, s),
+        ga_sg.reshape(b * k, s),
+        np.ascontiguousarray(u_lm).reshape(b * k, k),
+        np.ascontiguousarray(u_sg).reshape(b * k, k),
     )
     lm2, sg2 = kernels.slse_pair_accum(
         np.ascontiguousarray(g_lm.reshape(b * s, s)),

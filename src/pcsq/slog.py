@@ -4,6 +4,15 @@ A value y is carried as (log|y|, sign(y)) with sign in {-1, 0, +1} and the
 convention that sign == 0 exactly when log-magnitude == -inf.  Keeping an
 explicit zero matters: subtractive circuits cancel exactly (e.g. indicator
 inputs), and -inf - (-inf) must never be formed.
+
+The rules and the kernels in :mod:`pcsq.kernels` rely on this invariant
+rather than masking zeros: a product adds log-magnitudes and multiplies
+signs, and a zero factor gives -inf + x = -inf with sign 0 by itself, so
+no ``np.where`` pass is needed; ``to_linear`` is sign * exp(log|y|),
+which is 0 * 0 on zeros (-0.0 where the sign entry is -0.0, as a
+product of 0 and -1 leaves it).  The invariant holds for finite and -inf
+log-magnitudes; a product of a zero and an infinite magnitude is NaN,
+which the engine's per-layer NaN check reports.
 """
 
 from __future__ import annotations
@@ -40,8 +49,7 @@ class SignedLogTensor:
 
     def to_linear(self):
         with np.errstate(over="ignore"):
-            out = self.sign * np.exp(self.log_magnitude)
-        return np.where(self.sign == 0.0, 0.0, out)
+            return self.sign * np.exp(self.log_magnitude)
 
     def copy(self):
         return SignedLogTensor(self.log_magnitude.copy(), self.sign.copy())
@@ -109,11 +117,13 @@ def signed_product(xs, kind="hadamard"):
         for x in xs[1:]:
             if x.shape[-1] != width:
                 raise PcsqError("hadamard factors must share output width")
-        lm = xs[0].log_magnitude.copy()
-        sg = xs[0].sign.copy()
-        for x in xs[1:]:
+        if len(xs) == 1:
+            return xs[0].copy()
+        lm = xs[0].log_magnitude + xs[1].log_magnitude
+        sg = xs[0].sign * xs[1].sign
+        for x in xs[2:]:
+            lm = lm + x.log_magnitude
             sg = sg * x.sign
-            lm = np.where(sg == 0.0, -np.inf, lm + x.log_magnitude)
         return SignedLogTensor(lm, sg)
     if kind == "kronecker":
         out = xs[0]
@@ -127,9 +137,7 @@ def _kron_pair(a: SignedLogTensor, b: SignedLogTensor) -> SignedLogTensor:
     ka, kb = a.shape[-1], b.shape[-1]
     lead = a.shape[:-1]
     sg = a.sign[..., :, None] * b.sign[..., None, :]
-    with np.errstate(invalid="ignore"):
-        lm = a.log_magnitude[..., :, None] + b.log_magnitude[..., None, :]
-    lm = np.where(sg == 0.0, -np.inf, lm)
+    lm = a.log_magnitude[..., :, None] + b.log_magnitude[..., None, :]
     return SignedLogTensor(lm.reshape(*lead, ka * kb), sg.reshape(*lead, ka * kb))
 
 
@@ -153,18 +161,12 @@ def signed_sum(x: SignedLogTensor, axis=-1) -> SignedLogTensor:
 
 def signed_mul(a: SignedLogTensor, b: SignedLogTensor) -> SignedLogTensor:
     """Elementwise product with broadcasting."""
-    sg = a.sign * b.sign
-    with np.errstate(invalid="ignore"):
-        lm = a.log_magnitude + b.log_magnitude
-    lm = np.where(sg == 0.0, -np.inf, lm)
-    return SignedLogTensor(lm, sg)
+    return SignedLogTensor(a.log_magnitude + b.log_magnitude, a.sign * b.sign)
 
 
 def signed_scale(x: SignedLogTensor, factor) -> SignedLogTensor:
     """Multiply by a plain real array (elementwise, broadcasting)."""
     factor = np.asarray(factor, dtype=np.float64)
-    sg = x.sign * np.sign(factor)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lm = x.log_magnitude + np.log(np.abs(factor))
-    lm = np.where(sg == 0.0, -np.inf, lm)
-    return SignedLogTensor(lm, sg)
+    with np.errstate(divide="ignore"):
+        log_factor = np.log(np.abs(factor))
+    return SignedLogTensor(x.log_magnitude + log_factor, x.sign * np.sign(factor))

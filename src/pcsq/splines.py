@@ -52,11 +52,11 @@ class BSplineBasis:
 
     def check_domain(self, x):
         x = np.asarray(x, dtype=np.float64)
-        bad = (x < self.bounds[0]) | (x > self.bounds[1])
+        bad = ~((x >= self.bounds[0]) & (x <= self.bounds[1]))  # NaN included
         if bad.any():
             idx = int(np.argmax(bad))
             raise DomainError(
-                f"value {x.reshape(-1)[np.argmax(bad.reshape(-1))]!r} outside spline "
+                f"value {float(x.reshape(-1)[np.argmax(bad.reshape(-1))])!r} outside spline "
                 f"interval [{self.bounds[0]}, {self.bounds[1]}] (first bad index {idx})"
             )
         return x

@@ -226,6 +226,20 @@ class TestExitCodes:
         )
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 3
 
+    def test_nan_cell_is_an_ingest_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("a,b\n1,2\n3,4\nnan,5\n")
+        cfg = _write_config(
+            tmp_path,
+            "ingest.cfg",
+            "dataset.kind = csv\n"
+            f"dataset.path = {csv_path}\n"
+            "dataset.schema = a=continuous;b=continuous\n"
+            "model.family = gaussian\n",
+        )
+        assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "line 4: non-finite cell 'nan'" in capsys.readouterr().err
+
     def test_degenerate_model_code(self, tmp_path, rng):
         # a squared model whose source is identically zero
         from pcsq.circuits import from_region_graph

@@ -67,6 +67,12 @@ class TestIngest:
         with pytest.raises(IngestError, match="line 3"):
             ingest_csv(path, {"a": "continuous"})
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        path = self._write(tmp_path, f"a,b\n1,2\n3,{cell}\n")
+        with pytest.raises(IngestError, match=f"line 3: non-finite cell '{cell}'"):
+            ingest_csv(path, {"a": "continuous", "b": "continuous"})
+
     def test_ragged_row_reports_line(self, tmp_path):
         path = self._write(tmp_path, "a,b\n1,2\n3\n")
         with pytest.raises(IngestError, match="line 3"):

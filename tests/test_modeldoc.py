@@ -5,13 +5,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcsq import engine
 from pcsq.circuits import from_region_graph
 from pcsq.errors import ConfigError
-from pcsq.families import CategoricalFamily, GaussianFamily, SplineFamily
+from pcsq.families import BinomialFamily, CategoricalFamily, GaussianFamily, SplineFamily
 from pcsq.inference import evaluate, partition_function
 from pcsq.mixtures import CircuitMixture
 from pcsq.modeldoc import load_model, model_from_dict, model_to_dict, save_model
+from pcsq.reductions import Graph, MpsFactorization, PsdModel, mps_to_circuit, psd_to_circuit, udisj_circuit
 from pcsq.regions import build_binary_tree, build_linear_tree
 from pcsq.splines import BSplineBasis
 from pcsq.squaring import SquaredCircuit, square
@@ -148,3 +152,98 @@ def test_document_is_utf8_json_with_version(rng, tmp_path):
     assert doc["values"]["encoding"] == "base64-f64le"
     names = [b["name"] for b in doc["parameter_blocks"]]
     assert len(names) == len(set(names))
+
+
+# --- every model kind reloads bit-identically (or is refused on save) ---------
+
+
+def _kind_binomial(rng, squared):
+    c = from_region_graph(
+        build_binary_tree(3, int(rng.integers(1 << 30))),
+        int(rng.integers(1, 4)),
+        "hadamard",
+        lambda s, k: BinomialFamily(k, 4),
+    )
+    _nasty_values(c.store, rng)
+    return (square(c) if squared else c), rng.integers(0, 5, size=(16, 3)).astype(float)
+
+
+def _kind_embedding(rng, squared):
+    c, d = random_discrete_circuit(rng, max_vars=5, k_max=3)
+    _nasty_values(c.store, rng)
+    return (square(c) if squared else c), rng.integers(0, 2, size=(16, d)).astype(float)
+
+
+def _kind_kronecker(rng, squared):
+    # squaring a Kronecker circuit interleaves its units with a permutation
+    c = from_region_graph(
+        build_binary_tree(4, int(rng.integers(1 << 30))),
+        int(rng.integers(1, 3)),
+        "kronecker",
+        lambda s, k: GaussianFamily(k),
+    )
+    _nasty_values(c.store, rng)
+    return (square(c) if squared else c), rng.normal(size=(16, 4))
+
+
+def _kind_reduce_psd(rng, squared):
+    dim = int(rng.integers(1, 3))
+    anchors = rng.normal(size=(4, dim))
+    factor = rng.normal(size=(4, 2))
+    mix = psd_to_circuit(PsdModel(anchors, float(rng.uniform(0.5, 1.5)), factor @ factor.T))
+    return mix, rng.normal(size=(16, dim))
+
+
+def _kind_reduce_mps(rng, squared):
+    d = int(rng.integers(2, 5))
+    c = mps_to_circuit(MpsFactorization.random(d, 2, 2, seed=int(rng.integers(1 << 30))))
+    return (square(c) if squared else c), rng.integers(0, 2, size=(16, d)).astype(float)
+
+
+def _kind_udisj(rng, squared):
+    sq = udisj_circuit(Graph.matching(int(rng.integers(1, 4))))
+    d = sq.variable_count
+    return sq, rng.integers(0, 2, size=(16, d)).astype(float)
+
+
+KINDS = {
+    "binomial": _kind_binomial,
+    "embedding": _kind_embedding,
+    "kronecker-perm": _kind_kronecker,
+    "reduce-psd": _kind_reduce_psd,
+    "reduce-mps": _kind_reduce_mps,
+    "udisj": _kind_udisj,
+}
+
+
+def _evaluations(model, x):
+    if isinstance(model, CircuitMixture):
+        return [model.log_value(x), np.array(model.partition())]
+    # signed models may integrate to a non-positive total, so read Z off the
+    # engine rather than through partition_function's positivity check
+    graph = model.circuit if isinstance(model, SquaredCircuit) else model
+    val = evaluate(model, x)
+    z = engine.forward(graph, None, marginalized=range(graph.variable_count)).root
+    return [val.log_magnitude, val.sign, z.log_magnitude, z.sign]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), squared=st.booleans())
+def test_every_model_kind_reloads_bit_identically(tmp_path_factory, kind, seed, squared):
+    rng = np.random.default_rng(seed)
+    model, x = KINDS[kind](rng, squared)
+    path = tmp_path_factory.mktemp("doc") / "model.json"
+    save_model(model, path)
+    again = load_model(path)
+    assert type(again) is type(model)
+    for got, want in zip(_evaluations(again, x), _evaluations(model, x)):
+        np.testing.assert_array_equal(got, want)
+    # the engine graphs of squared models are refused, never written
+    graphs = [model] if not isinstance(model, CircuitMixture) else model.components
+    for graph in graphs:
+        if isinstance(graph, SquaredCircuit):
+            refused = path.with_name("graph.json")
+            with pytest.raises(ConfigError, match="save the SquaredCircuit"):
+                save_model(graph.circuit, refused)
+            assert not refused.exists()

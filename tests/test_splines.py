@@ -80,6 +80,12 @@ def test_endpoint_membership():
         basis.design_matrix(np.array([-1e-9]))
 
 
+def test_nan_is_outside_the_domain():
+    basis = BSplineBasis.uniform(2, 4, (0.0, 1.0))
+    with pytest.raises(DomainError, match=r"value nan outside .*first bad index 1"):
+        basis.design_matrix(np.array([0.5, np.nan]))
+
+
 def test_basis_integrals_against_quadrature():
     basis = BSplineBasis.uniform(2, 5, (0.0, 2.0))
     exact = basis.basis_integrals()
