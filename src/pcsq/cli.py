@@ -284,12 +284,6 @@ def build_model(cfg, dataset: Dataset):
     return CircuitMixture.from_components(components, learnable=True)
 
 
-def _model_log_density(model, rows):
-    if isinstance(model, CircuitMixture):
-        return model.log_density(rows)
-    return inference.log_density(model, rows)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -328,7 +322,7 @@ def _cmd_eval(cfg, out):
     dataset = load_dataset(cfg)
     model = _require_model(cfg)
     rows = dataset.split(cfg["eval.split"])
-    lls = _model_log_density(model, rows)
+    lls = inference.log_density(model, rows)
     mean = float(np.mean(lls))
     two_se = float(2.0 * np.std(lls, ddof=1) / np.sqrt(lls.size)) if lls.size > 1 else 0.0
     with open(os.path.join(out, "metrics.csv"), "w", encoding="utf-8") as fh:
@@ -340,10 +334,7 @@ def _cmd_eval(cfg, out):
 
 def _cmd_sample(cfg, out):
     model = _require_model(cfg)
-    if isinstance(model, CircuitMixture):
-        rows = model.sample(cfg["sample.n"], seed=cfg["seed"])
-    else:
-        rows = inference.sample(model, cfg["sample.n"], seed=cfg["seed"])
+    rows = inference.sample(model, cfg["sample.n"], seed=cfg["seed"])
     header = [f"x{i + 1}" for i in range(rows.shape[1])]
     write_rows_csv(os.path.join(out, "samples.csv"), rows, header)
     print(f"wrote {rows.shape[0]} samples")
@@ -380,7 +371,7 @@ def _cmd_grid(cfg, out):
     ys = np.linspace(lo2, hi2, r)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([gx.reshape(-1), gy.reshape(-1)])
-    lls = _model_log_density(model, pts)
+    lls = inference.log_density(model, pts)
     rows = np.column_stack([pts, lls])
     write_rows_csv(os.path.join(out, "grid.csv"), rows, ["x1", "x2", "log_density"])
     print(f"wrote {rows.shape[0]} grid points")

@@ -51,10 +51,6 @@ class Dataset:
                     raise ConfigError(f"column {col.name!r} has values outside [0, {col.states})")
         return self
 
-    def column_ranges(self, split="train"):
-        rows = self.split(split)
-        return rows.min(axis=0), rows.max(axis=0)
-
 
 SYNTHETIC_NAMES = ("rings", "cosine", "funnel", "banana")
 

@@ -160,8 +160,13 @@ class GaussianFamily(_GaussianShaped, InputFamily):
 
     def _eval(self, store, x):
         mean, std = self._params(store)
-        z = (np.asarray(x, dtype=np.float64)[:, None] - mean[None, :]) / std[None, :]
-        lm = -0.5 * z * z - np.log(std)[None, :] - 0.5 * _LOG_2PI
+        # in place, in the order of -0.5 * z * z - log(std) - 0.5 log(2 pi)
+        z = np.subtract(np.asarray(x, dtype=np.float64)[:, None], mean[None, :])
+        z /= std[None, :]
+        lm = np.multiply(z, -0.5)
+        lm *= z
+        lm -= np.log(std)[None, :]
+        lm -= 0.5 * _LOG_2PI
         return SignedLogTensor(lm, np.ones_like(lm)), z
 
     def log_eval_vjp(self, store, adj, f, z):

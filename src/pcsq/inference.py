@@ -3,7 +3,9 @@
 Forward evaluation, partition function (cached per parameter version and
 counted, so training can prove it runs once per step), arbitrary-subset
 marginalization, normalized log-density, mean log-likelihood, and exact
-autoregressive sampling by inverse-transform.
+autoregressive sampling by inverse-transform.  ``log_density``,
+``log_likelihood`` and ``sample`` also take a CircuitMixture and delegate
+to its methods, so callers need not know which kind of model they hold.
 """
 
 from __future__ import annotations
@@ -45,15 +47,38 @@ def _graph(model):
     raise ConfigError(f"unsupported model type {type(model).__name__}")
 
 
+def _is_mixture(model):
+    from pcsq.mixtures import CircuitMixture  # local import; mixtures depends on this module
+
+    return isinstance(model, CircuitMixture)
+
+
 def evaluate(model, x) -> SignedLogTensor:
     """log|value| and sign per batch row for a full assignment."""
     return engine.forward(_graph(model), np.atleast_2d(x)).root
 
 
-def squared_log_value(model: SquaredCircuit, x) -> SignedLogTensor:
-    """log c^2(x) computed the cheap way, as 2 log|c(x)| on the source."""
-    root = engine.forward(model.source, np.atleast_2d(x)).root
-    return SignedLogTensor(2.0 * root.log_magnitude, root.sign * root.sign)
+def log_value(model, x, want_tape=False):
+    """log model(x) per row of a full assignment, -inf where the value is 0.
+
+    A squared circuit's value is computed the cheap way, as 2 log|c(x)| on
+    its source; a plain circuit must be non-negative, and a negative value
+    raises NumericError naming the row.  With ``want_tape`` the taped
+    engine result of that data pass is returned too, as ``(logs, result)``.
+    """
+    squared = isinstance(model, SquaredCircuit)
+    graph = model.source if squared else _graph(model)
+    result = engine.forward(graph, np.atleast_2d(x), want_tape=want_tape)
+    root = result.root
+    if squared:
+        logs = 2.0 * root.log_magnitude
+    elif np.any(root.sign < 0.0):
+        raise NumericError(f"model value negative at row {int(np.argmax(root.sign < 0.0))}")
+    else:
+        logs = root.log_magnitude
+    if want_tape:
+        return logs, result
+    return logs
 
 
 def _scalar(slog: SignedLogTensor) -> SignedLogTensor:
@@ -128,18 +153,14 @@ def marginal_batch(model, x, marginalized) -> SignedLogTensor:
 
 def log_density(model, x) -> np.ndarray:
     """Normalized log-density per row: log model(x) - log Z."""
+    if _is_mixture(model):
+        return model.log_density(x)
     z = partition_function(model)
-    if isinstance(model, SquaredCircuit):
-        val = squared_log_value(model, x)
-        if np.any(val.sign == 0.0):
-            row = int(np.argmax(val.sign == 0.0))
-            raise NumericError(f"c(x) = 0 exactly at row {row}; log-density undefined")
-    else:
-        val = evaluate(model, x)
-        if np.any(val.sign <= 0.0):
-            row = int(np.argmax(val.sign <= 0.0))
-            raise NumericError(f"model value not positive at row {row}")
-    return val.log_magnitude - float(z.log_magnitude)
+    logs = log_value(model, x)
+    if np.any(logs == -np.inf):
+        row = int(np.argmax(logs == -np.inf))
+        raise NumericError(f"model value is 0 exactly at row {row}; log-density undefined")
+    return logs - float(z.log_magnitude)
 
 
 def log_likelihood(model, x) -> float:
@@ -170,8 +191,11 @@ def sample(model, n, seed=0):
     prefix, in batched passes over chunks of prefixes.  Continuous
     variables bisect their exact conditional CDF, one forward pass with the
     variable integrated up to the midpoint per step, to 1e-9 of the
-    conditional mass.  Raises ConfigError for n < 0.
+    conditional mass.  A mixture draws through ``CircuitMixture.sample``.
+    Raises ConfigError for n < 0.
     """
+    if _is_mixture(model):
+        return model.sample(n, seed=seed)
     if n < 0:
         raise ConfigError(f"cannot draw a negative number of samples ({n})")
     graph = _graph(model)

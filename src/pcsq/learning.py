@@ -1,10 +1,15 @@
 """Maximum-likelihood training by batched gradient ascent.
 
-Per optimizer step: one forward+backward over the batch through the
-unnormalized log-value, plus exactly one forward+backward through the
-partition function (Z does not depend on the data, so its cost is
-amortized over the batch).  Early stopping watches validation likelihood;
-the best-validation parameters are restored at the end.
+One gradient routine serves plain circuits, squared circuits and
+monotonic mixtures of either: a single circuit is the one-component
+mixture with weight 1.  Per optimizer step, each component runs one taped
+forward+backward over the batch through its unnormalized log-value (the
+source circuit, for a squared one) and exactly one taped forward+backward
+through its partition function (Z does not depend on the data, so its
+cost is amortized over the batch).  The data pass's log-values give the
+mixture responsibilities and seed its own backward pass.  Early stopping
+watches validation likelihood; the best-validation parameters are
+restored at the end.
 """
 
 from __future__ import annotations
@@ -81,9 +86,7 @@ def parse_init(scheme: str):
 def _stores(model):
     if isinstance(model, CircuitMixture):
         return model.parameter_stores()
-    if isinstance(model, SquaredCircuit):
-        return [model.store]
-    if isinstance(model, TensorizedCircuit):
+    if isinstance(model, (SquaredCircuit, TensorizedCircuit)):
         return [model.store]
     raise ConfigError(f"cannot train a {type(model).__name__}")
 
@@ -153,64 +156,43 @@ class _Adam(_Optimizer):
 
 
 def _accumulate_gradients(model, x):
-    """Accumulate d(mean log-likelihood)/d(free params) for one batch."""
-    b = x.shape[0]
-    if isinstance(model, SquaredCircuit):
-        res = engine.forward(model.source, x, want_tape=True)
-        engine.backward(res.tape, engine.log_grad_seed(res.root, np.full(b, 2.0 / b)))
-        _, zres = inference.partition_function(model, want_tape=True)
-        engine.backward(zres.tape, engine.log_grad_seed(zres.root, np.array([-1.0])))
-    elif isinstance(model, TensorizedCircuit):
-        res = engine.forward(model, x, want_tape=True)
-        if np.any(res.root.sign <= 0.0):
-            row = int(np.argmax(res.root.sign <= 0.0))
-            raise NumericError(f"model value not positive at batch row {row}")
-        engine.backward(res.tape, engine.log_grad_seed(res.root, np.full(b, 1.0 / b)))
-        _, zres = inference.partition_function(model, want_tape=True)
-        engine.backward(zres.tape, engine.log_grad_seed(zres.root, np.array([-1.0])))
-    elif isinstance(model, CircuitMixture):
-        _accumulate_mixture_gradients(model, x)
-    else:
-        raise ConfigError(f"cannot train a {type(model).__name__}")
+    """Accumulate d(mean log-likelihood)/d(free params) for one batch.
 
-
-def _accumulate_mixture_gradients(model: CircuitMixture, x):
+    A circuit trains as a one-component mixture with weight 1, whose
+    responsibilities are then exactly 1.  Each component runs one taped data
+    pass and one taped Z pass; the data pass's log-values set the
+    responsibilities and its tape carries them back.
+    """
+    mixture = isinstance(model, CircuitMixture)
+    comps = model.components if mixture else [model]
+    lam = model.weights() if mixture else np.ones(1)
     b = x.shape[0]
-    k = len(model.components)
-    lam = model.weights()
-    logs = model.component_log_values(x)  # (b, k)
+    data = [inference.log_value(c, x, want_tape=True) for c in comps]
+    zs = [inference.partition_function(c, want_tape=True) for c in comps]
     with np.errstate(divide="ignore"):
-        shifted = logs + np.log(lam)[None, :]
-    shifted -= shifted.max(axis=1, keepdims=True)
+        loglam = np.log(lam)
+    shifted = np.stack([logs for logs, _ in data], axis=-1) + loglam[None, :]
+    top = shifted.max(axis=1, keepdims=True)
+    dead = top[:, 0] == -np.inf
+    if dead.any():
+        raise NumericError(f"model value is 0 exactly at batch row {int(np.argmax(dead))}")
+    shifted -= top
     resp = np.exp(shifted)
     resp /= resp.sum(axis=1, keepdims=True)
 
-    # one taped Z per component serves both rho and the Z backward pass
-    zs = [inference.partition_function(comp, want_tape=True) for comp in model.components]
-    logz = np.array([float(z.log_magnitude) for z, _ in zs])
-    with np.errstate(divide="ignore"):
-        zsh = logz + np.log(lam)
+    zsh = np.array([float(z.log_magnitude) for z, _ in zs]) + loglam
     zsh -= zsh.max()
     rho = np.exp(zsh)
     rho /= rho.sum()
 
-    scale = 2.0 if model.squared else 1.0
-    for i, comp in enumerate(model.components):
-        graph = comp.source if isinstance(comp, SquaredCircuit) else comp
-        res = engine.forward(graph, x, want_tape=True)
-        coeff = scale * resp[:, i] / b
-        engine.backward(res.tape, engine.log_grad_seed(res.root, coeff))
-        zres = zs[i][1]
+    scale = 2.0 if isinstance(comps[0], SquaredCircuit) else 1.0  # log c^2 = 2 log|c|
+    for i, ((_, res), (_, zres)) in enumerate(zip(data, zs)):
+        engine.backward(res.tape, engine.log_grad_seed(res.root, scale * resp[:, i] / b))
         engine.backward(zres.tape, engine.log_grad_seed(zres.root, np.array([-rho[i]])))
-    with np.errstate(divide="ignore"):
-        eff = (resp.mean(axis=0) - rho) / lam
-    model.store.accumulate_effective_grad(model.weight_block, eff)
-
-
-def _mean_ll(model, x):
-    if isinstance(model, CircuitMixture):
-        return model.log_likelihood(x)
-    return inference.log_likelihood(model, x)
+    if mixture:
+        with np.errstate(divide="ignore"):
+            eff = (resp.mean(axis=0) - rho) / lam
+        model.store.accumulate_effective_grad(model.weight_block, eff)
 
 
 def _model_z_count(model):
@@ -259,8 +241,8 @@ def train(model, dataset, config: TrainConfig) -> TrainReport:
             steps += 1
         step_z_evals += _model_z_count(model) - z_before
         total_steps += steps
-        train_ll = _mean_ll(model, train_x)
-        val_ll = _mean_ll(model, val_x)
+        train_ll = inference.log_likelihood(model, train_x)
+        val_ll = inference.log_likelihood(model, val_x)
         report.epochs.append((epoch, train_ll, val_ll, time.perf_counter() - t_epoch))
         if val_ll > report.best_val_ll:
             report.best_val_ll = val_ll

@@ -15,7 +15,7 @@ import numpy as np
 
 from pcsq import inference
 from pcsq.circuits import ParameterStore
-from pcsq.errors import ConfigError, DegenerateModelError, NumericError
+from pcsq.errors import ConfigError, DegenerateModelError
 from pcsq.squaring import SquaredCircuit
 
 
@@ -61,18 +61,8 @@ class CircuitMixture:
     # --- evaluation -----------------------------------------------------
 
     def component_log_values(self, x):
-        """(batch, k) log-magnitudes of each component's non-negative value."""
-        cols = []
-        for c in self.components:
-            if isinstance(c, SquaredCircuit):
-                val = inference.squared_log_value(c, x)
-                cols.append(val.log_magnitude)
-            else:
-                val = inference.evaluate(c, x)
-                if np.any(val.sign < 0.0):
-                    raise NumericError("monotonic mixture component produced a negative value")
-                cols.append(val.log_magnitude)
-        return np.stack(cols, axis=-1)
+        """(batch, k) log of each component's non-negative value, -inf where it is 0."""
+        return np.stack([inference.log_value(c, x) for c in self.components], axis=-1)
 
     def log_value(self, x):
         """log of the unnormalized mixture value per batch row."""

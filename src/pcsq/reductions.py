@@ -352,34 +352,36 @@ def mps_to_circuit(mps: MpsFactorization, cp_config=None, report=None) -> Tensor
             sums.append(factors[j].c.T @ factors[j + 1].b)  # (k, k)
         tables.append(factors[-1].c.T @ mps.cores[-1].T)    # (k, m)
 
+    return _linear_tree_chain(tables, [np.ones((1, tables[0].shape[0]))] + sums)
+
+
+def _linear_tree_chain(tables, weights):
+    """Linear-tree Hadamard chain over fixed value-table inputs.
+
+    ``tables[v]`` is variable v's (units, states) table and ``weights[v]``
+    the fixed sum matrix above the product at depth v; ``weights[0]`` is
+    the root.  A single variable gets the root sum directly on its input.
+    """
+    d = len(tables)
     store = ParameterStore()
     layers = []
 
-    def add_input(var, table):
-        units, states = table.shape
-        family = EmbeddingFamily(units, states)
-        lid = len(layers)
-        layers.append(Layer(lid, INPUT, (var,), units, family=family))
-        family.register(store, f"L{lid}.")
-        store.set_free(family.blocks["values"], table)
-        return lid
+    def add_sum(scope, below, w):
+        block = store.add_block(f"L{len(layers)}.weight", w.shape, trainable=False, init=w)
+        layers.append(Layer(len(layers), SUM, scope, w.shape[0], inputs=[below], param_block=block))
+        return len(layers) - 1
 
-    inputs = [add_input(v, tables[v]) for v in range(d)]
-    top = inputs[d - 1]
+    for var, table in enumerate(tables):
+        family = EmbeddingFamily(*table.shape)
+        layers.append(Layer(var, INPUT, (var,), table.shape[0], family=family))
+        family.register(store, f"L{var}.")
+        store.set_free(family.blocks["values"], table)
+    top = add_sum((0,), 0, weights[0]) if d == 1 else d - 1
     for v in range(d - 2, -1, -1):
-        lid = len(layers)
-        width = layers[inputs[v]].output_width
         scope = tuple(range(v, d))
-        layers.append(Layer(lid, HADAMARD, scope, width, inputs=[inputs[v], top]))
-        if v == 0:
-            weights = np.ones((1, width))
-        else:
-            weights = sums[v - 1]
-        block = store.add_block(
-            f"L{len(layers)}.weight", weights.shape, trainable=False, init=weights
-        )
-        top = len(layers)
-        layers.append(Layer(top, SUM, scope, weights.shape[0], inputs=[lid], param_block=block))
+        lid = len(layers)
+        layers.append(Layer(lid, HADAMARD, scope, tables[v].shape[0], inputs=[v, top]))
+        top = add_sum(scope, lid, weights[v])
     circuit = TensorizedCircuit(
         layers=layers,
         output_layer=top,
@@ -450,51 +452,16 @@ def udisj_circuit(graph: Graph) -> SquaredCircuit:
     """
     n = graph.vertex_count
     k = len(graph.edges) + 1
-    store = ParameterStore()
-    layers = []
-
-    def add_input(var):
+    tables = []
+    for var in range(n):
         table = np.ones((k, 2))
         for e, (u, v) in enumerate(graph.edges):
             if var in (u, v):
                 table[1 + e] = [0.0, 1.0]
-        family = EmbeddingFamily(k, 2)
-        lid = len(layers)
-        layers.append(Layer(lid, INPUT, (var,), k, family=family))
-        family.register(store, f"L{lid}.")
-        store.set_free(family.blocks["values"], table)
-        return lid
-
-    inputs = [add_input(v) for v in range(n)]
-    top = inputs[n - 1]
-    for v in range(n - 2, -1, -1):
-        scope = tuple(range(v, n))
-        lid = len(layers)
-        layers.append(Layer(lid, HADAMARD, scope, k, inputs=[inputs[v], top]))
-        if v == 0:
-            weights = np.full((1, k), -1.0)
-            weights[0, 0] = 1.0
-        else:
-            weights = np.eye(k)
-        block = store.add_block(
-            f"L{len(layers)}.weight", weights.shape, trainable=False, init=weights
-        )
-        top = len(layers)
-        layers.append(Layer(top, SUM, scope, weights.shape[0], inputs=[lid], param_block=block))
-    if n == 1:
-        weights = np.full((1, k), -1.0)
-        weights[0, 0] = 1.0
-        block = store.add_block("L1.weight", (1, k), trainable=False, init=weights)
-        layers.append(Layer(1, SUM, (0,), 1, inputs=[0], param_block=block))
-        top = 1
-    circuit = TensorizedCircuit(
-        layers=layers,
-        output_layer=top,
-        store=store,
-        variable_count=n,
-        region_graph=linear_tree_from_order(range(n)),
-    )
-    return square(circuit.assert_valid())
+        tables.append(table)
+    root = np.full((1, k), -1.0)
+    root[0, 0] = 1.0
+    return square(_linear_tree_chain(tables, [root] + [np.eye(k)] * (n - 2)))
 
 
 def _half_assignments(h):

@@ -15,12 +15,11 @@ and input functions, leaving structure and size unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from pcsq.circuits import (
-    HADAMARD,
     INPUT,
     KRONECKER,
     SUM,
@@ -71,46 +70,23 @@ def square(c: TensorizedCircuit) -> SquaredCircuit:
     layers = []
     layer_map = {}
     for src in c.layers:
-        new_id = len(layers)
-        inputs = [layer_map[j] for j in src.inputs]
-        if src.kind == INPUT:
-            layer = Layer(
-                new_id,
-                INPUT,
-                src.scope,
-                src.output_width**2,
-                family=src.family,
-                squared=True,
-            )
-        elif src.kind == SUM:
-            layer = Layer(
-                new_id,
-                SUM,
-                src.scope,
-                src.output_width**2,
-                inputs=inputs,
-                param_block=src.param_block,
-                squared=True,
-            )
-        elif src.kind == HADAMARD:
-            layer = Layer(
-                new_id, HADAMARD, src.scope, src.output_width**2, inputs=inputs, squared=True
-            )
-        else:
+        perm = None
+        if src.kind == KRONECKER:
             widths = [c.layer(j).output_width for j in src.inputs]
             if len(widths) != 2:
                 raise UnsupportedStructureError("squaring expects binary kronecker layers")
-            layer = Layer(
-                new_id,
-                KRONECKER,
-                src.scope,
-                src.output_width**2,
-                inputs=inputs,
+            perm = _kron_interleave_perm(widths[0], widths[1])
+        layer_map[src.layer_id] = len(layers)
+        layers.append(
+            replace(
+                src,
+                layer_id=len(layers),
+                output_width=src.output_width**2,
+                inputs=[layer_map[j] for j in src.inputs],
                 squared=True,
-                perm=_kron_interleave_perm(widths[0], widths[1]),
+                perm=perm,
             )
-        layers.append(layer)
-        layer_map[src.layer_id] = new_id
+        )
     squared = TensorizedCircuit(
         layers=layers,
         output_layer=layer_map[c.output_layer],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from pcsq import families
 from pcsq.circuits import ParameterStore
 from pcsq.errors import DomainError
 from pcsq.families import (
@@ -46,6 +47,20 @@ class TestPointEvaluation:
         store.set_free(fam.blocks["std"], [0.0])  # exp(0) = 1
         out = fam.log_eval(store, np.array([0.0]))
         assert out.log_magnitude[0, 0] == pytest.approx(math.log(1 / math.sqrt(2 * math.pi)))
+
+    def test_gaussian_eval_keeps_the_out_of_place_bits(self):
+        # _eval runs its elementwise steps in place, in the order of the
+        # expression kept here as the reference
+        fam = GaussianFamily(5)
+        store = _make(fam, seed=3)
+        x = np.random.default_rng(4).normal(scale=3.0, size=257)
+        mean, std = fam._params(store)
+        z = (x[:, None] - mean[None, :]) / std[None, :]
+        lm = -0.5 * z * z - np.log(std)[None, :] - 0.5 * families._LOG_2PI
+        out, got_z = fam._eval(store, x)
+        np.testing.assert_array_equal(got_z, z)
+        np.testing.assert_array_equal(out.log_magnitude, lm)
+        np.testing.assert_array_equal(out.sign, np.ones_like(lm))
 
     def test_spline_partition_of_unity_value(self):
         basis = BSplineBasis.uniform(2, 4, (0.0, 1.0))

@@ -1,0 +1,215 @@
+"""The one gradient routine against the per-kind routines it replaced.
+
+``learning._accumulate_gradients`` trains a single circuit as the
+one-component case of a mixture, and runs one taped data pass per
+component.  Its responsibilities are then exactly 1 for a single circuit
+and its seeds equal the old ``2/b``, ``1/b`` and ``-1``, so the store
+gradients must not move by a bit: the old squared, plain and mixture
+branches are kept here verbatim as references and compared with exact
+equality.  Mixture gradients, which no other test checks, are also held
+against central finite differences (acceptance criterion 8's method).
+"""
+
+import numpy as np
+import pytest
+
+from pcsq import engine, inference
+from pcsq.circuits import TensorizedCircuit, from_region_graph
+from pcsq.errors import ConfigError, NumericError
+from pcsq.families import CategoricalFamily, EmbeddingFamily, GaussianFamily, SplineFamily
+from pcsq.learning import _accumulate_gradients, _stores, init_parameters
+from pcsq.mixtures import CircuitMixture
+from pcsq.regions import build_binary_tree, build_linear_tree
+from pcsq.splines import BSplineBasis
+from pcsq.squaring import SquaredCircuit, square
+
+# --- references: the per-kind routines, as they were -------------------------
+
+
+def _ref_accumulate_gradients(model, x):
+    b = x.shape[0]
+    if isinstance(model, SquaredCircuit):
+        res = engine.forward(model.source, x, want_tape=True)
+        engine.backward(res.tape, engine.log_grad_seed(res.root, np.full(b, 2.0 / b)))
+        _, zres = inference.partition_function(model, want_tape=True)
+        engine.backward(zres.tape, engine.log_grad_seed(zres.root, np.array([-1.0])))
+    elif isinstance(model, TensorizedCircuit):
+        res = engine.forward(model, x, want_tape=True)
+        if np.any(res.root.sign <= 0.0):
+            row = int(np.argmax(res.root.sign <= 0.0))
+            raise NumericError(f"model value not positive at batch row {row}")
+        engine.backward(res.tape, engine.log_grad_seed(res.root, np.full(b, 1.0 / b)))
+        _, zres = inference.partition_function(model, want_tape=True)
+        engine.backward(zres.tape, engine.log_grad_seed(zres.root, np.array([-1.0])))
+    elif isinstance(model, CircuitMixture):
+        _ref_accumulate_mixture_gradients(model, x)
+    else:
+        raise ConfigError(f"cannot train a {type(model).__name__}")
+
+
+def _ref_component_log_values(model, x):
+    cols = []
+    for c in model.components:
+        if isinstance(c, SquaredCircuit):
+            root = engine.forward(c.source, np.atleast_2d(x)).root
+            cols.append(2.0 * root.log_magnitude)
+        else:
+            val = engine.forward(c, np.atleast_2d(x)).root
+            if np.any(val.sign < 0.0):
+                raise NumericError("monotonic mixture component produced a negative value")
+            cols.append(val.log_magnitude)
+    return np.stack(cols, axis=-1)
+
+
+def _ref_accumulate_mixture_gradients(model, x):
+    b = x.shape[0]
+    lam = model.weights()
+    logs = _ref_component_log_values(model, x)  # (b, k)
+    with np.errstate(divide="ignore"):
+        shifted = logs + np.log(lam)[None, :]
+    shifted -= shifted.max(axis=1, keepdims=True)
+    resp = np.exp(shifted)
+    resp /= resp.sum(axis=1, keepdims=True)
+
+    # one taped Z per component serves both rho and the Z backward pass
+    zs = [inference.partition_function(comp, want_tape=True) for comp in model.components]
+    logz = np.array([float(z.log_magnitude) for z, _ in zs])
+    with np.errstate(divide="ignore"):
+        zsh = logz + np.log(lam)
+    zsh -= zsh.max()
+    rho = np.exp(zsh)
+    rho /= rho.sum()
+
+    scale = 2.0 if model.squared else 1.0
+    for i, comp in enumerate(model.components):
+        graph = comp.source if isinstance(comp, SquaredCircuit) else comp
+        res = engine.forward(graph, x, want_tape=True)
+        coeff = scale * resp[:, i] / b
+        engine.backward(res.tape, engine.log_grad_seed(res.root, coeff))
+        zres = zs[i][1]
+        engine.backward(zres.tape, engine.log_grad_seed(zres.root, np.array([-rho[i]])))
+    with np.errstate(divide="ignore"):
+        eff = (resp.mean(axis=0) - rho) / lam
+    model.store.accumulate_effective_grad(model.weight_block, eff)
+
+
+# --- models -------------------------------------------------------------------
+
+FAMILIES = ["spline", "gaussian", "categorical"]
+KINDS = ["squared-mixture", "monotonic-mixture", "squared", "monotonic"]
+
+
+def _inputs(family, monotonic, rng, d=4, b=12):
+    if family == "spline":
+        basis = BSplineBasis.uniform(2, 6, (-3.0, 3.0))
+        return (
+            lambda s, k: SplineFamily(k, basis, monotonic=monotonic),
+            rng.uniform(-2.9, 2.9, size=(b, d)),
+        )
+    if family == "gaussian":
+        return lambda s, k: GaussianFamily(k), rng.normal(size=(b, d))
+    return lambda s, k: CategoricalFamily(k, 4), rng.integers(0, 4, size=(b, d)).astype(float)
+
+
+def _model(kind, family, rng, d=4):
+    monotonic = kind.startswith("monotonic")
+    factory, x = _inputs(family, monotonic, rng, d)
+    comps = []
+    for i in range(2 if kind.endswith("mixture") else 1):
+        build = build_binary_tree if i == 0 else build_linear_tree
+        c = from_region_graph(
+            build(d, 10 + i), 3, "hadamard", factory, sum_reparam="exp" if monotonic else "identity"
+        )
+        init_parameters(c, "uniform(0,1)" if monotonic else "normal(0.3,0.5)", seed=20 + i)
+        comps.append(c if monotonic else square(c))
+    if len(comps) == 1:
+        return comps[0], x
+    mix = CircuitMixture.from_components(comps, learnable=True)
+    mix.store.set_free(mix.weight_block, rng.normal(size=2))
+    return mix, x
+
+
+def _gradients(model, accumulate, x):
+    stores = _stores(model)
+    for s in stores:
+        s.zero_grad()
+    accumulate(model, x)
+    return [s.gradients.copy() for s in stores]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_store_gradients_equal_the_per_kind_routines(kind, family, rng):
+    model, x = _model(kind, family, rng)
+    want = _gradients(model, _ref_accumulate_gradients, x)
+    got = _gradients(model, _accumulate_gradients, x)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.any(g != 0.0)
+        np.testing.assert_array_equal(g, w)
+
+
+def test_one_data_pass_and_one_fresh_z_per_component(rng, monkeypatch):
+    model, x = _model("squared-mixture", "gaussian", rng)
+    passes = {"data": 0, "z": 0}
+    original = engine.forward
+
+    def counted(circuit, x=None, marginalized=frozenset(), **kwargs):
+        if not marginalized and not kwargs.get("below"):
+            passes["data"] += 1
+        elif len(marginalized) == circuit.variable_count:
+            passes["z"] += 1
+        return original(circuit, x, marginalized, **kwargs)
+
+    monkeypatch.setattr(engine, "forward", counted)
+    before = [inference.z_eval_count(c) for c in model.components]
+    _gradients(model, _accumulate_gradients, x)
+    assert passes == {"data": 2, "z": 2}
+    assert [inference.z_eval_count(c) - n for c, n in zip(model.components, before)] == [1, 1]
+
+
+@pytest.mark.parametrize("kind", ["squared-mixture", "monotonic-mixture"])
+def test_mixture_gradients_match_finite_differences(kind, rng):
+    model, x = _model(kind, "categorical", rng, d=3)
+    auto = _gradients(model, _accumulate_gradients, x)  # mixture.weights first
+    h = 1e-6
+    for store, grads in zip(_stores(model), auto):
+        for i in range(store.values.size):
+            keep = store.values[i]
+            store.values[i] = keep + h
+            store.bump()
+            up = inference.log_likelihood(model, x)
+            store.values[i] = keep - h
+            store.bump()
+            down = inference.log_likelihood(model, x)
+            store.values[i] = keep
+            store.bump()
+            fd = (up - down) / (2 * h)
+            rel = abs(grads[i] - fd) / max(abs(fd), 1e-8)
+            assert rel < 1e-4, f"{kind} parameter {i}: autodiff {grads[i]}, fd {fd}"
+
+
+@pytest.mark.parametrize("squared", [True, False], ids=["squared", "monotonic"])
+def test_row_where_every_component_is_zero_is_named(squared, rng):
+    # state 1 of variable 0 has an all-zero embedding column in every component
+    comps = []
+    for seed in (0, 1):
+        c = from_region_graph(
+            build_linear_tree(2, seed),
+            2,
+            "hadamard",
+            lambda s, k: EmbeddingFamily(k, 2),
+            sum_reparam="identity" if squared else "exp",
+        )
+        c.store.values[:] = np.abs(rng.normal(size=c.store.values.size)) + 0.1
+        block = next(l for l in c.input_layers() if l.scope == (0,)).family.blocks["values"]
+        table = c.store.free(block).copy()
+        table[:, 1] = 0.0
+        c.store.set_free(block, table)
+        comps.append(square(c) if squared else c)
+    mix = CircuitMixture.from_components(comps)
+    x = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(NumericError, match="row 2"):
+        _accumulate_gradients(mix, x)
+    with pytest.raises(NumericError, match="row 2"):
+        _accumulate_gradients(comps[0], x)

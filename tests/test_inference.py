@@ -252,3 +252,8 @@ class TestLogLikelihood:
         sq = square(c)
         with pytest.raises(NumericError, match="row 1"):
             log_likelihood(sq, np.array([[1.0], [0.0]]))
+        # a plain circuit with Z = 1 that is negative at state 0
+        c.store.set_free(c.input_layers()[0].family.blocks["values"], [[1.0, 2.0], [3.0, 1.0]])
+        c.store.set_free(c.layer(c.output_layer).param_block, [[1.0, -0.5]])
+        with pytest.raises(NumericError, match="negative at row 1"):
+            log_likelihood(c, np.array([[1.0], [0.0]]))

@@ -7,6 +7,7 @@ from pcsq.circuits import from_region_graph
 from pcsq.data import Column, Dataset
 from pcsq.errors import ConfigError
 from pcsq.families import EmbeddingFamily
+from pcsq import inference
 from pcsq.inference import partition_function, sample
 from pcsq.learning import TrainConfig, init_parameters, train
 from pcsq.mixtures import CircuitMixture
@@ -81,6 +82,15 @@ def test_mixture_training_improves_likelihood(rng):
     train(mix, ds, TrainConfig(batch_size=96, learning_rate=0.05, max_epochs=8, patience=8, seed=0))
     after = mix.log_likelihood(ds.split("val"))
     assert after > before
+
+
+def test_inference_queries_delegate_to_the_mixture(rng):
+    comps = [_component(rng, s, d=2) for s in range(2)]
+    mix = CircuitMixture.from_components(comps, weights=[0.4, 0.6], learnable=False)
+    grid = enumerate_assignments(2)
+    np.testing.assert_array_equal(inference.log_density(mix, grid), mix.log_density(grid))
+    assert inference.log_likelihood(mix, grid) == mix.log_likelihood(grid)
+    np.testing.assert_array_equal(inference.sample(mix, 50, seed=3), mix.sample(50, seed=3))
 
 
 def test_mixture_sampling_matches_density(rng):
