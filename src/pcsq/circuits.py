@@ -141,9 +141,8 @@ class Layer:
     inputs: list = field(default_factory=list)
     param_block: str | None = None
     family: object | None = None
-    # squared-circuit annotations
+    # squared-circuit annotation
     squared: bool = False
-    perm: np.ndarray | None = None
 
 
 @dataclass

@@ -1,12 +1,15 @@
-"""Layer-level forward evaluation and the reverse-mode gradient sweep.
+"""Layer-level forward evaluation, the reverse-mode gradient sweep and the
+path adjoints behind exact conditionals.
 
 The forward pass walks layers in topological order, carrying either
 signed log-space tensors (the default, overflow-proof) or plain float64
 arrays (the "linear" space, used by oracles and the overflow benchmark).
 Input layers evaluate pointwise on evidence variables and substitute
 their integral vector (plain circuits) or integral matrix (squared
-circuits) on marginalized variables, and their integrals up to the
-evidence value on variables in ``below`` (exact CDFs for sampling).
+circuits) on marginalized variables.  In signed log-space a layer whose
+whole scope is marginalized is constant across the batch, so it is
+evaluated once, as one row; layers mixing one-row and batch inputs
+broadcast, and only the root is broadcast to the batch.
 
 With ``want_tape=True`` the pass records a tape; :func:`backward` then
 replays it in exact reverse order, propagating adjoints of the scalar
@@ -15,16 +18,23 @@ themselves are carried in signed log-space) and accumulating parameter
 gradients into the store.  The tape keeps each evaluated input layer's
 values and features (spline design matrices, Gaussian z-scores), so the
 input VJPs reuse them; untaped passes keep nothing.
+
+:func:`path_adjoint` pushes the root's adjoint, by the same per-layer
+rules, along the one path from the root to the input layer of a chosen
+variable.  The root is linear in that layer's output, so the adjoint
+turns the layer's values, or its integrals up to a point, into the
+circuit's conditional values and CDFs without another circuit pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from pcsq import kernels
-from pcsq.circuits import HADAMARD, INPUT, KRONECKER, SUM, TensorizedCircuit
+from pcsq.circuits import HADAMARD, INPUT, SUM, TensorizedCircuit
 from pcsq.errors import ConfigError, NumericError, UnsupportedStructureError
 from pcsq.slog import (
     SignedLogTensor,
@@ -93,35 +103,28 @@ def _input_integral(circuit, layer, matrix):
             value = layer.family.integral_matrix(circuit.store)
         else:
             value = layer.family.integral_vector(circuit.store)
+        for array in (value.log_magnitude, value.sign):  # shared by every pass
+            array.setflags(write=False)
         cache[key] = (version, value)
     return cache[key][1]
 
 
 def _broadcast(slog, batch):
-    lm = np.broadcast_to(slog.log_magnitude.reshape(1, -1), (batch, slog.log_magnitude.size))
-    sg = np.broadcast_to(slog.sign.reshape(1, -1), (batch, slog.sign.size))
-    return SignedLogTensor(lm, sg)
+    shape = (batch,) + slog.shape[1:]
+    return SignedLogTensor(
+        np.broadcast_to(slog.log_magnitude, shape).copy(), np.broadcast_to(slog.sign, shape).copy()
+    )
 
 
-def _forward_input(circuit, layer, x, marginalized, below, batch, saved):
+def _forward_input(circuit, layer, x, marginalized, saved):
     scope = set(layer.scope)
     marg = scope & marginalized
-    if (marg and marg != scope) or (scope & below and len(scope) > 1):
+    if marg and marg != scope:
         raise UnsupportedStructureError(
-            f"input layer {layer.layer_id} is only partially marginalized or integrated"
+            f"input layer {layer.layer_id} is only partially marginalized"
         )
-    if scope & below:
-        t = _scope_values(x, layer.scope)
-        if layer.squared:
-            return layer.family.partial_integral_matrix(circuit.store, t).reshape(batch, -1)
-        return layer.family.partial_integral_vector(circuit.store, t)
-    if marg:
-        if not layer.squared:
-            return _broadcast(_input_integral(circuit, layer, matrix=False), batch)
-        mat = _input_integral(circuit, layer, matrix=True)
-        k = layer.family.units
-        flat = SignedLogTensor(mat.log_magnitude.reshape(k * k), mat.sign.reshape(k * k))
-        return _broadcast(flat, batch)
+    if marg:  # constant: the cached integral, one row for every batch row
+        return _input_integral(circuit, layer, matrix=layer.squared).reshape(1, layer.output_width)
     values = _scope_values(x, layer.scope)
     if saved is None:
         f = layer.family.log_eval(circuit.store, values)
@@ -145,27 +148,29 @@ def _forward_sum_squared(weights, u, save_to=None, layer_id=None):
     return SignedLogTensor(y.log_magnitude.reshape(b, s * s), y.sign.reshape(b, s * s))
 
 
+def _squared_widths(a, b):
+    return math.isqrt(a.shape[-1]), math.isqrt(b.shape[-1])
+
+
 def forward(
     circuit: TensorizedCircuit,
     x=None,
     marginalized=frozenset(),
     space="slog",
     want_tape=False,
-    below=frozenset(),
 ):
     """Evaluate every layer; returns an :class:`EvalResult`.
 
     ``x`` is a (batch, variable_count) array of evidence (ignored columns
     for marginalized variables); it may be None when every variable is
     marginalized.  ``space`` selects signed log-space or plain linear
-    float64 arithmetic.  Variables in ``below`` are integrated from their
-    domain's lower end up to the evidence value (no tape, no overlap with
-    ``marginalized``).
+    float64 arithmetic.  In signed log-space a layer whose scope is
+    entirely marginalized is constant: it is evaluated once, as one row,
+    and only the root is broadcast to the batch.  Only data passes
+    (nothing marginalized) and one-row partition-function passes
+    (everything marginalized) can be taped.
     """
     marginalized = frozenset(marginalized)
-    below = frozenset(below)
-    if below and (want_tape or below & marginalized):
-        raise ConfigError("variables integrated up to a point cannot be taped or marginalized")
     if x is None:
         x = np.zeros((1, circuit.variable_count))
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -174,13 +179,15 @@ def forward(
             f"evidence has {x.shape[1]} columns, circuit has {circuit.variable_count} variables"
         )
     batch = x.shape[0]
+    if want_tape and marginalized and (len(marginalized) < circuit.variable_count or batch != 1):
+        raise ConfigError("only data passes and one-row partition-function passes can be taped")
     if space == "linear":
-        return _forward_linear(circuit, x, marginalized, below, batch)
+        return _forward_linear(circuit, x, marginalized, batch)
     saved = {} if want_tape else None
     outputs = []
     for layer in circuit.layers:
         if layer.kind == INPUT:
-            out = _forward_input(circuit, layer, x, marginalized, below, batch, saved)
+            out = _forward_input(circuit, layer, x, marginalized, saved)
         elif layer.kind == SUM:
             u = outputs[layer.inputs[0]]
             weights = circuit.effective_weights(layer)
@@ -188,29 +195,25 @@ def forward(
                 out = _forward_sum_squared(weights, u, save_to=saved, layer_id=layer.layer_id)
             else:
                 out = signed_logsumexp(weights, u)
-        elif layer.kind == HADAMARD:
-            out = signed_product([outputs[j] for j in layer.inputs], kind="hadamard")
         else:
-            out = signed_product([outputs[j] for j in layer.inputs], kind="kronecker")
-            if layer.perm is not None:
-                out = SignedLogTensor(
-                    out.log_magnitude[..., layer.perm], out.sign[..., layer.perm]
-                )
+            out = signed_product([outputs[j] for j in layer.inputs], layer.kind, layer.squared)
         if np.isnan(out.log_magnitude).any() or np.isnan(out.sign).any():
             raise NumericError(f"NaN produced at layer {layer.layer_id} ({layer.kind})")
         outputs.append(out)
+    if outputs[circuit.output_layer].shape[0] != batch:
+        outputs[circuit.output_layer] = _broadcast(outputs[circuit.output_layer], batch)
     tape = Tape(circuit, marginalized, outputs, saved) if want_tape else None
     return EvalResult(outputs, circuit.output_layer, tape)
 
 
-def _forward_linear(circuit, x, marginalized, below, batch):
+def _forward_linear(circuit, x, marginalized, batch):
+    """Plain float64 evaluation at full batch width: the oracle of the
+    signed log-space pass, sharing none of its arithmetic."""
     outputs = []
     for layer in circuit.layers:
         if layer.kind == INPUT:
-            out = _forward_input(circuit, layer, x, marginalized, below, batch, None)
-            out = out.to_linear() if isinstance(out, SignedLogTensor) else out
-            if out.shape[0] != batch:
-                out = np.broadcast_to(out, (batch, out.shape[-1]))
+            out = _forward_input(circuit, layer, x, marginalized, None).to_linear()
+            out = np.broadcast_to(out, (batch, layer.output_width))
         elif layer.kind == SUM:
             u = outputs[layer.inputs[0]]
             w = circuit.effective_weights(layer)
@@ -227,14 +230,19 @@ def _forward_linear(circuit, x, marginalized, below, batch):
             with np.errstate(over="ignore", invalid="ignore"):
                 for j in layer.inputs[1:]:
                     out = out * outputs[j]
+        elif layer.squared:
+            a, b = (outputs[j] for j in layer.inputs)
+            ka, kb = _squared_widths(a, b)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = a.reshape(batch, ka, 1, ka, 1) * b.reshape(batch, 1, kb, 1, kb)
+            out = out.reshape(batch, layer.output_width)
         else:
             out = outputs[layer.inputs[0]]
             with np.errstate(over="ignore", invalid="ignore"):
                 for j in layer.inputs[1:]:
                     nxt = outputs[j]
-                    out = (out[:, :, None] * nxt[:, None, :]).reshape(batch, -1)
-            if layer.perm is not None:
-                out = out[:, layer.perm]
+                    out = out[:, :, None] * nxt[:, None, :]
+                    out = out.reshape(batch, out.shape[1] * out.shape[2])
         outputs.append(np.asarray(out))
     return EvalResult(outputs, circuit.output_layer)
 
@@ -259,23 +267,17 @@ def backward(tape: Tape, seed_output: SignedLogTensor):
     gradients into the circuit's ParameterStore."""
     circuit = tape.circuit
     store = circuit.store
-    adjoints = {}
-    root = circuit.layer(circuit.output_layer)
     seed = seed_output
     if seed.log_magnitude.ndim == 1:
         seed = seed.reshape(-1, 1)
-    adjoints[root.layer_id] = seed
+    adjoints = {circuit.output_layer: seed}
     for layer in reversed(circuit.layers):
         adj = adjoints.pop(layer.layer_id, None)
         if adj is None:
             continue
-
-        def push(target_id, contribution):
-            if target_id in adjoints:
-                adjoints[target_id] = signed_add(adjoints[target_id], contribution)
-            else:
-                adjoints[target_id] = contribution
-
+        if layer.kind == INPUT:
+            _backward_input(circuit, layer, tape, adj)
+            continue
         if layer.kind == SUM:
             u = tape.outputs[layer.inputs[0]]
             weights = circuit.effective_weights(layer)
@@ -288,50 +290,95 @@ def backward(tape: Tape, seed_output: SignedLogTensor):
                     adj.log_magnitude, adj.sign, u.log_magnitude, u.sign
                 )
                 grad_eff = SignedLogTensor(lm, sg).to_linear()
-                adj_in = signed_logsumexp(weights.T.copy(), adj)
+                adj_in = _sum_input_adjoint(weights, adj, squared=False)
             store.accumulate_effective_grad(layer.param_block, grad_eff)
-            push(layer.inputs[0], adj_in)
-        elif layer.kind == HADAMARD:
+            adj_ins = [adj_in]
+        else:
             outs = [tape.outputs[j] for j in layer.inputs]
-            n = len(outs)
-            prefix = [None] * (n + 1)
-            suffix = [None] * (n + 1)
-            for i in range(n):
-                prefix[i + 1] = outs[i] if i == 0 else signed_mul(prefix[i], outs[i])
-                j = n - 1 - i
-                suffix[j] = outs[j] if j == n - 1 else signed_mul(suffix[j + 1], outs[j])
-            for i, j in enumerate(layer.inputs):
-                others = None
-                if i > 0 and i < n - 1:
-                    others = signed_mul(prefix[i], suffix[i + 1])
-                elif i > 0:
-                    others = prefix[i]
-                elif i < n - 1:
-                    others = suffix[i + 1]
-                push(j, adj if others is None else signed_mul(adj, others))
-        elif layer.kind == KRONECKER:
-            if len(layer.inputs) != 2:
-                raise UnsupportedStructureError("kronecker backward expects binary products")
-            if layer.perm is not None:
-                inv = np.argsort(layer.perm)
-                adj = SignedLogTensor(adj.log_magnitude[..., inv], adj.sign[..., inv])
-            da, db = _kron_vjp(adj, *(tape.outputs[j] for j in layer.inputs))
-            push(layer.inputs[0], da)
-            push(layer.inputs[1], db)
-        else:  # input layer
-            _backward_input(circuit, layer, tape, adj)
+            adj_ins = _product_input_adjoints(layer, outs, adj, range(len(outs)))
+        for j, adj_in in zip(layer.inputs, adj_ins):
+            adjoints[j] = signed_add(adjoints[j], adj_in) if j in adjoints else adj_in
     store_grads = store.gradients
     if np.isnan(store_grads).any():
         raise NumericError("NaN in accumulated gradients")
 
 
-def _kron_vjp(adj, a, b):
-    """Adjoints of the two factors of the row-wise Kronecker product a (x) b,
-    given the product's adjoint ``adj`` (batch, ka * kb)."""
+def path_adjoint(circuit: TensorizedCircuit, outputs, variable):
+    """The input layer whose scope holds ``variable`` and the adjoint of the
+    root there, given the layer ``outputs`` of an untaped forward pass.
+
+    From the root, the adjoint is pushed only into the input whose scope
+    holds the variable, by the rules :func:`backward` uses.  Products are
+    decomposable and sum layers have one input, so this path is the only
+    one from the root to that input layer, and the root is linear in the
+    layer's output g: root = sum_i A_i g_i, with A the returned adjoint.
+    This is the differential approach to conditionals (Darwiche, JACM
+    2003).  The adjoint has one row while the path meets only constant
+    layers, and one row per batch row below the first that is not.
+    """
+    layer = circuit.layer(circuit.output_layer)
+    width = layer.output_width
+    adj = SignedLogTensor(np.zeros((1, width)), np.ones((1, width)))
+    while layer.kind != INPUT:
+        i = next(i for i, j in enumerate(layer.inputs) if variable in circuit.layer(j).scope)
+        if layer.kind == SUM:
+            adj = _sum_input_adjoint(circuit.effective_weights(layer), adj, layer.squared)
+        else:
+            outs = [outputs[j] for j in layer.inputs]
+            (adj,) = _product_input_adjoints(layer, outs, adj, [i])
+        layer = circuit.layer(layer.inputs[i])
+    return layer, adj
+
+
+def _sum_input_adjoint(weights, adj, squared):
+    """Adjoint of a sum layer's input: W^T G, or W^T G W for the (s, s)
+    blocks G of a squared layer's output adjoint."""
+    wt = np.ascontiguousarray(weights.T)
+    if not squared:
+        return signed_logsumexp(wt, adj)
+    b = adj.shape[0]
+    s, k = weights.shape
+    t1_lm, t1_sg = kernels.slse_batched_matmul(
+        wt, adj.log_magnitude.reshape(b, s, s), adj.sign.reshape(b, s, s)
+    )  # (b, k1, s2)
+    du = signed_logsumexp(wt, SignedLogTensor(t1_lm.reshape(b * k, s), t1_sg.reshape(b * k, s)))
+    return SignedLogTensor(du.log_magnitude.reshape(b, k * k), du.sign.reshape(b, k * k))
+
+
+def _product_input_adjoints(layer, outs, adj, positions):
+    """Adjoints of the factors at ``positions`` of a product layer, given
+    its factors' forward outputs ``outs`` and the adjoint of its output."""
+    if layer.kind == HADAMARD:
+        adjs = []
+        for i in positions:
+            out = adj
+            for other in outs[:i] + outs[i + 1 :]:
+                out = signed_mul(out, other)
+            adjs.append(out)
+        return adjs
+    if len(outs) != 2:
+        raise UnsupportedStructureError("kronecker backward expects binary products")
+    if layer.squared:  # un-interleave (a1, b1, a2, b2) into (a1, a2) x (b1, b2)
+        ka, kb = _squared_widths(*outs)
+        blocks = (adj.shape[0], ka, kb, ka, kb)
+        adj = SignedLogTensor(
+            *(
+                t.reshape(blocks).transpose(0, 1, 3, 2, 4).reshape(adj.shape)
+                for t in (adj.log_magnitude, adj.sign)
+            )
+        )
+    return _kron_vjp(adj, *outs, positions)
+
+
+def _kron_vjp(adj, a, b, positions=(0, 1)):
+    """Adjoints of the factors at ``positions`` of the row-wise Kronecker
+    product a (x) b, given the product's adjoint ``adj`` (batch, ka * kb)."""
     adj3 = adj.reshape(adj.shape[0], a.shape[-1], b.shape[-1])
-    b3 = SignedLogTensor(b.log_magnitude[:, None, :], b.sign[:, None, :])
-    a3 = SignedLogTensor(a.log_magnitude[:, :, None], a.sign[:, :, None])
-    return signed_sum(signed_mul(adj3, b3), axis=-1), signed_sum(signed_mul(adj3, a3), axis=-2)
+    others = (
+        SignedLogTensor(b.log_magnitude[:, None, :], b.sign[:, None, :]),
+        SignedLogTensor(a.log_magnitude[:, :, None], a.sign[:, :, None]),
+    )
+    return [signed_sum(signed_mul(adj3, others[i]), axis=-1 - i) for i in positions]
 
 
 def _backward_sum_squared(weights, u, adj, v):
@@ -340,11 +387,7 @@ def _backward_sum_squared(weights, u, adj, v):
     g_lm = adj.log_magnitude.reshape(b, s, s)
     g_sg = adj.sign.reshape(b, s, s)
     wt = np.ascontiguousarray(weights.T)
-
-    # input adjoint: dU = A^T G A
-    t1_lm, t1_sg = kernels.slse_batched_matmul(wt, g_lm, g_sg)  # (b, k1, s2)
-    du = signed_logsumexp(wt, SignedLogTensor(t1_lm.reshape(b * k, s), t1_sg.reshape(b * k, s)))
-    adj_in = SignedLogTensor(du.log_magnitude.reshape(b, k * k), du.sign.reshape(b, k * k))
+    adj_in = _sum_input_adjoint(weights, adj, squared=True)
 
     # weight gradient: sum_b G A U^T + G^T A U; the first term pairs the
     # columns of G A and of U, so it reads (G A)^T straight from the batched
@@ -372,9 +415,7 @@ def _backward_sum_squared(weights, u, adj, v):
 
 def _backward_input(circuit, layer, tape, adj):
     store = circuit.store
-    scope = set(layer.scope)
-    marg = scope & tape.marginalized
-    if marg:
+    if set(layer.scope) <= tape.marginalized:
         if layer.squared:
             k = layer.family.units
             layer.family.integral_matrix_vjp(store, signed_sum(adj, axis=0).reshape(k, k))

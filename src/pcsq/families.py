@@ -552,7 +552,7 @@ class RbfKernelFamily(_GaussianShaped, InputFamily):
         pass
 
     def _params(self, store):
-        # means and stds of 1-d units; the engine integrates up to a point
+        # means and stds of 1-d units; the sampler integrates up to a point
         # only over single-variable scopes
         return self.anchors[:, 0], np.full(self.units, self.bandwidth)
 

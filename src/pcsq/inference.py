@@ -3,9 +3,13 @@
 Forward evaluation, partition function (cached per parameter version and
 counted, so training can prove it runs once per step), arbitrary-subset
 marginalization, normalized log-density, mean log-likelihood, and exact
-autoregressive sampling by inverse-transform.  ``log_density``,
-``log_likelihood`` and ``sample`` also take a CircuitMixture and delegate
-to its methods, so callers need not know which kind of model they hold.
+autoregressive sampling by inverse-transform: each conditional comes from
+one forward pass and one path-adjoint pass per variable and chunk of
+rows, then the input family's closed forms (value tables, integrals up
+to a point) give its PMF or CDF without further circuit passes.
+``log_density``, ``log_likelihood`` and ``sample`` also take a
+CircuitMixture, so callers need not know which kind of model they hold;
+``log_density`` refuses a row where either kind of model is 0.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import numpy as np
 
 from pcsq import engine
 from pcsq.circuits import TensorizedCircuit
-from pcsq.errors import ConfigError, DegenerateModelError, NumericError
-from pcsq.slog import SignedLogTensor
+from pcsq.errors import ConfigError, DegenerateModelError, NumericError, UnsupportedStructureError
+from pcsq.slog import SignedLogTensor, signed_logsumexp, signed_mul, signed_sum
 from pcsq.squaring import SquaredCircuit
 
 
@@ -152,15 +156,20 @@ def marginal_batch(model, x, marginalized) -> SignedLogTensor:
 
 
 def log_density(model, x) -> np.ndarray:
-    """Normalized log-density per row: log model(x) - log Z."""
+    """Normalized log-density per row: log model(x) - log Z.
+
+    Raises NumericError naming the first row where the model value is 0.
+    """
     if _is_mixture(model):
-        return model.log_density(x)
-    z = partition_function(model)
-    logs = log_value(model, x)
+        logz = model.partition()
+        logs = model.log_value(x)
+    else:
+        logz = float(partition_function(model).log_magnitude)
+        logs = log_value(model, x)
     if np.any(logs == -np.inf):
         row = int(np.argmax(logs == -np.inf))
         raise NumericError(f"model value is 0 exactly at row {row}; log-density undefined")
-    return logs - float(z.log_magnitude)
+    return logs - logz
 
 
 def log_likelihood(model, x) -> float:
@@ -180,19 +189,26 @@ def _family_for_variable(model, v):
 
 
 # sample rows (continuous columns) or distinct prefixes (discrete columns)
-# evaluated together in one batch of conditional passes
+# conditioned together in one forward pass
 _CHUNK = 256
 
 
 def sample(model, n, seed=0):
     """Draw ``n`` exact samples autoregressively (natural variable order).
 
-    Discrete variables enumerate their conditional PMF once per distinct
-    prefix, in batched passes over chunks of prefixes.  Continuous
-    variables bisect their exact conditional CDF, one forward pass with the
-    variable integrated up to the midpoint per step, to 1e-9 of the
-    conditional mass.  A mixture draws through ``CircuitMixture.sample``.
-    Raises ConfigError for n < 0.
+    Per variable v and chunk of rows, one forward pass with the values
+    before v as evidence and v onwards marginalized gives the conditional
+    mass at its root; one path-adjoint pass (:func:`engine.path_adjoint`)
+    gives the adjoint A at v's input layer, in which the root is linear.
+    A discrete v's conditional PMF over its states s is then
+    sum_ij A_ij f_i(s) f_j(s) (sum_i A_i f_i(s) for a plain circuit),
+    enumerated once per distinct prefix.  A continuous v bisects its
+    exact conditional CDF sum_ij A_ij P_ij(t), with P the family's
+    closed-form integrals up to t, to 1e-9 of the conditional mass; no
+    circuit pass runs per step.  A mixture draws through
+    ``CircuitMixture.sample``.  Raises ConfigError for n < 0 and
+    UnsupportedStructureError where v shares an input layer with another
+    variable.
     """
     if _is_mixture(model):
         return model.sample(n, seed=seed)
@@ -205,27 +221,42 @@ def sample(model, n, seed=0):
     states = graph.states_per_variable()
     out = np.zeros((n, d))
     for v in range(d):
-        rest = frozenset(range(v + 1, d))
         if states[v] is not None:
-            _sample_discrete_column(model, out, v, states[v], rest, rng)
+            _sample_discrete_column(graph, out, v, states[v], rng)
         else:
-            _sample_continuous_column(model, out, v, rest, rng)
+            _sample_continuous_column(graph, out, v, rng)
     return out
 
 
-def _sample_discrete_column(model, out, v, m, rest, rng):
+def _conditional(graph, x, v):
+    """(mass, input layer, adjoint): the root of one forward pass with the
+    columns of ``x`` before v as evidence and v onwards marginalized, v's
+    input layer and the root's adjoint there."""
+    result = engine.forward(graph, x, marginalized=frozenset(range(v, graph.variable_count)))
+    layer, adj = engine.path_adjoint(graph, result.outputs, v)
+    if layer.scope != (v,):
+        raise UnsupportedStructureError(
+            f"variable {v} shares input layer {layer.layer_id} with other variables"
+        )
+    return result.root, layer, adj
+
+
+def _sample_discrete_column(graph, out, v, m, rng):
     draws = rng.random(out.shape[0])
     prefixes, which = np.unique(out[:, :v], axis=0, return_inverse=True)
     cdf = np.empty((prefixes.shape[0], m))
     for start in range(0, prefixes.shape[0], _CHUNK):
         block = prefixes[start : start + _CHUNK]
-        x = np.zeros((block.shape[0] * m, out.shape[1]))
-        x[:, :v] = np.repeat(block, m, axis=0)
-        x[:, v] = np.tile(np.arange(m), block.shape[0])
-        vals = marginal_batch(model, x, rest)
+        x = np.zeros((block.shape[0], out.shape[1]))
+        x[:, :v] = block
+        _, layer, adj = _conditional(graph, x, v)
+        table = layer.family.value_table(graph.store)  # (units, m)
+        if layer.squared:  # row i * K + j holds f_i * f_j, as the layer's units do
+            table = (table[:, None, :] * table[None, :, :]).reshape(layer.output_width, m)
+        vals = signed_logsumexp(table.T, adj)  # one row, or one per prefix
         if np.any(vals.sign < 0.0):
             raise NumericError(f"negative conditional mass at variable {v}")
-        lm, sg = vals.log_magnitude.reshape(-1, m), vals.sign.reshape(-1, m)
+        lm, sg = vals.log_magnitude, vals.sign
         shift = np.max(lm, axis=1, keepdims=True)
         if not np.all(np.isfinite(shift)):
             raise NumericError(f"conditional PMF at variable {v} is identically zero")
@@ -235,23 +266,26 @@ def _sample_discrete_column(model, out, v, m, rest, rng):
     out[:, v] = np.sum(cdf[which] <= draws[:, None], axis=1)
 
 
-def _sample_continuous_column(model, out, v, rest, rng, cdf_tol=1e-9, max_steps=80):
-    lo, hi = _family_for_variable(model, v).sample_bracket(model.store)
+def _sample_continuous_column(graph, out, v, rng, cdf_tol=1e-9, max_steps=80):
+    lo, hi = _family_for_variable(graph, v).sample_bracket(graph.store)
     for start in range(0, out.shape[0], _CHUNK):
         rows = out[start : start + _CHUNK]
-        if v == 0:  # no evidence: every row's conditional mass is Z
-            mass = np.full(rows.shape[0], float(partition_function(model).to_linear()))
-        else:
-            mass = marginal_batch(model, rows, rest | {v}).to_linear()
+        mass, layer, adj = _conditional(graph, rows, v)
+        mass = mass.to_linear()
         if np.any(~np.isfinite(mass)) or np.any(mass <= 0.0):
             raise NumericError(f"non-finite conditional mass at variable {v}")
+        family = layer.family
+        if layer.squared:
+            partial = family.partial_integral_matrix
+        else:
+            partial = family.partial_integral_vector
         targets = rng.random(rows.shape[0]) * mass
         a, b = np.full(rows.shape[0], lo), np.full(rows.shape[0], hi)
         for _ in range(max_steps):
             mid = 0.5 * (a + b)
             rows[:, v] = mid
-            cdf = engine.forward(_graph(model), rows, marginalized=rest, below={v}).root
-            err = cdf.to_linear() - targets
+            p = partial(graph.store, mid).reshape(rows.shape[0], layer.output_width)
+            err = signed_sum(signed_mul(adj, p), axis=-1).to_linear() - targets
             done = np.all(np.abs(err) <= cdf_tol * mass)
             if done or np.max(b - a) < 1e-14 * np.max(np.abs(a) + np.abs(b) + 1.0):
                 break

@@ -102,7 +102,8 @@ def slse_batched_matmul(weights, log_mag, sign):
     b, k, j = log_mag.shape
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         alpha, scaled = _scale_rows(log_mag.transpose(0, 2, 1), sign.transpose(0, 2, 1))
-        raw = (scaled.reshape(b * j, k) @ weights.T).reshape(b, j, -1).transpose(0, 2, 1)
+        raw = scaled.reshape(b * j, k) @ weights.T
+        raw = raw.reshape(b, j, weights.shape[0]).transpose(0, 2, 1)
         return _restore_shift(raw, alpha.transpose(0, 2, 1), np.empty(raw.shape))
 
 

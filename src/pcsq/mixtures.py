@@ -67,11 +67,11 @@ class CircuitMixture:
     def log_value(self, x):
         """log of the unnormalized mixture value per batch row."""
         logs = self.component_log_values(np.atleast_2d(x))
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore"):  # log 0 = -inf: a zero weight or an all-zero row
             shifted = logs + np.log(self.weights())[None, :]
-        top = np.max(shifted, axis=-1)
-        safe = np.where(np.isfinite(top), top, 0.0)
-        out = safe + np.log(np.sum(np.exp(shifted - safe[:, None]), axis=-1))
+            top = np.max(shifted, axis=-1)
+            safe = np.where(np.isfinite(top), top, 0.0)
+            out = safe + np.log(np.sum(np.exp(shifted - safe[:, None]), axis=-1))
         return np.where(np.isfinite(top), out, -np.inf)
 
     def component_log_partitions(self):
@@ -97,7 +97,7 @@ class CircuitMixture:
         return out
 
     def log_density(self, x):
-        return self.log_value(x) - self.partition()
+        return inference.log_density(self, x)
 
     def log_likelihood(self, x):
         return float(np.mean(self.log_density(np.atleast_2d(x))))

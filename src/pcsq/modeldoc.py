@@ -71,7 +71,7 @@ def _store_from_parts(blocks, values_doc):
 
 
 def circuit_to_dict(c: TensorizedCircuit):
-    annotated = [l.layer_id for l in c.layers if l.squared or l.perm is not None]
+    annotated = [l.layer_id for l in c.layers if l.squared]
     if annotated:
         raise ConfigError(
             f"layers {annotated} carry squaring annotations that a model document does "

@@ -17,6 +17,7 @@ which the engine's per-layer NaN check reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,14 +102,18 @@ def signed_logsumexp(weights, x: SignedLogTensor) -> SignedLogTensor:
     return SignedLogTensor(out_lm.reshape(*lead, s), out_sg.reshape(*lead, s))
 
 
-def signed_product(xs, kind="hadamard"):
-    """Combine factor layers in log-space.
+def signed_product(xs, kind="hadamard", squared=False):
+    """Combine factor layers in log-space; leading (batch) axes broadcast.
 
     Hadamard: elementwise, log-magnitudes add and signs multiply; all
     factors must share their trailing width.  Kronecker: the trailing axes
     combine by an outer sum of log-magnitudes (and outer product of signs),
     producing width = product of factor widths.  A zero factor zeroes the
-    corresponding product entries in either mode.
+    corresponding product entries in either mode.  ``squared`` Kronecker
+    factors are two squared layers, whose rows hold flattened (ka, ka) and
+    (kb, kb) matrices; each output row is their matrix Kronecker product,
+    flattened row-major, which is the interleaved unit order
+    (a1 b1) x (a2 b2) of the squared product layer.
     """
     if not xs:
         raise PcsqError("signed_product requires at least one factor")
@@ -125,6 +130,8 @@ def signed_product(xs, kind="hadamard"):
             lm = lm + x.log_magnitude
             sg = sg * x.sign
         return SignedLogTensor(lm, sg)
+    if kind == "kronecker" and squared:
+        return _kron_squared(*xs)
     if kind == "kronecker":
         out = xs[0]
         for x in xs[1:]:
@@ -135,10 +142,19 @@ def signed_product(xs, kind="hadamard"):
 
 def _kron_pair(a: SignedLogTensor, b: SignedLogTensor) -> SignedLogTensor:
     ka, kb = a.shape[-1], b.shape[-1]
-    lead = a.shape[:-1]
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     sg = a.sign[..., :, None] * b.sign[..., None, :]
     lm = a.log_magnitude[..., :, None] + b.log_magnitude[..., None, :]
     return SignedLogTensor(lm.reshape(*lead, ka * kb), sg.reshape(*lead, ka * kb))
+
+
+def _kron_squared(a: SignedLogTensor, b: SignedLogTensor) -> SignedLogTensor:
+    ka, kb = math.isqrt(a.shape[-1]), math.isqrt(b.shape[-1])
+    na, nb = a.shape[0], b.shape[0]
+    lm = a.log_magnitude.reshape(na, ka, 1, ka, 1) + b.log_magnitude.reshape(nb, 1, kb, 1, kb)
+    sg = a.sign.reshape(na, ka, 1, ka, 1) * b.sign.reshape(nb, 1, kb, 1, kb)
+    shape = (lm.shape[0], (ka * kb) ** 2)
+    return SignedLogTensor(lm.reshape(shape), sg.reshape(shape))
 
 
 def signed_outer(a: SignedLogTensor, b: SignedLogTensor) -> SignedLogTensor:

@@ -6,8 +6,9 @@ graph: input layers of K functions become K^2 pairwise products, Hadamard
 products square factor-wise, and a sum layer with matrix W becomes a sum
 with W (x) W -- realized lazily as two contractions against W, never
 materialized, so training updates flow through the shared parameters.
-Kronecker product layers additionally need a fixed index permutation to
-restore interleaved ordering; it is kept as an index table, not a matrix.
+A Kronecker layer over inputs of K_a^2 and K_b^2 squared units computes
+the Kronecker product of their (K_a, K_a) and (K_b, K_b) matrices, which
+lays its units out in the interleaved order (a1 b1) x (a2 b2) directly.
 
 Deterministic circuits short-circuit: squaring them only squares weights
 and input functions, leaving structure and size unchanged.
@@ -16,8 +17,6 @@ and input functions, leaving structure and size unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from pcsq.circuits import (
     INPUT,
@@ -55,12 +54,6 @@ class SquaredCircuit:
         return self.source.variable_count
 
 
-def _kron_interleave_perm(ka, kb):
-    # source layout (a1, a2, b1, b2) -> target layout (a1, b1, a2, b2)
-    idx = np.arange(ka * ka * kb * kb).reshape(ka, ka, kb, kb)
-    return np.ascontiguousarray(idx.transpose(0, 2, 1, 3)).reshape(-1)
-
-
 def square(c: TensorizedCircuit) -> SquaredCircuit:
     """Construct the squared circuit of a structured-decomposable source."""
     if not check_property(c, "structured_decomposable"):
@@ -70,12 +63,8 @@ def square(c: TensorizedCircuit) -> SquaredCircuit:
     layers = []
     layer_map = {}
     for src in c.layers:
-        perm = None
-        if src.kind == KRONECKER:
-            widths = [c.layer(j).output_width for j in src.inputs]
-            if len(widths) != 2:
-                raise UnsupportedStructureError("squaring expects binary kronecker layers")
-            perm = _kron_interleave_perm(widths[0], widths[1])
+        if src.kind == KRONECKER and len(src.inputs) != 2:
+            raise UnsupportedStructureError("squaring expects binary kronecker layers")
         layer_map[src.layer_id] = len(layers)
         layers.append(
             replace(
@@ -84,7 +73,6 @@ def square(c: TensorizedCircuit) -> SquaredCircuit:
                 output_width=src.output_width**2,
                 inputs=[layer_map[j] for j in src.inputs],
                 squared=True,
-                perm=perm,
             )
         )
     squared = TensorizedCircuit(
@@ -143,7 +131,6 @@ def square_deterministic(c: TensorizedCircuit) -> TensorizedCircuit:
                 src.scope,
                 src.output_width,
                 inputs=list(src.inputs),
-                perm=None if src.perm is None else src.perm.copy(),
             )
         layers.append(layer)
     out = TensorizedCircuit(

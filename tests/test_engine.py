@@ -241,21 +241,63 @@ def test_marginalized_batch_broadcasts(rng):
 
 
 @pytest.mark.parametrize(
-    "kwargs",
-    [{"want_tape": True}, {"marginalized": frozenset({0, 1})}],
-    ids=["taped", "overlaps-marginalized"],
+    "marginalized, rows",
+    [(frozenset({0}), 1), (frozenset({0, 1}), 3)],
+    ids=["partial", "everything-at-three-rows"],
 )
-def test_partial_integral_query_rejects_tape_and_overlap(rng, kwargs):
+def test_taped_pass_is_a_data_or_one_row_partition_pass(rng, marginalized, rows):
+    # backward accumulates the weight gradients of constant layers over
+    # their one row, so a tape is refused where the pass mixes batch widths
     rg = build_linear_tree(2, 0)
     c = from_region_graph(rg, 2, "hadamard", lambda s, k: GaussianFamily(k))
     c.store.values[:] = rng.normal(size=c.store.values.size)
     c.store.bump()
-    x = rng.normal(size=(3, 2))
-    slog = engine.forward(c, x, below={0}).root.to_linear()  # accepted on its own
-    lin = engine.forward(c, x, below={0}, space="linear").root
-    np.testing.assert_allclose(slog, lin, rtol=1e-12)
+    x = rng.normal(size=(rows, 2))
+    untaped = engine.forward(c, x, marginalized=marginalized).root.to_linear()
+    lin = engine.forward(c, x, marginalized=marginalized, space="linear").root
+    np.testing.assert_allclose(untaped, lin, rtol=1e-12)
     with pytest.raises(ConfigError):
-        engine.forward(c, np.zeros((3, 2)), below={0}, **kwargs)
+        engine.forward(c, x, marginalized=marginalized, want_tape=True)
+
+
+def _random_model(rng, product, family, squared, d):
+    rg = build_binary_tree(d, int(rng.integers(1 << 30)))
+    c = from_region_graph(rg, 2, product, family)
+    c.store.values[:] = rng.normal(size=c.store.values.size)
+    c.store.bump()
+    return square(c).circuit if squared else c
+
+
+@pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
+@pytest.mark.parametrize("product", ["hadamard", "kronecker"])
+def test_root_is_linear_in_the_path_adjoint(rng, product, squared):
+    # root = sum_i A_i g_i for the output g of the variable's input layer,
+    # under evidence and with the variable and those after it marginalized;
+    # the adjoint has one row where the path meets only constant layers
+    d = 4
+    graph = _random_model(rng, product, lambda s, k: EmbeddingFamily(k, 3), squared, d)
+    x = rng.integers(0, 3, size=(6, d)).astype(float)
+    for v in range(d):
+        for marginalized in (frozenset(), frozenset(range(v, d))):
+            result = engine.forward(graph, x, marginalized=marginalized)
+            layer, adj = engine.path_adjoint(graph, result.outputs, v)
+            assert layer.scope == (v,)
+            g = result.outputs[layer.layer_id]
+            assert adj.shape[0] == (1 if marginalized and v == 0 else 6)
+            terms = adj.to_linear() * g.to_linear()
+            want = result.root.to_linear()
+            # a dot product is accurate relative to the sum of its terms' magnitudes
+            err = np.abs(np.sum(terms, axis=-1) - want)
+            assert np.all(err <= 1e-12 * np.sum(np.abs(terms), axis=-1)), (v, marginalized)
+
+
+def test_zero_row_batches(rng):
+    graph = _random_model(rng, "hadamard", lambda s, k: GaussianFamily(k), True, 4)
+    empty = np.zeros((0, 4))
+    assert engine.forward(graph, empty).root.shape == (0,)
+    assert engine.forward(graph, empty, marginalized={1, 2}).root.shape == (0,)
+    assert engine.forward(graph, empty, marginalized=range(4)).root.shape == (0,)
+    assert engine.forward(graph, empty, marginalized={1}, space="linear").root.shape == (0,)
 
 
 @pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])

@@ -14,11 +14,13 @@ from pcsq.inference import (
     evaluate,
     log_density,
     log_likelihood,
+    marginal_batch,
     marginalize,
     partition_function,
     z_eval_count,
 )
-from pcsq.regions import build_linear_tree, linear_tree_from_order
+from pcsq.learning import init_parameters
+from pcsq.regions import build_binary_tree, build_linear_tree, linear_tree_from_order
 from pcsq.splines import BSplineBasis
 from pcsq.squaring import square
 
@@ -170,6 +172,44 @@ class TestMarginalize:
             marginalize(sq, Query(evidence={0: 1.0}))  # others unconstrained
         with pytest.raises(ConfigError):
             marginalize(sq, Query(marginalized=set(range(d + 5))))
+
+
+    @pytest.mark.parametrize(
+        "product, family",
+        [
+            ("hadamard", lambda s, k: GaussianFamily(k)),
+            ("kronecker", lambda s, k: CategoricalFamily(k, 3)),
+        ],
+        ids=["hadamard-gaussian", "kronecker-categorical"],
+    )
+    def test_every_subset_matches_the_linear_oracle(self, rng, product, family):
+        # constant layers (scope inside the marginalized set) run as one row,
+        # the linear oracle at full batch width.  Non-negative parameters, as
+        # the benchmark initializes them: with signed ones both routes lose
+        # up to ~1e-10 to cancellation, at batch 1 or not
+        d = 8
+        c = from_region_graph(build_binary_tree(d, 3), 2, product, family)
+        sq = square(c)
+        init_parameters(sq, "uniform(0,1)", 5)
+        states = c.states_per_variable()[0]
+        if states is None:
+            x = rng.normal(size=(5, d))
+        else:
+            x = rng.integers(0, states, size=(5, d)).astype(float)
+        for mask in range(1 << d):
+            marg = frozenset(v for v in range(d) if mask >> v & 1)
+            got = marginal_batch(sq, x, marg).to_linear()
+            want = engine.forward(sq.circuit, x, marginalized=marg, space="linear").root
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            outputs = engine.forward(sq.circuit, x, marginalized=marg).outputs
+            for layer, out in zip(sq.circuit.layers, outputs):
+                constant = set(layer.scope) <= marg and layer.layer_id != sq.circuit.output_layer
+                assert out.shape[0] == (1 if constant else 5), (sorted(marg), layer.layer_id)
+
+    def test_empty_batch(self, rng):
+        c, d = random_discrete_circuit(rng)
+        sq = square(c)
+        assert marginal_batch(sq, np.zeros((0, d)), {d - 1}).shape == (0,)
 
 
 class TestPlainCircuitMarginalization:

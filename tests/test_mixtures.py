@@ -5,7 +5,7 @@ import pytest
 
 from pcsq.circuits import from_region_graph
 from pcsq.data import Column, Dataset
-from pcsq.errors import ConfigError
+from pcsq.errors import ConfigError, NumericError
 from pcsq.families import EmbeddingFamily
 from pcsq import inference
 from pcsq.inference import partition_function, sample
@@ -91,6 +91,27 @@ def test_inference_queries_delegate_to_the_mixture(rng):
     np.testing.assert_array_equal(inference.log_density(mix, grid), mix.log_density(grid))
     assert inference.log_likelihood(mix, grid) == mix.log_likelihood(grid)
     np.testing.assert_array_equal(inference.sample(mix, 50, seed=3), mix.sample(50, seed=3))
+
+
+@pytest.mark.parametrize("mixture", [False, True], ids=["single", "mixture"])
+def test_log_density_names_a_row_where_the_model_is_zero(rng, mixture):
+    # state 1 of variable 0 has an all-zero embedding column in both
+    # components, so every component is 0 on rows with x0 = 1
+    comps = []
+    for seed in (0, 1):
+        rg = build_linear_tree(2, seed)
+        c = from_region_graph(rg, 2, "hadamard", lambda s, k: EmbeddingFamily(k, 2))
+        c.store.values[:] = np.abs(rng.normal(size=c.store.values.size)) + 0.1
+        block = next(l for l in c.input_layers() if l.scope == (0,)).family.blocks["values"]
+        table = c.store.free(block).copy()
+        table[:, 1] = 0.0
+        c.store.set_free(block, table)
+        comps.append(square(c))
+    model = CircuitMixture.from_components(comps) if mixture else comps[0]
+    x = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(NumericError, match="row 2"):
+        inference.log_density(model, x)
+    assert np.all(np.isfinite(inference.log_density(model, x[[0, 1, 3]])))
 
 
 def test_mixture_sampling_matches_density(rng):

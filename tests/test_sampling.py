@@ -220,22 +220,37 @@ def test_mixed_model_beyond_one_chunk_matches_per_row_oracle():
         assert draws[i, 1] == state, i
 
 
-def test_first_variable_mass_is_the_cached_z(monkeypatch):
-    # with nothing before variable 0, its conditional mass is Z for every
-    # row: sample() computes Z once and runs no other all-marginalized pass
-    sq = _squared_spline_pair()
-    everything = frozenset(range(sq.circuit.variable_count))
+@pytest.mark.parametrize("case", ["squared-spline-2d", "mixed-continuous-discrete"])
+def test_one_forward_pass_per_variable_per_chunk(monkeypatch, case):
+    # 300 rows make two 256-row chunks for each continuous column, and 300
+    # distinct prefixes two chunks for the discrete one; bisection and PMF
+    # enumeration run no circuit pass.  With nothing before variable 0,
+    # its pass has only constant layers: one row each, and its root is Z.
+    if case == "squared-spline-2d":
+        sq = _squared_spline_pair()
+    else:
+        rg = linear_tree_from_order([0, 1])
+        factory = lambda s, k: GaussianFamily(k) if s[0] == 0 else CategoricalFamily(k, 4)
+        c = from_region_graph(rg, 3, "hadamard", factory)
+        c.store.values[:] = np.random.default_rng(6).normal(size=c.store.values.size)
+        c.store.bump()
+        sq = square(c)
+    z = partition_function(sq)  # cached before counting
     passes = []
     original = engine.forward
 
     def counted(circuit, x=None, marginalized=frozenset(), **kwargs):
-        if frozenset(marginalized) == everything:
-            passes.append(0 if x is None else len(x))
-        return original(circuit, x, marginalized, **kwargs)
+        result = original(circuit, x, marginalized, **kwargs)
+        passes.append((frozenset(marginalized), result))
+        return result
 
     monkeypatch.setattr(engine, "forward", counted)
-    sample(sq, 300, seed=4)  # two 256-row chunks
-    assert passes == [0]
+    sample(sq, 300, seed=4)
+    assert [sorted(m) for m, _ in passes] == [[0, 1], [0, 1], [1], [1]]
+    for _, result in passes[:2]:
+        constant = [out for i, out in enumerate(result.outputs) if i != result.output_layer]
+        assert all(out.shape[0] == 1 for out in constant)
+        np.testing.assert_array_equal(result.root.log_magnitude, z.log_magnitude)
 
 
 def test_sampling_determinism(rng):

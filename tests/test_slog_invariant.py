@@ -5,7 +5,8 @@ sign == 0 holding exactly where the log-magnitude is -inf, so that exp
 returns 0 and + returns -inf on zeros.  This property test checks the
 invariant on every layer of plain and squared circuits with Gaussian,
 spline and discrete inputs, including inputs that are exactly zero, under
-evidence, marginal, partition-function and cumulative (``below``) queries.
+evidence, marginal and partition-function queries, and on the path
+adjoints the sampler reads its conditionals from.
 """
 
 import numpy as np
@@ -64,25 +65,27 @@ def _evidence(rng, family, n, d):
     family=st.sampled_from(sorted(FAMILIES)),
     product=st.sampled_from(["hadamard", "kronecker"]),
     squared=st.booleans(),
-    query=st.sampled_from(["data", "marginalized", "z", "below"]),
+    query=st.sampled_from(["data", "marginalized", "z", "adjoint"]),
 )
 def test_every_layer_output_keeps_the_invariant(seed, family, product, squared, query):
     rng = np.random.default_rng(seed)
     circuit, d = _circuit(rng, family, product, squared)
     x = _evidence(rng, family, 9, d)
     variables = np.arange(d)
-    marginalized, below = frozenset(), frozenset()
+    marginalized = frozenset()
     if query == "z":
         marginalized = frozenset(range(d))
     elif query == "marginalized":
         marginalized = frozenset(int(v) for v in variables[rng.random(d) < 0.5])
-    elif query == "below" and family in ("gaussian", "spline"):
+    elif query == "adjoint":  # a sampler's conditional at variable v
         v = int(rng.integers(d))
-        below = frozenset({v})
-        marginalized = frozenset(int(u) for u in variables[variables > v])
-    result = engine.forward(circuit, x, marginalized=marginalized, below=below)
+        marginalized = frozenset(int(u) for u in variables[variables >= v])
+    result = engine.forward(circuit, x, marginalized=marginalized)
     for layer, out in zip(circuit.layers, result.outputs):
         assert out.invariant_violations() == [], f"layer {layer.layer_id} ({layer.kind})"
+    if query == "adjoint":
+        layer, adj = engine.path_adjoint(circuit, result.outputs, v)
+        assert adj.invariant_violations() == [], f"adjoint at input layer {layer.layer_id}"
     if family in ZEROED:
         # the zeroed unit reaches the input layers' outputs as exact zeros
         inputs = [result.outputs[layer.layer_id] for layer in circuit.input_layers()]

@@ -11,6 +11,7 @@ from pcsq.circuits import check_property, circuit_size, from_region_graph
 from pcsq.errors import PreconditionError, UnsupportedStructureError
 from pcsq.families import EmbeddingFamily, GaussianFamily
 from pcsq.regions import build_binary_tree, linear_tree_from_order
+from pcsq.slog import SignedLogTensor, signed_product
 from pcsq.squaring import square, square_deterministic
 
 from conftest import (
@@ -152,6 +153,20 @@ class TestStructure:
             direct = np.einsum("bi,bj->bij", pre, pre).reshape(pre.shape[0], -1)
             got = res.outputs[sq.layer_map[layer.layer_id]].to_linear()
             np.testing.assert_allclose(got, direct, rtol=1e-12)
+
+    def test_kronecker_layout_is_the_gathered_kron_bit_for_bit(self, rng):
+        # the squared Kronecker layer builds the interleaved layout directly;
+        # reference: the row-wise Kronecker product, then the index gather
+        ka, kb = 3, 4
+        a = SignedLogTensor.from_linear(rng.normal(size=(7, ka * ka)))
+        b = SignedLogTensor.from_linear(rng.normal(size=(7, kb * kb)))
+        a.log_magnitude[0, 2], a.sign[0, 2] = -np.inf, 0.0
+        idx = np.arange(ka * ka * kb * kb).reshape(ka, ka, kb, kb)
+        perm = idx.transpose(0, 2, 1, 3).reshape(-1)
+        ref = signed_product([a, b], kind="kronecker")
+        got = signed_product([a, b], kind="kronecker", squared=True)
+        np.testing.assert_array_equal(got.log_magnitude, ref.log_magnitude[:, perm])
+        np.testing.assert_array_equal(got.sign, ref.sign[:, perm])
 
     def test_non_structured_decomposable_rejected(self, rng):
         # two same-scope products with different splits break the property
