@@ -28,7 +28,6 @@ _COLUMNS = [
     "steps",
     "z_evals_per_step",
     "seconds_per_step",
-    "z_seconds",
     "peak_mb",
     "variables",
     "log_z_logspace",
@@ -60,19 +59,13 @@ def _timed_steps(model, batch, steps, seed):
     tracemalloc.stop()
     z_before = inference.z_eval_count(model)
     t0 = time.perf_counter()
-    t_z = 0.0
     for _ in range(steps):
         model.store.zero_grad()
-        tz = time.perf_counter()
-        _, zres = inference.partition_function(model, want_tape=True)
-        engine.backward(zres.tape, engine.log_grad_seed(zres.root, np.array([-1.0])))
-        t_z += time.perf_counter() - tz
-        res = engine.forward(model.source, x, want_tape=True)
-        engine.backward(res.tape, engine.log_grad_seed(res.root, np.full(batch, 2.0 / batch)))
+        _accumulate_gradients(model, x)
         opt.step()
     elapsed = time.perf_counter() - t0
     z_per_step = (inference.z_eval_count(model) - z_before) / steps
-    return elapsed / steps, t_z / steps, peak / 1e6, z_per_step
+    return elapsed / steps, peak / 1e6, z_per_step
 
 
 def run_benchmarks(
@@ -89,7 +82,7 @@ def run_benchmarks(
     for k in k_values:
         for batch in batch_sizes:
             model = _gaussian_squared_model(variables, k, seed)
-            sec, z_sec, peak_mb, z_per_step = _timed_steps(model, batch, steps, seed)
+            sec, peak_mb, z_per_step = _timed_steps(model, batch, steps, seed)
             rows.append(
                 {
                     "section": "step_timing",
@@ -98,7 +91,6 @@ def run_benchmarks(
                     "steps": steps,
                     "z_evals_per_step": z_per_step,
                     "seconds_per_step": sec,
-                    "z_seconds": z_sec,
                     "peak_mb": peak_mb,
                     "variables": variables,
                 }

@@ -172,9 +172,6 @@ class TensorizedCircuit:
     def effective_weights(self, layer: Layer):
         return self.store.effective(layer.param_block)
 
-    def size(self):
-        return circuit_size(self)
-
     def states_per_variable(self):
         """Map variable -> number of discrete states (None if continuous)."""
         states = {}

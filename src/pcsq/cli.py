@@ -298,7 +298,6 @@ def _cmd_train(cfg, out):
         max_epochs=cfg["train.max_epochs"],
         patience=cfg["train.patience"],
         optimizer=cfg["train.optimizer"],
-        init=cfg["train.init"],
         seed=cfg["seed"],
         l2=cfg["train.l2"],
     )

@@ -16,8 +16,8 @@ replays it in exact reverse order, propagating adjoints of the scalar
 objective w.r.t. each layer's linear-space output (the adjoints
 themselves are carried in signed log-space) and accumulating parameter
 gradients into the store.  The tape keeps each evaluated input layer's
-values and features (spline design matrices, Gaussian z-scores), so the
-input VJPs reuse them; untaped passes keep nothing.
+values and features (spline design matrices, table states, Gaussian
+z-scores), so the input VJPs reuse them; untaped passes keep nothing.
 
 :func:`path_adjoint` pushes the root's adjoint, by the same per-layer
 rules, along the one path from the root to the input layer of a chosen
@@ -168,9 +168,16 @@ def forward(
     entirely marginalized is constant: it is evaluated once, as one row,
     and only the root is broadcast to the batch.  Only data passes
     (nothing marginalized) and one-row partition-function passes
-    (everything marginalized) can be taped.
+    (everything marginalized) can be taped.  Marginalizing a variable the
+    circuit does not have raises ConfigError.
     """
     marginalized = frozenset(marginalized)
+    outside = sorted(v for v in marginalized if not 0 <= v < circuit.variable_count)
+    if outside:
+        raise ConfigError(
+            f"marginalized variables {outside} outside the circuit's "
+            f"{circuit.variable_count} variables"
+        )
     if x is None:
         x = np.zeros((1, circuit.variable_count))
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))

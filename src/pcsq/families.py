@@ -14,6 +14,10 @@ store, and, for 1-d continuous units, both integrals from the domain's
 lower end up to t in closed form (the sampler's exact CDFs).  Free
 parameters live in the circuit's ParameterStore; families hold only
 block names and hyperparameters.
+
+Splines, categoricals and embeddings are one linear family f(x) = C phi(x)
+over a fixed basis (B-splines, or the one-hot basis of the states), with
+one implementation of all six views.
 """
 
 from __future__ import annotations
@@ -219,90 +223,134 @@ class GaussianFamily(_GaussianShaped, InputFamily):
         return float(np.min(mean)) - pad, float(np.max(mean)) + pad
 
 
-class _TableFamily(InputFamily):
-    """Shared machinery for families with an explicit (units, states) table."""
+def _check_states(x, states):
+    """``x`` as int64 states in {0, ..., states - 1}.  The DomainError names
+    the first value that is not finite, not whole or out of range; it is
+    raised before the cast, which would warn on NaN or inf."""
+    x = np.asarray(x, dtype=np.float64)
+    bad = ~(np.isfinite(x) & (x == np.floor(x)) & (x >= 0) & (x < states))
+    if bad.any():
+        idx = int(np.argmax(bad.reshape(-1)))
+        raise DomainError(
+            f"value {float(x.reshape(-1)[idx])!r} is not a state in [0, {states}) "
+            f"(first bad index {idx})"
+        )
+    return x.astype(np.int64)
 
-    def __init__(self, units, states):
-        super().__init__(units)
+
+class _OneHotBasis:
+    """Indicators of the states 0..S-1, phi(x) = e_x: a value table is the
+    linear family over this basis.  Its feature is the state itself, so
+    phi(x) C^T is a column gather, C (int phi) a row sum and C G = C."""
+
+    def __init__(self, states):
         if states < 1:
             raise ConfigError("need at least one state")
-        self.states = int(states)
+        self.num_bases = int(states)
+
+    def evaluate(self, coeffs, x):
+        xi = _check_states(x, self.num_bases)
+        return coeffs[:, xi].T, xi
+
+    def expand(self, xi):
+        design = np.zeros((xi.size, self.num_bases))
+        design[np.arange(xi.size), xi] = 1.0
+        return design
+
+    def basis_integrals(self):
+        return np.ones(self.num_bases)
+
+    def integrate(self, coeffs):
+        return coeffs.sum(axis=1)
+
+    def gram_times(self, coeffs):
+        return coeffs
+
+
+class _LinearFamily(InputFamily):
+    """K units f(x) = C phi(x), linear in a fixed basis phi; the coefficients
+    C are the family's one parameter block.  The integrals are C (int phi)
+    and C G C^T for the basis Gram matrix G.  The basis computes its
+    products with C: ``evaluate(C, x)`` gives phi(x) C^T and the feature
+    the VJP reuses, ``expand`` turns that feature into the (n, bases)
+    matrix phi(x), ``integrate(C)`` is C (int phi), ``basis_integrals()``
+    int phi, and ``gram_times(C)`` is C G."""
+
+    block_name = "coeffs"
+    reparam = "identity"
+
+    def __init__(self, units, basis):
+        super().__init__(units)
+        self.basis = basis
+
+    def register(self, store, prefix):
+        shape = (self.units, self.basis.num_bases)
+        self.blocks = {
+            self.block_name: store.add_block(f"{prefix}{self.block_name}", shape, self.reparam)
+        }
+        return self
+
+    def _coeffs(self, store):
+        return store.effective(self.blocks[self.block_name])
+
+    def _accumulate(self, store, grad):
+        store.accumulate_effective_grad(self.blocks[self.block_name], grad)
+
+    def _eval(self, store, x):
+        values, features = self.basis.evaluate(self._coeffs(store), x)
+        return SignedLogTensor.from_linear(values), features
+
+    def log_eval_vjp(self, store, adj, f, features):
+        d_slog = SignedLogTensor.from_linear(self.basis.expand(features))
+        lm, sg = kernels.slse_pair_accum(
+            adj.log_magnitude, adj.sign, d_slog.log_magnitude, d_slog.sign
+        )
+        self._accumulate(store, SignedLogTensor(lm, sg).to_linear())
+
+    def integral_vector(self, store):
+        return SignedLogTensor.from_linear(self.basis.integrate(self._coeffs(store)))
+
+    def integral_vector_vjp(self, store, adj):
+        self._accumulate(store, adj.to_linear()[:, None] * self.basis.basis_integrals()[None, :])
+
+    def integral_matrix(self, store):
+        c = self._coeffs(store)
+        return SignedLogTensor.from_linear(self.basis.gram_times(c) @ c.T)
+
+    def integral_matrix_vjp(self, store, adj):
+        # dM[i,j]/dC[a,:] contributes through both slots
+        cg = self.basis.gram_times(self._coeffs(store))  # (units, bases)
+        left = signed_logsumexp(cg.T, adj).to_linear()
+        right = signed_logsumexp(
+            cg.T, SignedLogTensor(adj.log_magnitude.T, adj.sign.T)
+        ).to_linear()
+        self._accumulate(store, left + right)
+
+
+class _TableFamily(_LinearFamily):
+    """An explicit (units, states) value table: the linear family over the
+    one-hot basis of the states."""
+
+    def __init__(self, units, states):
+        super().__init__(units, _OneHotBasis(states))
 
     @property
     def num_states(self):
-        return self.states
-
-    def _table(self, store):
-        raise NotImplementedError
-
-    def _table_vjp(self, store, grad_table):
-        raise NotImplementedError
-
-    def _check_states(self, x):
-        x = np.asarray(x)
-        xi = x.astype(np.int64)
-        if np.any(xi != x) or xi.min(initial=0) < 0 or xi.max(initial=0) >= self.states:
-            raise DomainError(
-                f"discrete value outside [0, {self.states}) for {self.kind} family"
-            )
-        return xi
+        return self.basis.num_bases
 
     def value_table(self, store):
-        return self._table(store)
-
-    def _eval(self, store, x):
-        xi = self._check_states(x)
-        return SignedLogTensor.from_linear(self._table(store)[:, xi].T), xi
-
-    def log_eval_vjp(self, store, adj, f, xi):
-        # grad[:, s] sums adj over the rows observed in state s
-        onehot = SignedLogTensor.from_linear(np.eye(self.states)[xi])
-        lm, sg = kernels.slse_pair_accum(
-            adj.log_magnitude, adj.sign, onehot.log_magnitude, onehot.sign
-        )
-        self._table_vjp(store, SignedLogTensor(lm, sg).to_linear())
-
-    def integral_vector(self, store):
-        return SignedLogTensor.from_linear(self._table(store).sum(axis=1))
-
-    def integral_vector_vjp(self, store, adj):
-        self._table_vjp(store, adj.to_linear()[:, None] * np.ones((1, self.states)))
-
-    def integral_matrix(self, store):
-        table = self._table(store)
-        return SignedLogTensor.from_linear(table @ table.T)
-
-    def integral_matrix_vjp(self, store, adj):
-        table = self._table(store)
-        # dM[i,j]/dT[a,:] contributes through both slots
-        left = signed_logsumexp(table.T, adj).to_linear()
-        right = signed_logsumexp(
-            table.T, SignedLogTensor(adj.log_magnitude.T, adj.sign.T)
-        ).to_linear()
-        self._table_vjp(store, left + right)
+        return self._coeffs(store)
 
     def hyper_dict(self):
-        return {"states": self.states}
+        return {"states": self.num_states}
 
 
 class CategoricalFamily(_TableFamily):
     """K categorical mass functions, rows normalized via softmax."""
 
     kind = "categorical"
-
-    def register(self, store, prefix):
-        self.blocks = {
-            "probs": store.add_block(
-                f"{prefix}probs", (self.units, self.states), "softmax_row"
-            )
-        }
-        return self
-
-    def _table(self, store):
-        return store.effective(self.blocks["probs"])
-
-    def _table_vjp(self, store, grad_table):
-        store.accumulate_effective_grad(self.blocks["probs"], grad_table)
+    block_name = "probs"
+    reparam = "softmax_row"
 
 
 class EmbeddingFamily(_TableFamily):
@@ -310,18 +358,7 @@ class EmbeddingFamily(_TableFamily):
     categoricals)."""
 
     kind = "embedding"
-
-    def register(self, store, prefix):
-        self.blocks = {
-            "values": store.add_block(f"{prefix}values", (self.units, self.states), "identity")
-        }
-        return self
-
-    def _table(self, store):
-        return store.effective(self.blocks["values"])
-
-    def _table_vjp(self, store, grad_table):
-        store.accumulate_effective_grad(self.blocks["values"], grad_table)
+    block_name = "values"
 
 
 class BinomialFamily(InputFamily):
@@ -361,14 +398,8 @@ class BinomialFamily(InputFamily):
         )
         return log_comb + k * np.log(p) + (n - k) * np.log1p(-p)
 
-    def _check(self, x):
-        xi = np.asarray(x).astype(np.int64)
-        if np.any(xi != np.asarray(x)) or xi.min(initial=0) < 0 or xi.max(initial=0) > self.trials:
-            raise DomainError(f"count outside [0, {self.trials}] for binomial family")
-        return xi
-
     def _eval(self, store, x):
-        xi = self._check(x)
+        xi = _check_states(x, self.trials + 1)
         lm = self._log_pmf(store, xi)
         return SignedLogTensor(lm, np.ones_like(lm)), xi
 
@@ -412,7 +443,7 @@ class BinomialFamily(InputFamily):
         return {"states": self.trials + 1}
 
 
-class SplineFamily(InputFamily):
+class SplineFamily(_LinearFamily):
     """K spline functions sharing one B-spline basis.
 
     Coefficients are unconstrained by default; monotonic mode keeps them
@@ -422,65 +453,9 @@ class SplineFamily(InputFamily):
     kind = "spline"
 
     def __init__(self, units, basis: BSplineBasis, monotonic=False):
-        super().__init__(units)
-        self.basis = basis
+        super().__init__(units, basis)
         self.monotonic = bool(monotonic)
-        self._gram = None
-        self._marg = None
-
-    def register(self, store, prefix):
-        reparam = "exp" if self.monotonic else "identity"
-        self.blocks = {
-            "coeffs": store.add_block(
-                f"{prefix}coeffs", (self.units, self.basis.num_bases), reparam
-            )
-        }
-        return self
-
-    def _coeffs(self, store):
-        return store.effective(self.blocks["coeffs"])
-
-    def _gram_matrix(self):
-        if self._gram is None:
-            self._gram = self.basis.gram_matrix()
-        return self._gram
-
-    def _basis_integrals(self):
-        if self._marg is None:
-            self._marg = self.basis.basis_integrals()
-        return self._marg
-
-    def _eval(self, store, x):
-        design = self.basis.design_matrix(x)
-        return SignedLogTensor.from_linear(design @ self._coeffs(store).T), design
-
-    def log_eval_vjp(self, store, adj, f, design):
-        d_slog = SignedLogTensor.from_linear(design)
-        lm, sg = kernels.slse_pair_accum(
-            adj.log_magnitude, adj.sign, d_slog.log_magnitude, d_slog.sign
-        )
-        store.accumulate_effective_grad(
-            self.blocks["coeffs"], SignedLogTensor(lm, sg).to_linear()
-        )
-
-    def integral_vector(self, store):
-        return SignedLogTensor.from_linear(self._coeffs(store) @ self._basis_integrals())
-
-    def integral_vector_vjp(self, store, adj):
-        grad = adj.to_linear()[:, None] * self._basis_integrals()[None, :]
-        store.accumulate_effective_grad(self.blocks["coeffs"], grad)
-
-    def integral_matrix(self, store):
-        c = self._coeffs(store)
-        return SignedLogTensor.from_linear(c @ self._gram_matrix() @ c.T)
-
-    def integral_matrix_vjp(self, store, adj):
-        cg = self._coeffs(store) @ self._gram_matrix()  # (units, bases)
-        left = signed_logsumexp(cg.T, adj).to_linear()
-        right = signed_logsumexp(
-            cg.T, SignedLogTensor(adj.log_magnitude.T, adj.sign.T)
-        ).to_linear()
-        store.accumulate_effective_grad(self.blocks["coeffs"], left + right)
+        self.reparam = "exp" if self.monotonic else "identity"
 
     def partial_integral_vector(self, store, t):
         # the bases sum to one, so each basis integral is a Gram row sum

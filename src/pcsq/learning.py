@@ -34,7 +34,6 @@ class TrainConfig:
     max_epochs: int = 50
     patience: int = 3
     optimizer: str = "adam"  # adam(beta1=0.9, beta2=0.999, eps=1e-8) | sgd
-    init: str = "uniform(0,1)"
     seed: int = 0
     l2: float = 0.0
 
@@ -47,7 +46,6 @@ class TrainConfig:
             raise ConfigError("patience must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        parse_init(self.init)
         return self
 
 

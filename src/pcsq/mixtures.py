@@ -80,21 +80,15 @@ class CircuitMixture:
         )
 
     def partition(self):
-        """log of the mixture normalizer: sum_i weight_i * Z_i."""
-        key = tuple(s.version for s in self.parameter_stores())
-        cache = getattr(self, "_partition_cache", None)
-        if cache is not None and cache[0] == key:
-            return cache[1]
+        """log of the mixture normalizer: sum_i weight_i * Z_i (each Z_i is
+        cached per parameter version by ``inference.partition_function``)."""
         logz = self.component_log_partitions()
         with np.errstate(divide="ignore"):
             shifted = logz + np.log(self.weights())
         top = float(np.max(shifted))
         if not np.isfinite(top):
             raise DegenerateModelError("mixture normalizer is zero")
-        out = top + float(np.log(np.sum(np.exp(shifted - top))))
-        self._z_evals = getattr(self, "_z_evals", 0) + 1
-        self._partition_cache = (key, out)
-        return out
+        return top + float(np.log(np.sum(np.exp(shifted - top))))
 
     def log_density(self, x):
         return inference.log_density(self, x)

@@ -41,6 +41,8 @@ class BSplineBasis:
         # span edges and the (k+1)-point Gauss-Legendre rule on [-1, 1]
         self._edges = np.unique(self.knots)
         self._gl_points, self._gl_weights = np.polynomial.legendre.leggauss(k + 1)
+        self._integrals = None
+        self._gram = None
         self._gram_below = None
 
     @classmethod
@@ -99,16 +101,38 @@ class BSplineBasis:
         return nodes, weights
 
     def basis_integrals(self):
-        """Integral of each basis function over [a, b]."""
-        nodes, weights = self._quad_nodes()
-        design = self.design_matrix(nodes)
-        return weights @ design
+        """Integral of each basis function over [a, b] (computed once)."""
+        if self._integrals is None:
+            nodes, weights = self._quad_nodes()
+            self._integrals = weights @ self.design_matrix(nodes)
+            self._integrals.flags.writeable = False
+        return self._integrals
 
     def gram_matrix(self):
-        """Exact pairwise product integrals: G[a, b] = integral of B_a * B_b."""
-        nodes, weights = self._quad_nodes()
-        design = self.design_matrix(nodes)
-        return (design * weights[:, None]).T @ design
+        """Exact pairwise product integrals: G[a, b] = integral of B_a * B_b
+        (computed once)."""
+        if self._gram is None:
+            nodes, weights = self._quad_nodes()
+            design = self.design_matrix(nodes)
+            self._gram = (design * weights[:, None]).T @ design
+            self._gram.flags.writeable = False
+        return self._gram
+
+    # --- as the basis of a linear family (families._LinearFamily) ----------
+    def evaluate(self, coeffs, x):
+        """(phi(x) C^T, phi(x)): the values of the units with coefficient
+        rows C, and the design matrix, which their VJP reuses."""
+        design = self.design_matrix(x)
+        return design @ coeffs.T, design
+
+    def expand(self, design):
+        return design
+
+    def integrate(self, coeffs):
+        return coeffs @ self.basis_integrals()
+
+    def gram_times(self, coeffs):
+        return coeffs @ self.gram_matrix()
 
     def partial_gram(self, t):
         """Pairwise product integrals over [a, t_n], (len(t), B, B): a table

@@ -43,7 +43,6 @@ class SquaredCircuit:
 
     circuit: TensorizedCircuit
     source: TensorizedCircuit
-    layer_map: dict
 
     @property
     def store(self):
@@ -60,29 +59,22 @@ def square(c: TensorizedCircuit) -> SquaredCircuit:
         raise UnsupportedStructureError(
             "squaring requires a structured-decomposable circuit"
         )
-    layers = []
-    layer_map = {}
     for src in c.layers:
         if src.kind == KRONECKER and len(src.inputs) != 2:
             raise UnsupportedStructureError("squaring expects binary kronecker layers")
-        layer_map[src.layer_id] = len(layers)
-        layers.append(
-            replace(
-                src,
-                layer_id=len(layers),
-                output_width=src.output_width**2,
-                inputs=[layer_map[j] for j in src.inputs],
-                squared=True,
-            )
-        )
+    # layer ids are positional, so squared layer i squares source layer i
+    layers = [
+        replace(src, output_width=src.output_width**2, inputs=list(src.inputs), squared=True)
+        for src in c.layers
+    ]
     squared = TensorizedCircuit(
         layers=layers,
-        output_layer=layer_map[c.output_layer],
+        output_layer=c.output_layer,
         store=c.store,
         variable_count=c.variable_count,
         region_graph=c.region_graph,
     )
-    return SquaredCircuit(circuit=squared.assert_valid(), source=c, layer_map=layer_map)
+    return SquaredCircuit(circuit=squared.assert_valid(), source=c)
 
 
 def square_deterministic(c: TensorizedCircuit) -> TensorizedCircuit:

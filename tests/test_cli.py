@@ -209,6 +209,12 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_bad_init_scheme_is_config_error(self, tmp_path):
+        cfg = _write_config(tmp_path, "train.cfg", TRAIN_CFG)
+        args = ["train", "--config", cfg, "--set", "train.init=bogus", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert not (tmp_path / "model.json").exists()
+
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = _write_config(tmp_path, "bad.cfg", "bogus.key = 1\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -2,6 +2,7 @@
 checked against an independent quadrature or enumeration oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,17 @@ class TestPointEvaluation:
         np.testing.assert_allclose(out.to_linear()[:, 0], [1.0, -2.0, 0.0])
         assert out.sign[2, 0] == 0.0
 
+    @pytest.mark.parametrize("cls", [CategoricalFamily, EmbeddingFamily])
+    def test_table_tape_feature_is_the_state(self, cls):
+        # a taped pass keeps one state per row for a table layer, not its
+        # (rows, states) one-hot design
+        fam = cls(2, 300)
+        store = _make(fam)
+        x = np.array([0.0, 299.0, 7.0])
+        f, states = fam._eval(store, x)
+        np.testing.assert_array_equal(states, [0, 299, 7])
+        np.testing.assert_allclose(f.to_linear(), fam.value_table(store)[:, [0, 299, 7]].T, rtol=1e-14)
+
     def test_spline_outside_domain_errors(self):
         fam = SplineFamily(1, BSplineBasis.uniform(2, 4, (0.0, 1.0)))
         store = _make(fam)
@@ -93,6 +105,19 @@ class TestPointEvaluation:
         store = _make(fam)
         with pytest.raises(DomainError):
             fam.log_eval(store, np.array([3.0]))
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: CategoricalFamily(2, 3), lambda: EmbeddingFamily(2, 3), lambda: BinomialFamily(2, 2)],
+        ids=["categorical", "embedding", "binomial"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5, -1.0])
+    def test_bad_discrete_value_is_named(self, make, bad):
+        # checked before any cast: casting NaN or inf to int warns first
+        fam = make()
+        store = _make(fam)
+        with pytest.raises(DomainError, match=re.escape(f"value {bad!r} is not a state in [0, 3)")):
+            fam.log_eval(store, np.array([0.0, bad, 1.0]))
 
 
 class TestProductIntegrals:

@@ -1,6 +1,8 @@
 """Evaluation, partition function, marginalization, and log-likelihood,
 against enumeration and quadrature oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -173,6 +175,13 @@ class TestMarginalize:
         with pytest.raises(ConfigError):
             marginalize(sq, Query(marginalized=set(range(d + 5))))
 
+    @pytest.mark.parametrize("marg", [{99}, {-1}, {0, 99, -1}])
+    def test_batch_rejects_variables_outside_the_model(self, rng, marg):
+        c, d = random_discrete_circuit(rng)
+        sq = square(c)
+        bad = sorted(v for v in marg if not 0 <= v < d)
+        with pytest.raises(ConfigError, match=re.escape(f"marginalized variables {bad} outside")):
+            marginal_batch(sq, np.zeros((2, d)), marg)
 
     @pytest.mark.parametrize(
         "product, family",

@@ -66,7 +66,7 @@ class TestSquareCorrectness:
         c.store.bump()
         sq = square(c)
         res = engine.forward(sq.circuit, np.array([[1.0]]))
-        products = res.outputs[sq.layer_map[0]].to_linear()[0]
+        products = res.outputs[0].to_linear()[0]
         assert products.shape == (9,)
         assert np.unique(np.round(products, 12)).size == 6
         pairwise = products.reshape(3, 3)
@@ -110,14 +110,16 @@ class TestStructure:
             sq = square(c)
             assert check_property(sq.circuit, "smooth")
             assert check_property(sq.circuit, "structured_decomposable")
-            assert sorted(sq.layer_map) == [l.layer_id for l in c.layers]
-            assert sorted(sq.layer_map.values()) == [l.layer_id for l in sq.circuit.layers]
+            # squared layer i squares source layer i, over the same inputs
+            assert [(l.kind, l.scope, l.inputs) for l in sq.circuit.layers] == [
+                (l.kind, l.scope, l.inputs) for l in c.layers
+            ]
 
     def test_widths_square(self, rng):
         c, _ = random_discrete_circuit(rng)
         sq = square(c)
         for src in c.layers:
-            assert sq.circuit.layer(sq.layer_map[src.layer_id]).output_width == src.output_width**2
+            assert sq.circuit.layer(src.layer_id).output_width == src.output_width**2
 
     def test_size_law(self, rng):
         for _ in range(10):
@@ -128,7 +130,7 @@ class TestStructure:
                     continue
                 s = src.output_width
                 k = c.layer(src.inputs[0]).output_width
-                tgt = sq.circuit.layer(sq.layer_map[src.layer_id])
+                tgt = sq.circuit.layer(src.layer_id)
                 tgt_in = sq.circuit.layer(tgt.inputs[0]).output_width
                 assert tgt.output_width * tgt_in == s * s * k * k
             # per-layer quadratic bound on the whole count
@@ -151,7 +153,7 @@ class TestStructure:
                 continue
             pre = src.outputs[layer.layer_id].to_linear()
             direct = np.einsum("bi,bj->bij", pre, pre).reshape(pre.shape[0], -1)
-            got = res.outputs[sq.layer_map[layer.layer_id]].to_linear()
+            got = res.outputs[layer.layer_id].to_linear()
             np.testing.assert_allclose(got, direct, rtol=1e-12)
 
     def test_kronecker_layout_is_the_gathered_kron_bit_for_bit(self, rng):
