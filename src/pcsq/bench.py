@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 
-from pcsq import engine, inference
+from pcsq import data, engine, inference
 from pcsq.circuits import from_region_graph
 from pcsq.families import GaussianFamily
 from pcsq.learning import TrainConfig, _Adam, _accumulate_gradients, init_parameters
@@ -69,7 +69,7 @@ def _timed_steps(model, batch, steps, seed):
 
 
 def run_benchmarks(
-    k_values=(32, 64, 128),
+    k=(32, 64, 128),
     batch_sizes=(64, 256, 1024),
     variables=8,
     steps=3,
@@ -79,14 +79,14 @@ def run_benchmarks(
     seed=0,
 ):
     rows = []
-    for k in k_values:
+    for width in k:
         for batch in batch_sizes:
-            model = _gaussian_squared_model(variables, k, seed)
+            model = _gaussian_squared_model(variables, width, seed)
             sec, peak_mb, z_per_step = _timed_steps(model, batch, steps, seed)
             rows.append(
                 {
                     "section": "step_timing",
-                    "k": k,
+                    "k": width,
                     "batch_size": batch,
                     "steps": steps,
                     "z_evals_per_step": z_per_step,
@@ -123,7 +123,4 @@ def run_benchmarks(
 
 
 def write_csv(path, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row.get(col, "")) for col in _COLUMNS) + "\n")
+    data.write_csv(path, _COLUMNS, ([row.get(col, "") for col in _COLUMNS] for row in rows))

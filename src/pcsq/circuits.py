@@ -9,6 +9,7 @@ region, one product+sum pair per partition, and a width-1 sum at the root.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +29,10 @@ class ParamBlock:
     shape: tuple
     reparam: str = "identity"  # identity | exp | softmax_row
     trainable: bool = True
+    size: int = field(init=False)
 
-    @property
-    def size(self):
-        return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
+    def __post_init__(self):
+        self.size = math.prod(self.shape)
 
 
 class ParameterStore:
@@ -155,10 +156,6 @@ class TensorizedCircuit:
 
     def layer(self, layer_id) -> Layer:
         return self.layers[layer_id]
-
-    @property
-    def output_width(self):
-        return self.layer(self.output_layer).output_width
 
     def input_layers(self):
         return [l for l in self.layers if l.kind == INPUT]

@@ -11,6 +11,8 @@ Configs are flat UTF-8 ``key = value`` documents with dotted sections;
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import os
 import sys
 
@@ -19,7 +21,7 @@ import numpy as np
 from pcsq import bench as bench_mod
 from pcsq import inference
 from pcsq.circuits import from_region_graph
-from pcsq.data import Dataset, generate_synthetic, ingest_csv, write_rows_csv
+from pcsq.data import Dataset, generate_synthetic, ingest_csv, write_csv
 from pcsq.errors import (
     ConfigError,
     DegenerateModelError,
@@ -99,14 +101,25 @@ _MODEL_KEYS = {
     "model.mixture": (int, 1),
 }
 
+
+def _library_keys(section, defaults):
+    """``section.name`` config keys for a library's keyword defaults, each
+    coerced like its default; a tuple default takes a comma-separated list
+    of ints.  ``seed`` is the common key of every command."""
+    return {
+        f"{section}.{name}": (_int_list, list(d)) if isinstance(d, tuple) else (type(d), d)
+        for name, d in defaults.items()
+        if name != "seed"
+    }
+
+
+def _keyword_defaults(fn):
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+
 _TRAIN_KEYS = {
-    "train.batch_size": (int, 256),
-    "train.learning_rate": (float, 1e-3),
-    "train.max_epochs": (int, 50),
-    "train.patience": (int, 3),
-    "train.optimizer": (str, "adam"),
-    "train.init": (str, "uniform(0,1)"),
-    "train.l2": (float, 0.0),
+    **_library_keys("train", dataclasses.asdict(TrainConfig())),
+    "train.init": (str, _keyword_defaults(init_parameters)["scheme"]),
 }
 
 _SCHEMAS = {
@@ -147,13 +160,7 @@ _SCHEMAS = {
     "udisj": {**_COMMON_KEYS, "udisj.path": (str, ""), "udisj.matching": (int, 3)},
     "bench": {
         **_COMMON_KEYS,
-        "bench.k": (_int_list, [32, 64, 128]),
-        "bench.batch_sizes": (_int_list, [64, 256, 1024]),
-        "bench.variables": (int, 8),
-        "bench.steps": (int, 3),
-        "bench.overflow_variables": (_int_list, [16, 32, 64, 128]),
-        "bench.overflow_k": (int, 64),
-        "bench.overflow_init": (str, "uniform(0,4)"),
+        **_library_keys("bench", _keyword_defaults(bench_mod.run_benchmarks)),
     },
 }
 
@@ -288,20 +295,18 @@ def build_model(cfg, dataset: Dataset):
 # commands
 
 
+def _section(cfg, section):
+    """The resolved ``section.*`` values, keyed by their bare names."""
+    prefix = f"{section}."
+    return {key[len(prefix) :]: value for key, value in cfg.items() if key.startswith(prefix)}
+
+
 def _cmd_train(cfg, out):
     dataset = load_dataset(cfg)
     model = build_model(cfg, dataset)
-    init_parameters(model, cfg["train.init"], cfg["seed"])
-    config = TrainConfig(
-        batch_size=cfg["train.batch_size"],
-        learning_rate=cfg["train.learning_rate"],
-        max_epochs=cfg["train.max_epochs"],
-        patience=cfg["train.patience"],
-        optimizer=cfg["train.optimizer"],
-        seed=cfg["seed"],
-        l2=cfg["train.l2"],
-    )
-    report = train(model, dataset, config)
+    settings = _section(cfg, "train")
+    init_parameters(model, settings.pop("init"), cfg["seed"])
+    report = train(model, dataset, TrainConfig(seed=cfg["seed"], **settings))
     save_model(model, os.path.join(out, "model.json"))
     report.write_csv(os.path.join(out, "train_report.csv"))
     final_val = report.best_val_ll
@@ -324,9 +329,8 @@ def _cmd_eval(cfg, out):
     lls = inference.log_density(model, rows)
     mean = float(np.mean(lls))
     two_se = float(2.0 * np.std(lls, ddof=1) / np.sqrt(lls.size)) if lls.size > 1 else 0.0
-    with open(os.path.join(out, "metrics.csv"), "w", encoding="utf-8") as fh:
-        fh.write("split,n,mean_ll,two_se\n")
-        fh.write(f"{cfg['eval.split']},{lls.size},{mean!r},{two_se!r}\n")
+    row = [cfg["eval.split"], lls.size, mean, two_se]
+    write_csv(os.path.join(out, "metrics.csv"), ["split", "n", "mean_ll", "two_se"], [row])
     print(f"eval[{cfg['eval.split']}]: mean LL {mean:.6f} +/- {two_se:.6f}")
     return 0
 
@@ -335,7 +339,7 @@ def _cmd_sample(cfg, out):
     model = _require_model(cfg)
     rows = inference.sample(model, cfg["sample.n"], seed=cfg["seed"])
     header = [f"x{i + 1}" for i in range(rows.shape[1])]
-    write_rows_csv(os.path.join(out, "samples.csv"), rows, header)
+    write_csv(os.path.join(out, "samples.csv"), header, rows)
     print(f"wrote {rows.shape[0]} samples")
     return 0
 
@@ -372,7 +376,7 @@ def _cmd_grid(cfg, out):
     pts = np.column_stack([gx.reshape(-1), gy.reshape(-1)])
     lls = inference.log_density(model, pts)
     rows = np.column_stack([pts, lls])
-    write_rows_csv(os.path.join(out, "grid.csv"), rows, ["x1", "x2", "log_density"])
+    write_csv(os.path.join(out, "grid.csv"), ["x1", "x2", "log_density"], rows)
     print(f"wrote {rows.shape[0]} grid points")
     return 0
 
@@ -392,9 +396,9 @@ def _cmd_reduce_psd(cfg, out):
     via_circuit = np.exp(mixture.log_value(pts))
     rel = np.abs(via_circuit - direct) / np.maximum(np.abs(direct), 1e-12)
     save_model(mixture, os.path.join(out, "model.json"))
-    with open(os.path.join(out, "verification.csv"), "w", encoding="utf-8") as fh:
-        fh.write("points,max_rel_error,mean_rel_error\n")
-        fh.write(f"{pts.shape[0]},{float(rel.max())!r},{float(rel.mean())!r}\n")
+    row = [pts.shape[0], float(rel.max()), float(rel.mean())]
+    header = ["points", "max_rel_error", "mean_rel_error"]
+    write_csv(os.path.join(out, "verification.csv"), header, [row])
     print(f"psd reduction: max rel error {rel.max():.3e} over {pts.shape[0]} points")
     return 0
 
@@ -422,10 +426,10 @@ def _cmd_reduce_mps(cfg, out):
     got2 = inference.evaluate(squared, grid).to_linear()
     err2 = float(np.max(np.abs(got2 - want**2)))
     save_model(squared, os.path.join(out, "model.json"))
-    with open(os.path.join(out, "verification.csv"), "w", encoding="utf-8") as fh:
-        fh.write("assignments,max_abs_error,squared_max_abs_error,cp_errors,cp_exact_fallbacks\n")
-        cp_errs = ";".join(repr(e) for e in report.cp_errors) or "none"
-        fh.write(f"{grid.shape[0]},{err!r},{err2!r},{cp_errs},{report.exact_fallbacks}\n")
+    cp_errs = ";".join(repr(e) for e in report.cp_errors) or "none"
+    row = [grid.shape[0], err, err2, cp_errs, report.exact_fallbacks]
+    header = "assignments,max_abs_error,squared_max_abs_error,cp_errors,cp_exact_fallbacks"
+    write_csv(os.path.join(out, "verification.csv"), header.split(","), [row])
     print(f"mps reduction: max abs error {err:.3e}; squared {err2:.3e}")
     return 0
 
@@ -439,26 +443,18 @@ def _cmd_udisj(cfg, out):
         raise ConfigError("communication-matrix dump is limited to 16 vertices")
     squared = udisj_circuit(graph)
     rows, cols, matrix = udisj_matrix(graph, squared)
-    with open(os.path.join(out, "udisj_matrix.csv"), "w", encoding="utf-8") as fh:
-        fh.write("y\\z," + ",".join(cols) + "\n")
-        for label, row in zip(rows, matrix):
-            fh.write(label + "," + ",".join(str(int(v)) for v in row) + "\n")
+    write_csv(
+        os.path.join(out, "udisj_matrix.csv"),
+        ["y\\z", *cols],
+        ([label, *(int(v) for v in row)] for label, row in zip(rows, matrix)),
+    )
     save_model(squared, os.path.join(out, "model.json"))
     print(f"wrote {matrix.shape[0]}x{matrix.shape[1]} communication matrix")
     return 0
 
 
 def _cmd_bench(cfg, out):
-    rows = bench_mod.run_benchmarks(
-        k_values=cfg["bench.k"],
-        batch_sizes=cfg["bench.batch_sizes"],
-        variables=cfg["bench.variables"],
-        steps=cfg["bench.steps"],
-        overflow_variables=cfg["bench.overflow_variables"],
-        overflow_k=cfg["bench.overflow_k"],
-        overflow_init=cfg["bench.overflow_init"],
-        seed=cfg["seed"],
-    )
+    rows = bench_mod.run_benchmarks(seed=cfg["seed"], **_section(cfg, "bench"))
     bench_mod.write_csv(os.path.join(out, "bench.csv"), rows)
     print(f"wrote {len(rows)} bench rows")
     return 0

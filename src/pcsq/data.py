@@ -166,8 +166,10 @@ def ingest_csv(path, schema, standardize=False, split_fractions=(0.8, 0.1, 0.1),
     return ds.check()
 
 
-def write_rows_csv(path, rows, header):
+def write_csv(path, header, rows):
+    """Write a CSV artifact: the header line, then each row's values as
+    ``str`` (for a float, its shortest round-trip form)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(rows):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")

@@ -126,10 +126,8 @@ def _forward_input(circuit, layer, x, marginalized, saved):
     if marg:  # constant: the cached integral, one row for every batch row
         return _input_integral(circuit, layer, matrix=layer.squared).reshape(1, layer.output_width)
     values = _scope_values(x, layer.scope)
-    if saved is None:
-        f = layer.family.log_eval(circuit.store, values)
-    else:  # taped: keep f and its features so backward re-derives nothing
-        f, features = layer.family._eval(circuit.store, values)
+    f, features = layer.family.log_eval(circuit.store, values)
+    if saved is not None:  # taped: keep f and its features so backward re-derives nothing
         saved[layer.layer_id] = (f, features)
     return signed_outer(f, f) if layer.squared else f
 

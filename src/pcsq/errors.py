@@ -3,6 +3,8 @@
 The CLI maps these onto distinct exit codes (see pcsq.cli).
 """
 
+import numpy as np
+
 
 class PcsqError(Exception):
     """Base class for all package errors."""
@@ -23,6 +25,17 @@ class NumericError(PcsqError):
 
 class DomainError(NumericError):
     """Input point outside a family's domain (e.g. beyond spline knots)."""
+
+    @classmethod
+    def check(cls, x, in_domain, what):
+        """``x`` as float64 when ``in_domain(x)`` holds at every value; else
+        raise, naming the first value where it fails and ``what`` is wrong."""
+        x = np.asarray(x, dtype=np.float64)
+        bad = ~in_domain(x)
+        if bad.any():
+            idx = int(np.argmax(bad.reshape(-1)))
+            raise cls(f"value {float(x.reshape(-1)[idx])!r} {what} (first bad index {idx})")
+        return x
 
 
 class DegenerateModelError(PcsqError):

@@ -4,8 +4,10 @@ Each family computes K univariate (or, for kernel units, multivariate)
 functions per input layer and supports three views needed by circuit
 inference:
 
-* pointwise evaluation f_i(x) in signed log-space (``_eval`` also
-  returns the features its VJP needs, which taped passes keep),
+* pointwise evaluation f_i(x) in signed log-space: ``log_eval``, the one
+  evaluation entry point of every pass, checks x against the family's
+  domain and also returns the features its VJP needs (taped passes keep
+  them),
 * the integral vector (integral of each f_i over the variable's domain),
 * the integral matrix (pairwise product integrals, for squared layers),
 
@@ -69,17 +71,15 @@ class InputFamily:
         """Number of discrete states, or None for continuous support."""
         return None
 
-    def log_eval(self, store, x) -> SignedLogTensor:
-        return self._eval(store, x)[0]
-
-    def _eval(self, store, x):
+    def log_eval(self, store, x):
         """(f(x), features): the values in signed log-space and the state
-        ``log_eval_vjp`` needs besides them (taped passes keep both)."""
+        ``log_eval_vjp`` needs besides them (taped passes keep both).  A
+        value of x outside the family's domain raises a DomainError."""
         raise NotImplementedError
 
     def log_eval_vjp(self, store, adj: SignedLogTensor, f: SignedLogTensor, features):
         """Accumulate parameter gradients given the adjoint of f(x) and the
-        pair ``_eval`` returned for the same x."""
+        pair ``log_eval`` returned for the same x."""
         raise NotImplementedError
 
     def integral_vector(self, store) -> SignedLogTensor:
@@ -162,10 +162,11 @@ class GaussianFamily(_GaussianShaped, InputFamily):
     def _params(self, store):
         return store.effective(self.blocks["mean"]), store.effective(self.blocks["std"])
 
-    def _eval(self, store, x):
+    def log_eval(self, store, x):
+        x = DomainError.check(x, np.isfinite, "is not finite")
         mean, std = self._params(store)
         # in place, in the order of -0.5 * z * z - log(std) - 0.5 log(2 pi)
-        z = np.subtract(np.asarray(x, dtype=np.float64)[:, None], mean[None, :])
+        z = np.subtract(x[:, None], mean[None, :])
         z /= std[None, :]
         lm = np.multiply(z, -0.5)
         lm *= z
@@ -227,15 +228,8 @@ def _check_states(x, states):
     """``x`` as int64 states in {0, ..., states - 1}.  The DomainError names
     the first value that is not finite, not whole or out of range; it is
     raised before the cast, which would warn on NaN or inf."""
-    x = np.asarray(x, dtype=np.float64)
-    bad = ~(np.isfinite(x) & (x == np.floor(x)) & (x >= 0) & (x < states))
-    if bad.any():
-        idx = int(np.argmax(bad.reshape(-1)))
-        raise DomainError(
-            f"value {float(x.reshape(-1)[idx])!r} is not a state in [0, {states}) "
-            f"(first bad index {idx})"
-        )
-    return x.astype(np.int64)
+    is_state = lambda v: np.isfinite(v) & (v == np.floor(v)) & (v >= 0) & (v < states)
+    return DomainError.check(x, is_state, f"is not a state in [0, {states})").astype(np.int64)
 
 
 class _OneHotBasis:
@@ -296,7 +290,7 @@ class _LinearFamily(InputFamily):
     def _accumulate(self, store, grad):
         store.accumulate_effective_grad(self.blocks[self.block_name], grad)
 
-    def _eval(self, store, x):
+    def log_eval(self, store, x):
         values, features = self.basis.evaluate(self._coeffs(store), x)
         return SignedLogTensor.from_linear(values), features
 
@@ -371,6 +365,10 @@ class BinomialFamily(InputFamily):
         if trials < 1:
             raise ConfigError("binomial needs trials >= 1")
         self.trials = int(trials)
+        # log C(n, k) for every count k, gathered by each evaluation
+        n, k = self.trials, np.arange(self.trials + 1, dtype=np.float64)
+        lgamma = np.vectorize(math.lgamma)
+        self._log_comb = math.lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
     @property
     def num_states(self):
@@ -391,14 +389,9 @@ class BinomialFamily(InputFamily):
         p = self._p(store)
         n = self.trials
         k = counts[..., None].astype(np.float64)
-        log_comb = (
-            math.lgamma(n + 1)
-            - np.vectorize(math.lgamma)(k + 1)
-            - np.vectorize(math.lgamma)(n - k + 1)
-        )
-        return log_comb + k * np.log(p) + (n - k) * np.log1p(-p)
+        return self._log_comb[counts][..., None] + k * np.log(p) + (n - k) * np.log1p(-p)
 
-    def _eval(self, store, x):
+    def log_eval(self, store, x):
         xi = _check_states(x, self.trials + 1)
         lm = self._log_pmf(store, xi)
         return SignedLogTensor(lm, np.ones_like(lm)), xi
@@ -497,8 +490,8 @@ class RbfKernelFamily(_GaussianShaped, InputFamily):
     def register(self, store, prefix):
         return self
 
-    def _eval(self, store, x):
-        x = np.asarray(x, dtype=np.float64)
+    def log_eval(self, store, x):
+        x = DomainError.check(x, np.isfinite, "is not finite")
         if x.ndim == 1:
             x = x[:, None]
         diff = x[:, None, :] - self.anchors[None, :, :]

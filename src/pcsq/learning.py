@@ -22,6 +22,7 @@ import numpy as np
 
 from pcsq import engine, inference
 from pcsq.circuits import TensorizedCircuit
+from pcsq.data import write_csv
 from pcsq.errors import ConfigError, NumericError
 from pcsq.mixtures import CircuitMixture
 from pcsq.squaring import SquaredCircuit
@@ -58,10 +59,7 @@ class TrainReport:
     z_evals_per_step: float = 0.0
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,train_ll,val_ll,seconds\n")
-            for epoch, tr, va, sec in self.epochs:
-                fh.write(f"{epoch},{tr!r},{va!r},{sec!r}\n")
+        write_csv(path, ["epoch", "train_ll", "val_ll", "seconds"], self.epochs)
 
 
 _INIT_RE = re.compile(r"^\s*(uniform|normal)\s*\(\s*([-0-9.eE+]+)\s*,\s*([-0-9.eE+]+)\s*\)\s*$")

@@ -53,15 +53,9 @@ class BSplineBasis:
         return cls(order, interior, bounds)
 
     def check_domain(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        bad = ~((x >= self.bounds[0]) & (x <= self.bounds[1]))  # NaN included
-        if bad.any():
-            idx = int(np.argmax(bad))
-            raise DomainError(
-                f"value {float(x.reshape(-1)[np.argmax(bad.reshape(-1))])!r} outside spline "
-                f"interval [{self.bounds[0]}, {self.bounds[1]}] (first bad index {idx})"
-            )
-        return x
+        lo, hi = self.bounds
+        inside = lambda v: (v >= lo) & (v <= hi)  # False at NaN
+        return DomainError.check(x, inside, f"outside spline interval [{lo}, {hi}]")
 
     def design_matrix(self, x):
         """Evaluate all basis functions at ``x``: returns (len(x), num_bases).

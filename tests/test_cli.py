@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from pcsq import cli
 from pcsq.cli import main, parse_config_text, resolve_config
 from pcsq.modeldoc import load_model
 
@@ -40,6 +41,97 @@ def _psd_model(tmp_path, dim):
     return out / "model.json"
 
 
+_COMMON = {"seed": (int, 0), "out": (str, "")}
+_DATASET = {
+    "dataset.kind": (str, "synthetic"),
+    "dataset.name": (str, "rings"),
+    "dataset.n_train": (int, 10000),
+    "dataset.n_val": (int, 1000),
+    "dataset.n_test": (int, 2000),
+    "dataset.bins": (int, 0),
+    "dataset.seed": (int, -1),
+    "dataset.path": (str, ""),
+    "dataset.schema": (str, ""),
+    "dataset.standardize": (cli._bool, False),
+}
+# every command's keys, coercions and defaults; train.* and bench.* come
+# from the library's own defaults and must stay these values
+SCHEMAS = {
+    "train": {
+        **_COMMON,
+        **_DATASET,
+        "model.rg": (str, "lt"),
+        "model.rg_seed": (int, -1),
+        "model.k": (int, 8),
+        "model.family": (str, "spline"),
+        "model.mode": (str, "squared-nonmonotonic"),
+        "model.product": (str, "hadamard"),
+        "model.knots": (int, 32),
+        "model.spline_order": (int, 2),
+        "model.binomial_trials": (int, 0),
+        "model.mixture": (int, 1),
+        "train.batch_size": (int, 256),
+        "train.learning_rate": (float, 1e-3),
+        "train.max_epochs": (int, 50),
+        "train.patience": (int, 3),
+        "train.optimizer": (str, "adam"),
+        "train.init": (str, "uniform(0,1)"),
+        "train.l2": (float, 0.0),
+    },
+    "eval": {**_COMMON, **_DATASET, "model.path": (str, ""), "eval.split": (str, "test")},
+    "sample": {**_COMMON, "model.path": (str, ""), "sample.n": (int, 1000)},
+    "grid": {
+        **_COMMON,
+        "model.path": (str, ""),
+        "grid.resolution": (int, 64),
+        "grid.x1_lo": (float, np.nan),
+        "grid.x1_hi": (float, np.nan),
+        "grid.x2_lo": (float, np.nan),
+        "grid.x2_hi": (float, np.nan),
+    },
+    "reduce-psd": {
+        **_COMMON,
+        "psd.anchor_count": (int, 5),
+        "psd.dim": (int, 2),
+        "psd.bandwidth": (float, 1.0),
+        "psd.anchors_csv": (str, ""),
+        "psd.check_points": (int, 100),
+    },
+    "reduce-mps": {
+        **_COMMON,
+        "mps.path": (str, ""),
+        "mps.d": (int, 4),
+        "mps.m": (int, 2),
+        "mps.r": (int, 2),
+        "mps.cp_rank": (int, 0),
+        "mps.check_points": (int, 1024),
+    },
+    "udisj": {**_COMMON, "udisj.path": (str, ""), "udisj.matching": (int, 3)},
+    "bench": {
+        **_COMMON,
+        "bench.k": (cli._int_list, [32, 64, 128]),
+        "bench.batch_sizes": (cli._int_list, [64, 256, 1024]),
+        "bench.variables": (int, 8),
+        "bench.steps": (int, 3),
+        "bench.overflow_variables": (cli._int_list, [16, 32, 64, 128]),
+        "bench.overflow_k": (int, 64),
+        "bench.overflow_init": (str, "uniform(0,4)"),
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(SCHEMAS))
+def test_schema_keys_defaults_and_coercions(command):
+    schema = cli._SCHEMAS[command]
+    assert sorted(schema) == sorted(SCHEMAS[command])
+    for key, (coerce, default) in SCHEMAS[command].items():
+        got_coerce, got_default = schema[key]
+        assert got_coerce is coerce, key
+        assert type(got_default) is type(default), key
+        assert got_default == default or (np.isnan(default) and np.isnan(got_default)), key
+    assert set(cli._COMMANDS) == set(SCHEMAS)
+
+
 class TestConfigParsing:
     def test_key_value_with_comments(self):
         raw = parse_config_text("# hi\nseed = 4\n\nmodel.k= 8 # tail\n")
@@ -52,6 +144,11 @@ class TestConfigParsing:
     def test_type_coercion_failure(self):
         with pytest.raises(Exception, match="bad value"):
             resolve_config("train", {"model.k": "eight"})
+
+    def test_boolean_values(self):
+        for text, value in (("yes", True), ("Off", False)):
+            cfg = resolve_config("train", {"dataset.standardize": text})
+            assert cfg["dataset.standardize"] is value
 
 
 class TestCommands:
@@ -133,6 +230,29 @@ class TestCommands:
             assert main(["train", "--config", cfg, "--out", str(out)]) == 0
             blobs.append((out / "model.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("mode", ["monotonic", "squared-nonmonotonic"])
+    @pytest.mark.parametrize("family", ["gaussian", "categorical", "embedding", "binomial"])
+    def test_train_then_sample_every_family(self, tmp_path, family, mode):
+        bins = "" if family == "gaussian" else "dataset.bins = 8\n"
+        cfg = _write_config(
+            tmp_path,
+            "f.cfg",
+            TRAIN_CFG.replace("model.family = spline", f"model.family = {family}")
+            .replace("model.mode = squared-nonmonotonic", f"model.mode = {mode}")
+            + bins,
+        )
+        out = tmp_path / "run"
+        args = ["train", "--config", cfg, "--set", "train.max_epochs=1", "--out", str(out)]
+        assert main(args) == 0
+        sample_cfg = _write_config(
+            tmp_path, "s.cfg", f"seed = 4\nmodel.path = {out / 'model.json'}\nsample.n = 30\n"
+        )
+        assert main(["sample", "--config", sample_cfg, "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows.shape == (30, 2) and np.all(np.isfinite(rows))
+        if bins:
+            assert np.all((rows == np.round(rows)) & (rows >= 0) & (rows < 8))
 
     def test_train_kronecker_products(self, tmp_path):
         cfg = _write_config(tmp_path, "kron.cfg", TRAIN_CFG + "model.product = kronecker\n")
@@ -231,6 +351,22 @@ class TestExitCodes:
             "model.family = gaussian\n",
         )
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("value,code", [("yes", 0), ("maybe", 2)])
+    def test_standardize_flag(self, tmp_path, value, code):
+        rows = np.random.default_rng(0).normal(size=(60, 2))
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("a,b\n" + "".join(f"{a},{b}\n" for a, b in rows))
+        cfg = _write_config(
+            tmp_path,
+            "std.cfg",
+            "dataset.kind = csv\n"
+            f"dataset.path = {csv_path}\n"
+            "dataset.schema = a=continuous;b=continuous\n"
+            "model.family = gaussian\nmodel.k = 2\ntrain.max_epochs = 1\n",
+        )
+        args = ["train", "--config", cfg, "--set", f"dataset.standardize={value}"]
+        assert main(args + ["--out", str(tmp_path / "out")]) == code
 
     def test_nan_cell_is_an_ingest_error(self, tmp_path, capsys):
         csv_path = tmp_path / "rows.csv"

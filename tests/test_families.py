@@ -38,7 +38,7 @@ class TestPointEvaluation:
         fam = BinomialFamily(1, trials=2)
         store = _make(fam)
         store.set_free(fam.blocks["logit_p"], [0.0])  # p = 1/2
-        out = fam.log_eval(store, np.array([1.0]))
+        out, _ = fam.log_eval(store, np.array([1.0]))
         assert out.to_linear()[0, 0] == pytest.approx(0.5)
 
     def test_standard_gaussian_at_zero(self):
@@ -46,11 +46,11 @@ class TestPointEvaluation:
         store = _make(fam)
         store.set_free(fam.blocks["mean"], [0.0])
         store.set_free(fam.blocks["std"], [0.0])  # exp(0) = 1
-        out = fam.log_eval(store, np.array([0.0]))
+        out, _ = fam.log_eval(store, np.array([0.0]))
         assert out.log_magnitude[0, 0] == pytest.approx(math.log(1 / math.sqrt(2 * math.pi)))
 
     def test_gaussian_eval_keeps_the_out_of_place_bits(self):
-        # _eval runs its elementwise steps in place, in the order of the
+        # log_eval runs its elementwise steps in place, in the order of the
         # expression kept here as the reference
         fam = GaussianFamily(5)
         store = _make(fam, seed=3)
@@ -58,7 +58,7 @@ class TestPointEvaluation:
         mean, std = fam._params(store)
         z = (x[:, None] - mean[None, :]) / std[None, :]
         lm = -0.5 * z * z - np.log(std)[None, :] - 0.5 * families._LOG_2PI
-        out, got_z = fam._eval(store, x)
+        out, got_z = fam.log_eval(store, x)
         np.testing.assert_array_equal(got_z, z)
         np.testing.assert_array_equal(out.log_magnitude, lm)
         np.testing.assert_array_equal(out.sign, np.ones_like(lm))
@@ -69,7 +69,7 @@ class TestPointEvaluation:
         store = _make(fam)
         store.set_free(fam.blocks["coeffs"], np.ones((1, basis.num_bases)))
         xs = np.linspace(0.05, 0.95, 11)
-        out = fam.log_eval(store, xs)
+        out, _ = fam.log_eval(store, xs)
         np.testing.assert_allclose(out.to_linear()[:, 0], 1.0, atol=1e-12)
         # quadrature oracle: the constant-1 function integrates to the width
         vec = fam.integral_vector(store)
@@ -79,7 +79,7 @@ class TestPointEvaluation:
         fam = EmbeddingFamily(2, 3)
         store = _make(fam)
         store.set_free(fam.blocks["values"], [[1.0, -2.0, 0.0], [0.5, 0.5, 0.5]])
-        out = fam.log_eval(store, np.array([0.0, 1.0, 2.0]))
+        out, _ = fam.log_eval(store, np.array([0.0, 1.0, 2.0]))
         np.testing.assert_allclose(out.to_linear()[:, 0], [1.0, -2.0, 0.0])
         assert out.sign[2, 0] == 0.0
 
@@ -90,7 +90,7 @@ class TestPointEvaluation:
         fam = cls(2, 300)
         store = _make(fam)
         x = np.array([0.0, 299.0, 7.0])
-        f, states = fam._eval(store, x)
+        f, states = fam.log_eval(store, x)
         np.testing.assert_array_equal(states, [0, 299, 7])
         np.testing.assert_allclose(f.to_linear(), fam.value_table(store)[:, [0, 299, 7]].T, rtol=1e-14)
 
@@ -118,6 +118,31 @@ class TestPointEvaluation:
         store = _make(fam)
         with pytest.raises(DomainError, match=re.escape(f"value {bad!r} is not a state in [0, 3)")):
             fam.log_eval(store, np.array([0.0, bad, 1.0]))
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: GaussianFamily(2), lambda: RbfKernelFamily([[0.0], [1.0]], 0.5)],
+        ids=["gaussian", "rbf"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_continuous_value_is_named(self, make, bad):
+        fam = make()
+        store = _make(fam)
+        with pytest.raises(DomainError, match=re.escape(f"value {bad!r} is not finite")):
+            fam.log_eval(store, np.array([0.0, bad, 1.0]))
+
+    def test_binomial_matches_the_lgamma_formula(self):
+        fam = BinomialFamily(3, trials=255)
+        store = _make(fam, seed=5)
+        p = fam._p(store)
+        n = fam.trials
+        k = np.arange(n + 1.0)[::-1]
+        comb = np.array(
+            [math.lgamma(n + 1) - math.lgamma(c + 1) - math.lgamma(n - c + 1) for c in k]
+        )
+        want = comb[:, None] + k[:, None] * np.log(p) + (n - k)[:, None] * np.log1p(-p)
+        f, _ = fam.log_eval(store, k)
+        np.testing.assert_array_equal(f.log_magnitude, want)
 
 
 class TestProductIntegrals:
@@ -331,7 +356,7 @@ class TestMonotonicModes:
         fam = SplineFamily(3, basis, monotonic=True)
         store = _make(fam, seed=2)
         xs = rng.uniform(0.0, 1.0, size=500)
-        assert np.all(fam.log_eval(store, xs).sign >= 0.0)
+        assert np.all(fam.log_eval(store, xs)[0].sign >= 0.0)
 
     def test_categorical_rows_normalized(self, rng):
         fam = CategoricalFamily(3, 7)

@@ -11,6 +11,7 @@ from pcsq.families import CategoricalFamily, EmbeddingFamily, GaussianFamily, Sp
 from pcsq.inference import log_likelihood, partition_function
 from pcsq.learning import (
     TrainConfig,
+    _Sgd,
     _accumulate_gradients,
     _model_z_count,
     init_parameters,
@@ -176,6 +177,26 @@ class TestTrain:
             opt.step()
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-9), f"loss increased: max diff {diffs.max()}"
+
+    def test_sgd_l2_step_adds_weight_decay(self, rng):
+        # one SGD step with l2 moves each parameter theta by lr * l2 * theta
+        # more than the same step without it
+        c = from_region_graph(
+            build_linear_tree(2, 0), 3, "hadamard", lambda s, k: EmbeddingFamily(k, 3)
+        )
+        sq = square(c)
+        init_parameters(sq, "normal(0,1)", seed=1)
+        theta = c.store.snapshot()
+        x = rng.integers(0, 3, size=(50, 2)).astype(float)
+        stepped = {}
+        for l2 in (0.0, 0.5):
+            c.store.restore(theta)
+            c.store.zero_grad()
+            _accumulate_gradients(sq, x)
+            _Sgd([c.store], TrainConfig(learning_rate=0.1, optimizer="sgd", l2=l2)).step()
+            stepped[l2] = c.store.snapshot()
+        decay = stepped[0.0] - stepped[0.5]
+        np.testing.assert_allclose(decay, 0.1 * 0.5 * theta, rtol=0, atol=1e-14)
 
     def test_early_stopping_restores_best(self, rng):
         rows = rng.integers(0, 3, size=(400, 1))

@@ -6,7 +6,13 @@ from scipy import integrate, stats
 
 from pcsq import engine
 from pcsq.circuits import from_region_graph
-from pcsq.families import CategoricalFamily, EmbeddingFamily, GaussianFamily, SplineFamily
+from pcsq.families import (
+    BinomialFamily,
+    CategoricalFamily,
+    EmbeddingFamily,
+    GaussianFamily,
+    SplineFamily,
+)
 from pcsq.inference import log_density, marginal_batch, partition_function, sample
 from pcsq.reductions import PsdModel, psd_to_circuit
 from pcsq.regions import build_linear_tree, linear_tree_from_order
@@ -67,9 +73,10 @@ def test_continuous_gaussian_unit_mean():
     assert abs(draws.mean() - mean) < 4 * np.sqrt(var / n)
 
 
-def test_chi_square_goodness_of_fit(rng):
+def _chi_square_p_value(rng, factory):
+    # draws over two 3-state variables against the exact squared PMF
     rg = build_linear_tree(2, 1)
-    c = from_region_graph(rg, 2, "hadamard", lambda s, k: EmbeddingFamily(k, 3))
+    c = from_region_graph(rg, 2, "hadamard", factory)
     c.store.values[:] = rng.normal(size=c.store.values.size) + 0.5
     c.store.bump()
     sq = square(c)
@@ -80,8 +87,16 @@ def test_chi_square_goodness_of_fit(rng):
     idx = (draws[:, 0] * 3 + draws[:, 1]).astype(int)
     counts = np.bincount(idx, minlength=9)
     stat = ((counts - n * pmf) ** 2 / (n * pmf)).sum()
-    p_value = stats.chi2.sf(stat, df=8)
-    assert p_value > 0.001
+    return stats.chi2.sf(stat, df=8)
+
+
+def test_chi_square_goodness_of_fit(rng):
+    assert _chi_square_p_value(rng, lambda s, k: EmbeddingFamily(k, 3)) > 0.001
+
+
+def test_binomial_chi_square_goodness_of_fit(rng):
+    # sampled through the Binomial value table over {0, 1, 2}
+    assert _chi_square_p_value(rng, lambda s, k: BinomialFamily(k, 2)) > 0.001
 
 
 def _bimodal_gaussian():
