@@ -326,6 +326,8 @@ def _cmd_eval(cfg, out):
     dataset = load_dataset(cfg)
     model = _require_model(cfg)
     rows = dataset.split(cfg["eval.split"])
+    if rows.shape[0] == 0:
+        raise ConfigError(f"split {cfg['eval.split']!r} has no rows to evaluate")
     lls = inference.log_density(model, rows)
     mean = float(np.mean(lls))
     two_se = float(2.0 * np.std(lls, ddof=1) / np.sqrt(lls.size)) if lls.size > 1 else 0.0

@@ -17,7 +17,11 @@ objective w.r.t. each layer's linear-space output (the adjoints
 themselves are carried in signed log-space) and accumulating parameter
 gradients into the store.  The tape keeps each evaluated input layer's
 values and features (spline design matrices, table states, Gaussian
-z-scores), so the input VJPs reuse them; untaped passes keep nothing.
+z-scores), so the input VJPs reuse them.  An untaped signed log-space
+pass holds a layer's output only until its last reader has run, and
+:func:`backward` releases each recorded output and feature once the
+sweep has passed its last reader, so a pass holds a few layers at a time
+rather than all of them.
 
 :func:`path_adjoint` pushes the root's adjoint, by the same per-layer
 rules, along the one path from the root to the input layer of a chosen
@@ -54,9 +58,26 @@ def signed_add(a: SignedLogTensor, b: SignedLogTensor) -> SignedLogTensor:
     return signed_sum(stacked, axis=-1)
 
 
+def _last_reads(circuit, reverse=False):
+    """``drops[i]``: the inputs of layer i that no layer after it reads, in
+    topological order or, with ``reverse``, in the backward sweep's order.
+    A pass releases those outputs once layer i has run; the root is never
+    released."""
+    order = circuit.layers if reverse else reversed(circuit.layers)
+    seen = {circuit.output_layer}
+    drops = [[] for _ in circuit.layers]
+    for layer in order:  # the pass's order reversed: first seen is last read
+        for j in layer.inputs:
+            if j not in seen:
+                seen.add(j)
+                drops[layer.layer_id].append(j)
+    return drops
+
+
 @dataclass
 class Tape:
-    """Forward-pass record for one batch; replayed once by backward()."""
+    """Forward-pass record for one batch; replayed once by backward(),
+    which releases it as it goes."""
 
     circuit: TensorizedCircuit
     marginalized: frozenset
@@ -156,6 +177,7 @@ def forward(
     marginalized=frozenset(),
     space="slog",
     want_tape=False,
+    keep_outputs=False,
 ):
     """Evaluate every layer; returns an :class:`EvalResult`.
 
@@ -168,6 +190,12 @@ def forward(
     (nothing marginalized) and one-row partition-function passes
     (everything marginalized) can be taped.  Marginalizing a variable the
     circuit does not have raises ConfigError.
+
+    An untaped signed log-space pass sets each layer's entry of
+    ``outputs`` to None once its last reader has run, so only the root is
+    left; ``keep_outputs=True`` keeps every entry, for callers that read
+    intermediate outputs (:func:`path_adjoint`).  Taped passes and linear
+    passes always keep every output.
     """
     marginalized = frozenset(marginalized)
     outside = sorted(v for v in marginalized if not 0 <= v < circuit.variable_count)
@@ -189,22 +217,27 @@ def forward(
     if space == "linear":
         return _forward_linear(circuit, x, marginalized, batch)
     saved = {} if want_tape else None
+    keep = want_tape or keep_outputs
+    drops = [()] * len(circuit.layers) if keep else _last_reads(circuit)
     outputs = []
     for layer in circuit.layers:
         if layer.kind == INPUT:
             out = _forward_input(circuit, layer, x, marginalized, saved)
-        elif layer.kind == SUM:
-            u = outputs[layer.inputs[0]]
+        elif layer.kind == SUM:  # no local holds the input, so its release frees it
             weights = circuit.effective_weights(layer)
             if layer.squared:
-                out = _forward_sum_squared(weights, u, save_to=saved, layer_id=layer.layer_id)
+                out = _forward_sum_squared(
+                    weights, outputs[layer.inputs[0]], save_to=saved, layer_id=layer.layer_id
+                )
             else:
-                out = signed_logsumexp(weights, u)
+                out = signed_logsumexp(weights, outputs[layer.inputs[0]])
         else:
             out = signed_product([outputs[j] for j in layer.inputs], layer.kind, layer.squared)
         if np.isnan(out.log_magnitude).any() or np.isnan(out.sign).any():
             raise NumericError(f"NaN produced at layer {layer.layer_id} ({layer.kind})")
         outputs.append(out)
+        for j in drops[layer.layer_id]:
+            outputs[j] = None
     if outputs[circuit.output_layer].shape[0] != batch:
         outputs[circuit.output_layer] = _broadcast(outputs[circuit.output_layer], batch)
     tape = Tape(circuit, marginalized, outputs, saved) if want_tape else None
@@ -269,43 +302,44 @@ def log_grad_seed(root: SignedLogTensor, coeff) -> SignedLogTensor:
 def backward(tape: Tape, seed_output: SignedLogTensor):
     """Reverse sweep: pushes ``seed_output`` (the objective's adjoint at the
     root, in signed log-space) down the tape and accumulates free-parameter
-    gradients into the circuit's ParameterStore."""
+    gradients into the circuit's ParameterStore.  The sweep consumes the
+    tape: it releases each recorded output once its last reader in reverse
+    order has run, and each saved entry once its layer has."""
     circuit = tape.circuit
-    store = circuit.store
     seed = seed_output
     if seed.log_magnitude.ndim == 1:
         seed = seed.reshape(-1, 1)
     adjoints = {circuit.output_layer: seed}
+    drops = _last_reads(circuit, reverse=True)
     for layer in reversed(circuit.layers):
         adj = adjoints.pop(layer.layer_id, None)
-        if adj is None:
-            continue
-        if layer.kind == INPUT:
+        if adj is not None and layer.kind == INPUT:
             _backward_input(circuit, layer, tape, adj)
-            continue
-        if layer.kind == SUM:
-            u = tape.outputs[layer.inputs[0]]
-            weights = circuit.effective_weights(layer)
-            if layer.squared:
-                grad_eff, adj_in = _backward_sum_squared(
-                    weights, u, adj, tape.saved[layer.layer_id]
-                )
-            else:
-                lm, sg = kernels.slse_pair_accum(
-                    adj.log_magnitude, adj.sign, u.log_magnitude, u.sign
-                )
-                grad_eff = SignedLogTensor(lm, sg).to_linear()
-                adj_in = _sum_input_adjoint(weights, adj, squared=False)
-            store.accumulate_effective_grad(layer.param_block, grad_eff)
-            adj_ins = [adj_in]
-        else:
-            outs = [tape.outputs[j] for j in layer.inputs]
-            adj_ins = _product_input_adjoints(layer, outs, adj, range(len(outs)))
-        for j, adj_in in zip(layer.inputs, adj_ins):
-            adjoints[j] = signed_add(adjoints[j], adj_in) if j in adjoints else adj_in
-    store_grads = store.gradients
-    if np.isnan(store_grads).any():
+        elif adj is not None:  # the VJP's locals end with its frame, so releases free
+            for j, adj_in in zip(layer.inputs, _backward_inner(circuit, layer, tape, adj)):
+                adjoints[j] = signed_add(adjoints[j], adj_in) if j in adjoints else adj_in
+        for j in drops[layer.layer_id]:
+            tape.outputs[j] = None
+    if np.isnan(circuit.store.gradients).any():
         raise NumericError("NaN in accumulated gradients")
+
+
+def _backward_inner(circuit, layer, tape, adj):
+    """Adjoints of a sum or product layer's inputs; a sum layer's weight
+    gradient goes into the store."""
+    if layer.kind != SUM:
+        outs = [tape.outputs[j] for j in layer.inputs]
+        return _product_input_adjoints(layer, outs, adj, range(len(outs)))
+    u = tape.outputs[layer.inputs[0]]
+    weights = circuit.effective_weights(layer)
+    if layer.squared:
+        grad_eff, adj_in = _backward_sum_squared(weights, u, adj, tape.saved.pop(layer.layer_id))
+    else:
+        lm, sg = kernels.slse_pair_accum(adj.log_magnitude, adj.sign, u.log_magnitude, u.sign)
+        grad_eff = SignedLogTensor(lm, sg).to_linear()
+        adj_in = _sum_input_adjoint(weights, adj, squared=False)
+    circuit.store.accumulate_effective_grad(layer.param_block, grad_eff)
+    return [adj_in]
 
 
 def path_adjoint(circuit: TensorizedCircuit, outputs, variable):
@@ -427,7 +461,7 @@ def _backward_input(circuit, layer, tape, adj):
         else:
             layer.family.integral_vector_vjp(store, signed_sum(adj, axis=0))
         return
-    f, features = tape.saved[layer.layer_id]
+    f, features = tape.saved.pop(layer.layer_id)
     if layer.squared:
         adj = signed_add(*_kron_vjp(adj, f, f))
     layer.family.log_eval_vjp(store, adj, f, features)

@@ -173,8 +173,12 @@ def log_density(model, x) -> np.ndarray:
 
 
 def log_likelihood(model, x) -> float:
-    """Mean normalized log-likelihood over the rows of ``x``."""
-    return float(np.mean(log_density(model, np.atleast_2d(x))))
+    """Mean normalized log-likelihood over the rows of ``x``; zero rows
+    raise ConfigError, since their mean is undefined."""
+    x = np.atleast_2d(x)
+    if x.shape[0] == 0:
+        raise ConfigError("log-likelihood of zero rows is undefined")
+    return float(np.mean(log_density(model, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +236,9 @@ def _conditional(graph, x, v):
     """(mass, input layer, adjoint): the root of one forward pass with the
     columns of ``x`` before v as evidence and v onwards marginalized, v's
     input layer and the root's adjoint there."""
-    result = engine.forward(graph, x, marginalized=frozenset(range(v, graph.variable_count)))
+    result = engine.forward(
+        graph, x, marginalized=frozenset(range(v, graph.variable_count)), keep_outputs=True
+    )
     layer, adj = engine.path_adjoint(graph, result.outputs, v)
     if layer.scope != (v,):
         raise UnsupportedStructureError(

@@ -368,6 +368,26 @@ class TestExitCodes:
         args = ["train", "--config", cfg, "--set", f"dataset.standardize={value}"]
         assert main(args + ["--out", str(tmp_path / "out")]) == code
 
+    def test_eval_of_an_empty_split_is_a_config_error(self, tmp_path, capsys):
+        # six rows split 5/1/0: training works, evaluating the empty test split does not
+        rows = np.random.default_rng(0).normal(size=(6, 2))
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("a,b\n" + "".join(f"{a},{b}\n" for a, b in rows))
+        data_cfg = (
+            "dataset.kind = csv\n"
+            f"dataset.path = {csv_path}\n"
+            "dataset.schema = a=continuous;b=continuous\n"
+        )
+        train_cfg = data_cfg + "model.family = gaussian\nmodel.k = 2\ntrain.max_epochs = 1\n"
+        run, out = tmp_path / "run", tmp_path / "eval"
+        train_path = _write_config(tmp_path, "t.cfg", train_cfg)
+        assert main(["train", "--config", train_path, "--out", str(run)]) == 0
+        eval_cfg = data_cfg + f"model.path = {run / 'model.json'}\neval.split = test\n"
+        eval_path = _write_config(tmp_path, "e.cfg", eval_cfg)
+        assert main(["eval", "--config", eval_path, "--out", str(out)]) == 2
+        assert not (out / "metrics.csv").exists()
+        assert "split 'test' has no rows" in capsys.readouterr().err
+
     def test_nan_cell_is_an_ingest_error(self, tmp_path, capsys):
         csv_path = tmp_path / "rows.csv"
         csv_path.write_text("a,b\n1,2\n3,4\nnan,5\n")

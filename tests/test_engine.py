@@ -1,6 +1,8 @@
 """Forward/backward engine: gradients against central finite differences,
 numeric-error policy, and the tape contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from pcsq.families import (
     GaussianFamily,
     SplineFamily,
 )
+from pcsq.inference import log_value
+from pcsq.learning import init_parameters
 from pcsq.regions import build_binary_tree, build_linear_tree, linear_tree_from_order
 from pcsq.splines import BSplineBasis
 from pcsq.squaring import square
@@ -279,7 +283,7 @@ def test_root_is_linear_in_the_path_adjoint(rng, product, squared):
     x = rng.integers(0, 3, size=(6, d)).astype(float)
     for v in range(d):
         for marginalized in (frozenset(), frozenset(range(v, d))):
-            result = engine.forward(graph, x, marginalized=marginalized)
+            result = engine.forward(graph, x, marginalized=marginalized, keep_outputs=True)
             layer, adj = engine.path_adjoint(graph, result.outputs, v)
             assert layer.scope == (v,)
             g = result.outputs[layer.layer_id]
@@ -319,3 +323,51 @@ def test_gaussian_vjp_reuses_taped_values(squared, rng, monkeypatch):
     engine.backward(res.tape, engine.log_grad_seed(res.root, np.full(5, 0.2)))
     grads = graph.store.gradients
     assert np.all(np.isfinite(grads)) and np.any(grads != 0.0)
+
+
+def _non_root(result):
+    return [out for i, out in enumerate(result.outputs) if i != result.output_layer]
+
+
+@pytest.mark.parametrize("marginalized", [frozenset(), frozenset({1, 2})], ids=["data", "marg"])
+def test_untaped_pass_holds_only_the_root(rng, marginalized):
+    # each layer output is released once its last reader has run
+    graph = _random_model(rng, "kronecker", lambda s, k: GaussianFamily(k), True, 4)
+    x = rng.normal(size=(6, 4))
+    res = engine.forward(graph, x, marginalized=marginalized)
+    assert all(out is None for out in _non_root(res))
+    kept = engine.forward(graph, x, marginalized=marginalized, keep_outputs=True)
+    assert all(out is not None for out in kept.outputs)
+    np.testing.assert_array_equal(res.root.log_magnitude, kept.root.log_magnitude)
+    np.testing.assert_array_equal(res.root.sign, kept.root.sign)
+
+
+def test_untaped_pass_peak_is_below_its_layer_outputs():
+    # a pass holding every layer output would peak above their summed bytes
+    c = from_region_graph(build_binary_tree(8, 0), 16, "hadamard", lambda s, k: GaussianFamily(k))
+    model = square(c)
+    init_parameters(model, "uniform(0,1)", 0)
+    x = np.random.default_rng(0).normal(size=(2048, 8))
+    kept = engine.forward(c, x, keep_outputs=True).outputs
+    total = sum(out.log_magnitude.nbytes + out.sign.nbytes for out in kept)
+    log_value(model, x[:1])  # caches outside the measurement
+    tracemalloc.start()
+    try:
+        log_value(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < total / 2, (peak, total)
+
+
+@pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
+def test_backward_releases_the_tape(rng, squared):
+    c = _CASES["gaussian-bt-hadamard"]()
+    c.store.values[:] = rng.normal(size=c.store.values.size) * 0.6 + 0.3
+    c.store.bump()
+    graph = square(c).circuit if squared else c
+    res = engine.forward(graph, rng.normal(size=(5, c.variable_count)), want_tape=True)
+    assert all(out is not None for out in res.tape.outputs) and res.tape.saved
+    graph.store.zero_grad()
+    engine.backward(res.tape, engine.log_grad_seed(res.root, np.full(5, 0.2)))
+    assert all(out is None for out in _non_root(res)) and res.tape.saved == {}

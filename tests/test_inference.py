@@ -210,7 +210,7 @@ class TestMarginalize:
             got = marginal_batch(sq, x, marg).to_linear()
             want = engine.forward(sq.circuit, x, marginalized=marg, space="linear").root
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-            outputs = engine.forward(sq.circuit, x, marginalized=marg).outputs
+            outputs = engine.forward(sq.circuit, x, marginalized=marg, keep_outputs=True).outputs
             for layer, out in zip(sq.circuit.layers, outputs):
                 constant = set(layer.scope) <= marg and layer.layer_id != sq.circuit.output_layer
                 assert out.shape[0] == (1 if constant else 5), (sorted(marg), layer.layer_id)
@@ -267,6 +267,12 @@ class TestLogLikelihood:
         sq = _uniform_categorical_model(4)
         x = np.array([[0.0], [1.0], [3.0]])
         assert log_likelihood(sq, x) == pytest.approx(-np.log(4.0), rel=1e-12)
+
+    def test_zero_rows_rejected(self):
+        # the mean of no rows is undefined, not nan
+        sq = _uniform_categorical_model(4)
+        with pytest.raises(ConfigError, match="zero rows"):
+            log_likelihood(sq, np.zeros((0, 1)))
 
     def test_composition_identity(self, rng):
         c, d = random_discrete_circuit(rng)

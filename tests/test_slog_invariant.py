@@ -80,7 +80,7 @@ def test_every_layer_output_keeps_the_invariant(seed, family, product, squared, 
     elif query == "adjoint":  # a sampler's conditional at variable v
         v = int(rng.integers(d))
         marginalized = frozenset(int(u) for u in variables[variables >= v])
-    result = engine.forward(circuit, x, marginalized=marginalized)
+    result = engine.forward(circuit, x, marginalized=marginalized, keep_outputs=True)
     for layer, out in zip(circuit.layers, result.outputs):
         assert out.invariant_violations() == [], f"layer {layer.layer_id} ({layer.kind})"
     if query == "adjoint":

@@ -65,7 +65,7 @@ class TestSquareCorrectness:
         c.store.values[:] = rng.normal(size=c.store.values.size)
         c.store.bump()
         sq = square(c)
-        res = engine.forward(sq.circuit, np.array([[1.0]]))
+        res = engine.forward(sq.circuit, np.array([[1.0]]), keep_outputs=True)
         products = res.outputs[0].to_linear()[0]
         assert products.shape == (9,)
         assert np.unique(np.round(products, 12)).size == 6
@@ -91,7 +91,7 @@ class TestSquareCorrectness:
         c = random_gaussian_circuit(rng, d=3, k=2, structure="lt")
         sq = square(c)
         x = rng.normal(size=(20, 3))
-        res = engine.forward(sq.circuit, x)
+        res = engine.forward(sq.circuit, x, keep_outputs=True)
         for layer in sq.circuit.layers:
             if layer.kind != "sum":
                 continue
@@ -146,8 +146,8 @@ class TestStructure:
         c.store.bump()
         sq = square(c)
         x = rng.normal(size=(10, 2))
-        res = engine.forward(sq.circuit, x)
-        src = engine.forward(c, x)
+        res = engine.forward(sq.circuit, x, keep_outputs=True)
+        src = engine.forward(c, x, keep_outputs=True)
         for layer in c.layers:
             if layer.kind != "kronecker":
                 continue
