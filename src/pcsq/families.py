@@ -42,9 +42,14 @@ from pcsq.splines import BSplineBasis
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _weighted_batch_sum(t: SignedLogTensor, factor):
-    """sum_b t[b, k] * factor[b, k] as plain floats, stably."""
-    return signed_sum(signed_scale(t, factor), axis=0).to_linear()
+def _weighted_batch_sum(adj: SignedLogTensor, f: SignedLogTensor, *factors):
+    """For each plain (B, K) array g in ``factors``, sum_b adj * f * g as
+    plain (K,) floats, in one pass over the batch
+    (``kernels.slse_weighted_colsum``)."""
+    sums = kernels.slse_weighted_colsum(
+        adj.log_magnitude, adj.sign, f.log_magnitude, f.sign, factors
+    )
+    return [SignedLogTensor(lm, sg).to_linear() for lm, sg in sums]
 
 
 class InputFamily:
@@ -176,13 +181,9 @@ class GaussianFamily(_GaussianShaped, InputFamily):
 
     def log_eval_vjp(self, store, adj, f, z):
         std = store.effective(self.blocks["std"])
-        t = signed_mul(adj, f)
-        store.accumulate_effective_grad(
-            self.blocks["mean"], _weighted_batch_sum(t, z / std[None, :])
-        )
-        store.accumulate_effective_grad(
-            self.blocks["std"], _weighted_batch_sum(t, (z * z - 1.0) / std[None, :])
-        )
+        d_mean, d_std = _weighted_batch_sum(adj, f, z / std, (z * z - 1.0) / std)
+        store.accumulate_effective_grad(self.blocks["mean"], d_mean)
+        store.accumulate_effective_grad(self.blocks["std"], d_std)
 
     def integral_vector(self, store):
         lm = np.zeros(self.units)
@@ -397,12 +398,9 @@ class BinomialFamily(InputFamily):
         return SignedLogTensor(lm, np.ones_like(lm)), xi
 
     def log_eval_vjp(self, store, adj, f, xi):
-        p = self._p(store)
-        t = signed_mul(adj, f)
-        factor = xi[:, None] - self.trials * p[None, :]
-        store.accumulate_effective_grad(
-            self.blocks["logit_p"], _weighted_batch_sum(t, factor)
-        )
+        factor = xi[:, None] - self.trials * self._p(store)[None, :]
+        (grad,) = _weighted_batch_sum(adj, f, factor)
+        store.accumulate_effective_grad(self.blocks["logit_p"], grad)
 
     def integral_vector(self, store):
         return SignedLogTensor(np.zeros(self.units), np.ones(self.units))

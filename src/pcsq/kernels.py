@@ -9,10 +9,14 @@ The operations below dominate circuit evaluation and backprop:
   of transposed copies.
 * ``slse_pair_accum`` -- sign-aware accumulation of outer products over a
   shared leading axis, used for weight gradients.
+* ``slse_weighted_colsum`` -- sign-aware column sums of an elementwise
+  product against plain weights, used for input-family gradients.
 
 All scale each input row by its largest magnitude, exponentiate once per
-input entry and hand the sum to one dense BLAS matmul.  ``slse_matmul``
-sums one row at a time, so its row maximum is the shift.
+input entry and hand the sum to one dense BLAS matmul (in
+``slse_weighted_colsum``, which scales columns, one ``einsum`` per weight
+array).  ``slse_matmul`` sums one row at a time, so its row maximum is
+the shift.
 ``slse_pair_accum`` sums across rows, so it also factors out one global
 shift G, the largest row-pair maximum; this is the log-einsum-exp trick
 of EinsumNetworks (Peharz et al., ICML 2020).  Its scaled terms are at
@@ -48,13 +52,16 @@ def available_backends():
     return ["numpy"]
 
 
-def _scale_rows(log_mag, sign):
-    """Return each row's shift alpha (its maximum over the last axis, 0 for
-    a row with no live entry) and the terms sign * exp(log_mag - alpha) in
-    a new C-contiguous array, so the inputs may be strided views."""
-    alpha = np.max(log_mag, axis=-1, keepdims=True)
+def _scale_rows(log_mag, sign, axis=-1, out=None):
+    """Return each row's shift alpha (its maximum over ``axis``, 0 for a
+    row with no live entry) and the terms sign * exp(log_mag - alpha) in
+    ``out``, by default a new C-contiguous array, so the inputs may be
+    strided views."""
+    alpha = np.max(log_mag, axis=axis, keepdims=True)
     alpha[alpha == -np.inf] = 0.0
-    scaled = np.subtract(log_mag, alpha, out=np.empty(log_mag.shape))
+    if out is None:
+        out = np.empty(log_mag.shape)
+    scaled = np.subtract(log_mag, alpha, out=out)
     np.exp(scaled, out=scaled)
     scaled *= sign
     return alpha, scaled
@@ -157,6 +164,34 @@ def slse_pair_accum(a_log, a_sign, b_log, b_sign):
         b_hat *= b_sign
         raw = a_hat.T @ b_hat
         return _restore_shift(raw, g, raw)
+
+
+def slse_weighted_colsum(a_log, a_sign, b_log, b_sign, weights):
+    """Sign-aware column sums against plain weights.
+
+    For each plain (B, K) array w in ``weights``, out[k] = sum_b a[b, k] *
+    b[b, k] * w[b, k], with a and b given as (log|.|, sign(.)) pairs of
+    (B, K) arrays.  Used to sum input-family gradients over a batch.
+
+    Column k of a * b is shifted once by its live maximum and exponentiated
+    once; each weight array then takes a plain sum down the columns, and
+    the shift is restored on the (K,) results: the log-einsum-exp trick of
+    ``slse_pair_accum`` with one shift per output entry.  It needs no
+    range guard: a term more than 708 nats below its column's largest
+    |a b| turns subnormal and one more than 745 nats below turns 0, an
+    absolute error below exp(-708) times that largest |a b|.  Returns one
+    (log|out|, sign(out)) pair of (K,) arrays per weight array.
+    """
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        lm = np.add(a_log, b_log)
+        alpha, scaled = _scale_rows(lm, a_sign, axis=0, out=lm)
+        scaled *= b_sign
+        alpha = alpha[0]
+        out = []
+        for w in weights:
+            raw = np.einsum("bk,bk->k", scaled, w)
+            out.append(_restore_shift(raw, alpha, raw))
+        return out
 
 
 def _slse_pair_accum_exact(a_log, a_sign, b_log, b_sign, chunk=4096):

@@ -41,18 +41,24 @@ class TrainConfig:
     def check(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if self.max_epochs < 1:
+            raise ConfigError("max_epochs must be >= 1")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be positive and finite")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if not 0 <= self.l2 < np.inf:
+            raise ConfigError("l2 must be >= 0 and finite")
         return self
 
 
 @dataclass
 class TrainReport:
-    epochs: list = field(default_factory=list)  # (epoch, train_ll, val_ll, seconds)
+    # (epoch, train_ll, val_ll, seconds); train_ll is the mean over the
+    # epoch's steps, each batch under the parameters its step started from
+    epochs: list = field(default_factory=list)
     best_epoch: int = -1
     best_val_ll: float = -np.inf
     wall_seconds: float = 0.0
@@ -152,7 +158,8 @@ class _Adam(_Optimizer):
 
 
 def _accumulate_gradients(model, x):
-    """Accumulate d(mean log-likelihood)/d(free params) for one batch.
+    """Accumulate d(mean log-likelihood)/d(free params) for one batch and
+    return the batch's summed log-likelihood.
 
     A circuit trains as a one-component mixture with weight 1, whose
     responsibilities are then exactly 1.  Each component runs one taped data
@@ -174,12 +181,17 @@ def _accumulate_gradients(model, x):
         raise NumericError(f"model value is 0 exactly at batch row {int(np.argmax(dead))}")
     shifted -= top
     resp = np.exp(shifted)
-    resp /= resp.sum(axis=1, keepdims=True)
+    row_sum = resp.sum(axis=1, keepdims=True)
+    resp /= row_sum
 
     zsh = np.array([float(z.log_magnitude) for z, _ in zs]) + loglam
-    zsh -= zsh.max()
+    zmax = zsh.max()
+    zsh -= zmax
     rho = np.exp(zsh)
-    rho /= rho.sum()
+    rho_sum = rho.sum()
+    rho /= rho_sum
+    # log sum_i lam_i c_i(x) - log sum_i lam_i Z_i, summed over the batch
+    batch_ll = float(np.sum(top + np.log(row_sum)) - b * (zmax + np.log(rho_sum)))
 
     scale = 2.0 if isinstance(comps[0], SquaredCircuit) else 1.0  # log c^2 = 2 log|c|
     for i, ((_, res), (_, zres)) in enumerate(zip(data, zs)):
@@ -189,6 +201,7 @@ def _accumulate_gradients(model, x):
         with np.errstate(divide="ignore"):
             eff = (resp.mean(axis=0) - rho) / lam
         model.store.accumulate_effective_grad(model.weight_block, eff)
+    return batch_ll
 
 
 def _model_z_count(model):
@@ -225,19 +238,20 @@ def train(model, dataset, config: TrainConfig) -> TrainReport:
         order = rng.permutation(train_x.shape[0])
         z_before = _model_z_count(model)
         steps = 0
+        ll_sum = 0.0
         for lo in range(0, order.size, config.batch_size):
             batch = train_x[order[lo : lo + config.batch_size]]
             for s in stores:
                 s.zero_grad()
             try:
-                _accumulate_gradients(model, batch)
+                ll_sum += _accumulate_gradients(model, batch)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, step {steps}: {exc}") from exc
             opt.step()
             steps += 1
         step_z_evals += _model_z_count(model) - z_before
         total_steps += steps
-        train_ll = inference.log_likelihood(model, train_x)
+        train_ll = ll_sum / train_x.shape[0]
         val_ll = inference.log_likelihood(model, val_x)
         report.epochs.append((epoch, train_ll, val_ll, time.perf_counter() - t_epoch))
         if val_ll > report.best_val_ll:

@@ -335,6 +335,18 @@ class TestExitCodes:
         assert main(args) == 2
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize(
+        "setting",
+        ["train.max_epochs=0", "train.l2=-1", "train.l2=nan", "train.learning_rate=nan"],
+    )
+    def test_out_of_range_train_setting_is_config_error(self, tmp_path, capsys, setting):
+        cfg = _write_config(tmp_path, "train.cfg", TRAIN_CFG)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--set", setting, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+        assert not (out / "train_report.csv").exists()
+
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = _write_config(tmp_path, "bad.cfg", "bogus.key = 1\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -3,6 +3,7 @@ checked against an independent quadrature or enumeration oracle."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from pcsq.families import (
     SplineFamily,
     family_from_dict,
 )
-from pcsq.slog import SignedLogTensor
+from pcsq.slog import SignedLogTensor, signed_mul, signed_scale, signed_sum
 from pcsq.splines import BSplineBasis
 
 
@@ -383,3 +384,88 @@ def test_serialization_round_trip(rng):
         assert again.to_dict() == doc
         assert again.units == fam.units
         assert again.num_states == fam.num_states
+
+
+def _random_adjoint(rng, rows, units, spread=3.0):
+    lm = rng.normal(size=(rows, units)) * spread
+    return SignedLogTensor(lm, np.sign(rng.normal(size=(rows, units))))
+
+
+def _signed_log_sums(adj, f, factors):
+    """The oracle: every term adj * f * g in signed log-space, summed down
+    each column with its own shift."""
+    t = signed_mul(adj, f)
+    return [signed_sum(signed_scale(t, g), axis=0).to_linear() for g in factors]
+
+
+def _assert_close_to_signed_log_sums(adj, f, factors, rtol=1e-12):
+    """Each one-pass sum against the oracle: within rtol of the column's
+    term scale sum_b |adj f g|, with equal signs."""
+    got = families._weighted_batch_sum(adj, f, *factors)
+    want = _signed_log_sums(adj, f, factors)
+    live = SignedLogTensor(adj.log_magnitude, np.abs(adj.sign))
+    unit = SignedLogTensor(f.log_magnitude, np.abs(f.sign))
+    scales = _signed_log_sums(live, unit, [np.abs(g) for g in factors])
+    assert len(got) == len(factors)
+    for g, w, scale in zip(got, want, scales):
+        assert np.all(np.abs(g - w) <= rtol * scale), np.max(np.abs(g - w) / scale)
+        np.testing.assert_array_equal(np.sign(g), np.sign(w))
+    return got
+
+
+class TestWeightedBatchSum:
+    """``_weighted_batch_sum``, the one-pass sum of the Gaussian and
+    Binomial input VJPs, against per-term signed log-space sums."""
+
+    @pytest.mark.parametrize("rows,units", [(1, 1), (7, 3), (256, 64)])
+    def test_random_inputs(self, rng, rows, units):
+        adj = _random_adjoint(rng, rows, units)
+        f = SignedLogTensor(-0.5 * rng.normal(size=(rows, units)) ** 2, np.ones((rows, units)))
+        factors = [rng.normal(size=(rows, units)), rng.uniform(-3, 3, size=(rows, units))]
+        _assert_close_to_signed_log_sums(adj, f, factors)
+        _assert_close_to_signed_log_sums(adj, f, factors[:1])
+
+    def test_zero_adjoints_and_an_all_zero_column(self, rng):
+        adj = _random_adjoint(rng, 40, 5)
+        dead = rng.random((40, 5)) < 0.3
+        dead[:, 2] = True
+        adj.log_magnitude[dead] = -np.inf
+        adj.sign[dead] = 0.0
+        f = SignedLogTensor(rng.normal(size=(40, 5)), np.sign(rng.normal(size=(40, 5))))
+        factors = [rng.normal(size=(40, 5)), rng.normal(size=(40, 5))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = families._weighted_batch_sum(adj, f, *factors)
+        for g in got:
+            assert g[2] == 0.0
+        _assert_close_to_signed_log_sums(adj, f, factors)
+
+    def test_wide_exponent_range(self, rng):
+        # column 1 holds a live entry 720 nats below the rest, whose term
+        # underflows once the column is shifted by its maximum; the live
+        # entries of column 3 sit 800 nats apart, around +400 and -400
+        adj = _random_adjoint(rng, 30, 4, spread=1.0)
+        adj.log_magnitude[7, 1] = -720.0
+        adj.log_magnitude[:15, 3] += 400.0
+        adj.log_magnitude[15:, 3] -= 400.0
+        f = SignedLogTensor(np.zeros((30, 4)), np.ones((30, 4)))
+        got = _assert_close_to_signed_log_sums(adj, f, [rng.normal(size=(30, 4))])
+        assert np.all(np.isfinite(got[0])) and np.all(got[0] != 0.0)
+
+    def test_nan_factor_spoils_only_its_column(self, rng):
+        adj = _random_adjoint(rng, 6, 3)
+        f = SignedLogTensor(np.zeros((6, 3)), np.ones((6, 3)))
+        factor = rng.normal(size=(6, 3))
+        factor[3, 0] = np.nan
+        (got,) = families._weighted_batch_sum(adj, f, factor)
+        assert np.isnan(got[0])
+        np.testing.assert_allclose(got[1:], (adj.to_linear() * factor)[:, 1:].sum(axis=0))
+
+    def test_near_cancelling_column(self, rng):
+        # column 0 sums 1 - (1 - 1e-9) + tiny terms: far below its term scale
+        magnitude = np.array([[1.0, 2.0], [1.0 - 1e-9, 0.5], [1e-3, 1.0]])
+        adj = SignedLogTensor(np.log(magnitude), np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0]]))
+        f = SignedLogTensor(np.zeros((3, 2)), np.ones((3, 2)))
+        factor = np.array([[1.0, 1.0], [1.0, 1.0], [1e-6, 1.0]])
+        got = _assert_close_to_signed_log_sums(adj, f, [factor])
+        assert got[0][0] == pytest.approx(1e-9 + 1e-9, rel=1e-6)

@@ -118,6 +118,20 @@ def test_pair_accum_exact_cancellation_is_signed_zero():
     assert np.isneginf(out_lm).all() and (out_sg == 0.0).all()
 
 
+def test_weighted_colsum_matches_linear_oracle(rng):
+    m, k = 50, 6
+    a_lm, a_sg = _random_signed(rng, (m, k), zero_fraction=0.3)
+    b_lm, b_sg = _random_signed(rng, (m, k))
+    a_lm[:, 4], a_sg[:, 4] = -np.inf, 0.0  # a column with no live term
+    a, b = _linear(a_lm, a_sg), _linear(b_lm, b_sg)
+    weights = [rng.normal(size=(m, k)), rng.uniform(-2, 2, size=(m, k))]
+    outs = kernels.slse_weighted_colsum(a_lm, a_sg, b_lm, b_sg, weights)
+    assert len(outs) == len(weights)
+    for out, w in zip(outs, weights):
+        _assert_matches_oracle(out, (a * b * w).sum(axis=0), np.abs(a * b * w).sum(axis=0))
+        assert np.isneginf(out[0][4]) and out[1][4] == 0.0
+
+
 def test_all_zero_rows_stay_zero():
     w = np.ones((3, 4))
     lm = np.full((2, 4), -np.inf)

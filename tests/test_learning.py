@@ -1,9 +1,13 @@
 """Training: initialization schemes, convergence on known optima, the
-amortized partition-function counter, and early stopping."""
+amortized partition-function counter, early stopping, the epoch's running
+train_ll and its memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pcsq import inference, learning
 from pcsq.circuits import check_property, from_region_graph
 from pcsq.data import Dataset, Column, generate_synthetic
 from pcsq.errors import ConfigError
@@ -231,6 +235,10 @@ class TestTrain:
             TrainConfig(learning_rate=-1).check()
         with pytest.raises(ConfigError):
             TrainConfig(optimizer="lbfgs").check()
+        for bad in ({"max_epochs": 0}, {"l2": -1e-3}, {"l2": np.nan}, {"learning_rate": np.nan},
+                    {"learning_rate": np.inf}):
+            with pytest.raises(ConfigError):
+                TrainConfig(**bad).check()
 
 
 def test_taped_step_builds_one_design_matrix_per_spline_layer(rng, monkeypatch):
@@ -321,3 +329,121 @@ class TestGradientOfObjective:
             fd = (up - down) / (2 * h)
             rel = abs(auto[i] - fd) / max(abs(fd), 1e-8)
             assert rel < 1e-4, f"parameter {i}: autodiff {auto[i]}, fd {fd}"
+
+
+def _continuous_dataset(rows, n_train, n_val):
+    columns = [Column(f"x{j}", "continuous") for j in range(rows.shape[1])]
+    splits = {"train": np.arange(n_train), "val": np.arange(n_train, n_train + n_val)}
+    return Dataset(columns, rows, splits).check()
+
+
+def _plain_categorical(rng):
+    c = from_region_graph(
+        build_linear_tree(2, 5), 3, "hadamard", lambda s, k: CategoricalFamily(k, 4),
+        sum_reparam="exp",
+    )
+    rows = rng.integers(0, 4, size=(260, 2))
+    return init_parameters(c, "uniform(0,1)", seed=3), _discrete_dataset(rows, 4)
+
+
+def _squared_gaussian(rng):
+    rows = rng.normal(size=(260, 3))
+    c = from_region_graph(build_binary_tree(3, 1), 3, "hadamard", lambda s, k: GaussianFamily(k))
+    return init_parameters(square(c), "normal(0.3,0.5)", seed=4), _continuous_dataset(rows, 200, 60)
+
+
+def _embedding_mixture(rng):
+    def component(seed):
+        c = from_region_graph(
+            build_linear_tree(2, 0), 2, "hadamard", lambda s, k: EmbeddingFamily(k, 3)
+        )
+        return init_parameters(square(c), "uniform(0,1)", seed=seed)
+
+    mixture = CircuitMixture.from_components([component(5), component(6)])
+    return mixture, _discrete_dataset(rng.integers(0, 3, size=(260, 2)), 3)
+
+
+class TestTrainLogLikelihood:
+    @pytest.mark.parametrize(
+        "make", [_plain_categorical, _squared_gaussian, _embedding_mixture],
+        ids=["plain", "squared", "mixture"],
+    )
+    def test_train_ll_is_the_running_mean_over_steps(self, rng, make):
+        # the README's train_ll: each batch's mean log-likelihood taken
+        # before its step, weighted by the batch's rows (64 does not
+        # divide the 200 or 208 training rows, so the last batch is short)
+        model, ds = make(rng)
+        config = TrainConfig(batch_size=64, learning_rate=0.05, max_epochs=2, patience=5, seed=7)
+        stores = learning._stores(model)
+        start = [s.snapshot() for s in stores]
+        opt = learning._Adam(stores, config)
+        x = ds.split("train")
+        want = []
+        for epoch in range(config.max_epochs):
+            order = np.random.default_rng([config.seed, epoch]).permutation(x.shape[0])
+            total = 0.0
+            for lo in range(0, order.size, config.batch_size):
+                batch = x[order[lo : lo + config.batch_size]]
+                total += log_likelihood(model, batch) * batch.shape[0]
+                for s in stores:
+                    s.zero_grad()
+                _accumulate_gradients(model, batch)
+                opt.step()
+            want.append(total / x.shape[0])
+        for s, snap in zip(stores, start):
+            s.restore(snap)
+        report = train(model, ds, config)
+        got = [row[1] for row in report.epochs]
+        assert len(got) == len(want)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_epoch_evaluates_only_the_validation_rows(self, rng, monkeypatch):
+        model, ds = _squared_gaussian(rng)
+        seen = []
+        original = inference.log_likelihood
+
+        def counted(m, x):
+            seen.append(np.array(x, copy=True))
+            return original(m, x)
+
+        monkeypatch.setattr(inference, "log_likelihood", counted)
+        train(model, ds, TrainConfig(batch_size=64, max_epochs=1, seed=0))
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], ds.split("val"))
+
+
+def test_epoch_peak_stays_near_one_step_or_the_validation_pass():
+    # d = 8, K = 16 squared Gaussian circuit: an epoch of 32 batch-256 steps
+    # and one validation pass holds no more than its largest single pass; a
+    # step, like train's, draws its batch from a copy of the training rows
+    rng = np.random.default_rng(3)
+    c = from_region_graph(build_binary_tree(8, 3), 16, "hadamard", lambda s, k: GaussianFamily(k))
+    model = init_parameters(square(c), "uniform(0,1)", seed=3)
+    ds = _continuous_dataset(rng.normal(size=(8192 + 1024, 8)), 8192, 1024)
+    config = TrainConfig(batch_size=256, max_epochs=1, seed=3)
+    start = c.store.snapshot()
+    val = ds.split("val")
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def step():
+        batch = ds.split("train")[: config.batch_size]
+        opt = learning._Adam([c.store], config)
+        c.store.zero_grad()
+        _accumulate_gradients(model, batch)
+        opt.step()
+
+    step()  # caches outside the measurements
+    log_likelihood(model, val)
+    c.store.restore(start)
+    one_step = peak(step)
+    val_pass = peak(lambda: log_likelihood(model, val))
+    c.store.restore(start)
+    epoch = peak(lambda: train(model, ds, config))
+    assert epoch <= 1.2 * max(one_step, val_pass), (epoch, one_step, val_pass)
