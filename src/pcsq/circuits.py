@@ -2,7 +2,9 @@
 
 A circuit is a topologically-ordered list of layers (input / sum /
 hadamard-product / kronecker-product) plus one flat float64 parameter
-store.  Construction from a tree region graph yields a smooth,
+store.  The layers form a binary tree with the output last: every other
+layer has exactly one reader, and every product layer two factors.
+Construction from a tree region graph yields a smooth,
 structured-decomposable circuit by design: one input layer per leaf
 region, one product+sum pair per partition, and a width-1 sum at the root.
 """
@@ -178,13 +180,22 @@ class TensorizedCircuit:
         return states
 
     def assert_valid(self):
+        """Return the circuit, or raise PcsqError naming the first layer that
+        breaks its structure: positional ids in topological order; an input
+        layer has a family, a sum layer one input and a parameter block, a
+        product layer two inputs with disjoint scopes; each scope is the
+        union of its inputs'; and the layers form a binary tree, so every
+        layer but the output has exactly one reader and the output, which
+        has none, is the last layer."""
         seen = set()
+        readers = [0] * len(self.layers)
         for i, l in enumerate(self.layers):
             if l.layer_id != i:
                 raise PcsqError(f"layer ids must be positional, got {l.layer_id} at {i}")
             for j in l.inputs:
                 if j not in seen:
                     raise PcsqError(f"layer {i} consumes layer {j} before it is defined")
+                readers[j] += 1
             if l.kind == INPUT:
                 if l.inputs:
                     raise PcsqError("input layers take no inputs")
@@ -196,6 +207,8 @@ class TensorizedCircuit:
                 if l.param_block is None:
                     raise PcsqError("sum layers need a parameter block")
             else:
+                if len(l.inputs) != 2:
+                    raise PcsqError(f"product layer {i} takes two inputs, not {len(l.inputs)}")
                 widths = [self.layer(j).output_width for j in l.inputs]
                 if l.kind == HADAMARD:
                     if len(set(widths)) != 1 or l.output_width != widths[0]:
@@ -213,6 +226,13 @@ class TensorizedCircuit:
                 if l.scope != union:
                     raise PcsqError(f"layer {i} scope must equal the union of input scopes")
             seen.add(i)
+        for j, count in enumerate(readers):
+            want = int(j != self.output_layer)
+            if count != want:
+                raise PcsqError(
+                    f"layer {j} is read by {count} layers, not {want}: the layers must form "
+                    "a binary tree with the output last"
+                )
         out = self.layer(self.output_layer)
         if out.scope != tuple(range(self.variable_count)):
             raise PcsqError("output layer scope must cover every variable")

@@ -502,7 +502,6 @@ def main(argv=None):
             raw[key.strip()] = value.strip()
         cfg = resolve_config(args.command, raw)
         out = args.out if args.out != "." or not cfg.get("out") else cfg["out"]
-        os.makedirs(out, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)
     except (ConfigError, UnsupportedStructureError, PreconditionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ sizes, seed) tuple reproduces identical bytes.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,8 +168,10 @@ def ingest_csv(path, schema, standardize=False, split_fractions=(0.8, 0.1, 0.1),
 
 
 def write_csv(path, header, rows):
-    """Write a CSV artifact: the header line, then each row's values as
-    ``str`` (for a float, its shortest round-trip form)."""
+    """Write a CSV artifact, creating its directory: the header line, then
+    each row's values as ``str`` (for a float, its shortest round-trip
+    form)."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:

@@ -1,9 +1,12 @@
 """Layer-level forward evaluation, the reverse-mode gradient sweep and the
 path adjoints behind exact conditionals.
 
-The forward pass walks layers in topological order, carrying either
-signed log-space tensors (the default, overflow-proof) or plain float64
-arrays (the "linear" space, used by oracles and the overflow benchmark).
+A circuit is a binary tree of layers with the output last
+(:meth:`TensorizedCircuit.assert_valid`): every other layer has exactly
+one reader, and every product layer two factors.  The forward pass walks
+the layers in order, carrying either signed log-space tensors (the
+default, overflow-proof) or plain float64 arrays (the "linear" space,
+used by oracles and the overflow benchmark).
 Input layers evaluate pointwise on evidence variables and substitute
 their integral vector (plain circuits) or integral matrix (squared
 circuits) on marginalized variables.  In signed log-space a layer whose
@@ -17,11 +20,14 @@ objective w.r.t. each layer's linear-space output (the adjoints
 themselves are carried in signed log-space) and accumulating parameter
 gradients into the store.  The tape keeps each evaluated input layer's
 values and features (spline design matrices, table states, Gaussian
-z-scores), so the input VJPs reuse them.  An untaped signed log-space
-pass holds a layer's output only until its last reader has run, and
-:func:`backward` releases each recorded output and feature once the
-sweep has passed its last reader, so a pass holds a few layers at a time
-rather than all of them.
+z-scores), so the input VJPs reuse them.  Only data passes of unsquared
+circuits and one-row partition-function passes are taped: a squared
+circuit trains through its source, as log c^2 = 2 log|c|, so the K^2-wide
+data pass of the squared graph is never differentiated.  Each layer has
+one reader, so an untaped signed log-space pass drops a layer's inputs
+once the layer has run, and :func:`backward` gives each input its one
+adjoint and then drops the input's recorded output; a pass holds a few
+layers at a time rather than all of them.
 
 :func:`path_adjoint` pushes the root's adjoint, by the same per-layer
 rules, along the one path from the root to the input layer of a chosen
@@ -50,34 +56,12 @@ from pcsq.slog import (
 )
 
 
-def signed_add(a: SignedLogTensor, b: SignedLogTensor) -> SignedLogTensor:
-    stacked = SignedLogTensor(
-        np.stack([a.log_magnitude, b.log_magnitude], axis=-1),
-        np.stack([a.sign, b.sign], axis=-1),
-    )
-    return signed_sum(stacked, axis=-1)
-
-
-def _last_reads(circuit, reverse=False):
-    """``drops[i]``: the inputs of layer i that no layer after it reads, in
-    topological order or, with ``reverse``, in the backward sweep's order.
-    A pass releases those outputs once layer i has run; the root is never
-    released."""
-    order = circuit.layers if reverse else reversed(circuit.layers)
-    seen = {circuit.output_layer}
-    drops = [[] for _ in circuit.layers]
-    for layer in order:  # the pass's order reversed: first seen is last read
-        for j in layer.inputs:
-            if j not in seen:
-                seen.add(j)
-                drops[layer.layer_id].append(j)
-    return drops
-
-
 @dataclass
 class Tape:
-    """Forward-pass record for one batch; replayed once by backward(),
-    which releases it as it goes."""
+    """Forward-pass record of a data pass of an unsquared circuit or of a
+    one-row partition-function pass (``marginalized`` is empty or holds
+    every variable); replayed once by backward(), which releases it as it
+    goes."""
 
     circuit: TensorizedCircuit
     marginalized: frozenset
@@ -186,13 +170,14 @@ def forward(
     marginalized.  ``space`` selects signed log-space or plain linear
     float64 arithmetic.  In signed log-space a layer whose scope is
     entirely marginalized is constant: it is evaluated once, as one row,
-    and only the root is broadcast to the batch.  Only data passes
-    (nothing marginalized) and one-row partition-function passes
-    (everything marginalized) can be taped.  Marginalizing a variable the
-    circuit does not have raises ConfigError.
+    and only the root is broadcast to the batch.  Only data passes of
+    unsquared circuits (nothing marginalized) and one-row
+    partition-function passes (everything marginalized) can be taped;
+    taping any other pass raises ConfigError, and so does marginalizing a
+    variable the circuit does not have.
 
     An untaped signed log-space pass sets each layer's entry of
-    ``outputs`` to None once its last reader has run, so only the root is
+    ``outputs`` to None once its one reader has run, so only the root is
     left; ``keep_outputs=True`` keeps every entry, for callers that read
     intermediate outputs (:func:`path_adjoint`).  Taped passes and linear
     passes always keep every output.
@@ -212,13 +197,17 @@ def forward(
             f"evidence has {x.shape[1]} columns, circuit has {circuit.variable_count} variables"
         )
     batch = x.shape[0]
-    if want_tape and marginalized and (len(marginalized) < circuit.variable_count or batch != 1):
-        raise ConfigError("only data passes and one-row partition-function passes can be taped")
+    squared = circuit.layer(circuit.output_layer).squared
+    z_pass = len(marginalized) == circuit.variable_count and batch == 1
+    if want_tape and not z_pass and (marginalized or squared):
+        raise ConfigError(
+            "only data passes of unsquared circuits and one-row partition-function passes "
+            "can be taped"
+        )
     if space == "linear":
         return _forward_linear(circuit, x, marginalized, batch)
     saved = {} if want_tape else None
     keep = want_tape or keep_outputs
-    drops = [()] * len(circuit.layers) if keep else _last_reads(circuit)
     outputs = []
     for layer in circuit.layers:
         if layer.kind == INPUT:
@@ -236,8 +225,9 @@ def forward(
         if np.isnan(out.log_magnitude).any() or np.isnan(out.sign).any():
             raise NumericError(f"NaN produced at layer {layer.layer_id} ({layer.kind})")
         outputs.append(out)
-        for j in drops[layer.layer_id]:
-            outputs[j] = None
+        if not keep:  # the layer was its inputs' one reader
+            for j in layer.inputs:
+                outputs[j] = None
     if outputs[circuit.output_layer].shape[0] != batch:
         outputs[circuit.output_layer] = _broadcast(outputs[circuit.output_layer], batch)
     tape = Tape(circuit, marginalized, outputs, saved) if want_tape else None
@@ -263,24 +253,17 @@ def _forward_linear(circuit, x, marginalized, batch):
             else:
                 with np.errstate(over="ignore", invalid="ignore"):
                     out = u @ w.T
-        elif layer.kind == HADAMARD:
-            out = outputs[layer.inputs[0]].copy()
-            with np.errstate(over="ignore", invalid="ignore"):
-                for j in layer.inputs[1:]:
-                    out = out * outputs[j]
-        elif layer.squared:
-            a, b = (outputs[j] for j in layer.inputs)
-            ka, kb = _squared_widths(a, b)
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = a.reshape(batch, ka, 1, ka, 1) * b.reshape(batch, 1, kb, 1, kb)
-            out = out.reshape(batch, layer.output_width)
         else:
-            out = outputs[layer.inputs[0]]
+            a, b = (outputs[j] for j in layer.inputs)
             with np.errstate(over="ignore", invalid="ignore"):
-                for j in layer.inputs[1:]:
-                    nxt = outputs[j]
-                    out = out[:, :, None] * nxt[:, None, :]
-                    out = out.reshape(batch, out.shape[1] * out.shape[2])
+                if layer.kind == HADAMARD:
+                    out = a * b
+                elif layer.squared:
+                    ka, kb = _squared_widths(a, b)
+                    out = a.reshape(batch, ka, 1, ka, 1) * b.reshape(batch, 1, kb, 1, kb)
+                else:
+                    out = a[:, :, None] * b[:, None, :]
+            out = out.reshape(batch, layer.output_width)
         outputs.append(np.asarray(out))
     return EvalResult(outputs, circuit.output_layer)
 
@@ -302,23 +285,22 @@ def log_grad_seed(root: SignedLogTensor, coeff) -> SignedLogTensor:
 def backward(tape: Tape, seed_output: SignedLogTensor):
     """Reverse sweep: pushes ``seed_output`` (the objective's adjoint at the
     root, in signed log-space) down the tape and accumulates free-parameter
-    gradients into the circuit's ParameterStore.  The sweep consumes the
-    tape: it releases each recorded output once its last reader in reverse
-    order has run, and each saved entry once its layer has."""
+    gradients into the circuit's ParameterStore.  Each layer is its
+    inputs' one reader, so it hands each input its whole adjoint, and the
+    sweep consumes the tape: it releases each recorded output once its
+    reader has run, and each saved entry once its layer has."""
     circuit = tape.circuit
     seed = seed_output
     if seed.log_magnitude.ndim == 1:
         seed = seed.reshape(-1, 1)
     adjoints = {circuit.output_layer: seed}
-    drops = _last_reads(circuit, reverse=True)
     for layer in reversed(circuit.layers):
-        adj = adjoints.pop(layer.layer_id, None)
-        if adj is not None and layer.kind == INPUT:
+        adj = adjoints.pop(layer.layer_id)
+        if layer.kind == INPUT:
             _backward_input(circuit, layer, tape, adj)
-        elif adj is not None:  # the VJP's locals end with its frame, so releases free
-            for j, adj_in in zip(layer.inputs, _backward_inner(circuit, layer, tape, adj)):
-                adjoints[j] = signed_add(adjoints[j], adj_in) if j in adjoints else adj_in
-        for j in drops[layer.layer_id]:
+        else:  # the VJP's locals end with its frame, so releases free
+            adjoints.update(zip(layer.inputs, _backward_inner(circuit, layer, tape, adj)))
+        for j in layer.inputs:  # the layer was their one reader
             tape.outputs[j] = None
     if np.isnan(circuit.store.gradients).any():
         raise NumericError("NaN in accumulated gradients")
@@ -329,7 +311,7 @@ def _backward_inner(circuit, layer, tape, adj):
     gradient goes into the store."""
     if layer.kind != SUM:
         outs = [tape.outputs[j] for j in layer.inputs]
-        return _product_input_adjoints(layer, outs, adj, range(len(outs)))
+        return _product_input_adjoints(layer, outs, adj, (0, 1))
     u = tape.outputs[layer.inputs[0]]
     weights = circuit.effective_weights(layer)
     if layer.squared:
@@ -388,15 +370,7 @@ def _product_input_adjoints(layer, outs, adj, positions):
     """Adjoints of the factors at ``positions`` of a product layer, given
     its factors' forward outputs ``outs`` and the adjoint of its output."""
     if layer.kind == HADAMARD:
-        adjs = []
-        for i in positions:
-            out = adj
-            for other in outs[:i] + outs[i + 1 :]:
-                out = signed_mul(out, other)
-            adjs.append(out)
-        return adjs
-    if len(outs) != 2:
-        raise UnsupportedStructureError("kronecker backward expects binary products")
+        return [signed_mul(adj, outs[1 - i]) for i in positions]
     if layer.squared:  # un-interleave (a1, b1, a2, b2) into (a1, a2) x (b1, b2)
         ka, kb = _squared_widths(*outs)
         blocks = (adj.shape[0], ka, kb, ka, kb)
@@ -409,7 +383,7 @@ def _product_input_adjoints(layer, outs, adj, positions):
     return _kron_vjp(adj, *outs, positions)
 
 
-def _kron_vjp(adj, a, b, positions=(0, 1)):
+def _kron_vjp(adj, a, b, positions):
     """Adjoints of the factors at ``positions`` of the row-wise Kronecker
     product a (x) b, given the product's adjoint ``adj`` (batch, ka * kb)."""
     adj3 = adj.reshape(adj.shape[0], a.shape[-1], b.shape[-1])
@@ -454,14 +428,12 @@ def _backward_sum_squared(weights, u, adj, v):
 
 def _backward_input(circuit, layer, tape, adj):
     store = circuit.store
-    if set(layer.scope) <= tape.marginalized:
+    if tape.marginalized:  # a one-row partition-function pass
         if layer.squared:
             k = layer.family.units
-            layer.family.integral_matrix_vjp(store, signed_sum(adj, axis=0).reshape(k, k))
+            layer.family.integral_matrix_vjp(store, adj.reshape(k, k))
         else:
-            layer.family.integral_vector_vjp(store, signed_sum(adj, axis=0))
+            layer.family.integral_vector_vjp(store, adj.reshape(-1))
         return
     f, features = tape.saved.pop(layer.layer_id)
-    if layer.squared:
-        adj = signed_add(*_kron_vjp(adj, f, f))
     layer.family.log_eval_vjp(store, adj, f, features)

@@ -94,7 +94,7 @@ class CircuitMixture:
         return inference.log_density(self, x)
 
     def log_likelihood(self, x):
-        return float(np.mean(self.log_density(np.atleast_2d(x))))
+        return inference.log_likelihood(self, x)
 
     def sample(self, n, seed=0):
         if n < 0:

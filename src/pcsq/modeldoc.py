@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 
 import numpy as np
 
@@ -182,7 +183,9 @@ def model_from_dict(doc):
 
 
 def save_model(model, path):
+    """Write ``model.json``, creating its directory."""
     doc = model_to_dict(model)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 from pcsq.circuits import (
     INPUT,
-    KRONECKER,
     SUM,
     Layer,
     ParameterStore,
@@ -59,9 +58,6 @@ def square(c: TensorizedCircuit) -> SquaredCircuit:
         raise UnsupportedStructureError(
             "squaring requires a structured-decomposable circuit"
         )
-    for src in c.layers:
-        if src.kind == KRONECKER and len(src.inputs) != 2:
-            raise UnsupportedStructureError("squaring expects binary kronecker layers")
     # layer ids are positional, so squared layer i squares source layer i
     layers = [
         replace(src, output_width=src.output_width**2, inputs=list(src.inputs), squared=True)

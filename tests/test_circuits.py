@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from pcsq.circuits import (
+    HADAMARD,
+    INPUT,
+    SUM,
+    Layer,
     ParameterStore,
+    TensorizedCircuit,
     check_property,
     circuit_size,
     from_region_graph,
@@ -76,6 +81,47 @@ class TestFromRegionGraph:
         rg.partitions()[0].children = rg.partitions()[0].children[:1]
         with pytest.raises(ConfigError, match="region graph"):
             from_region_graph(rg, 2, "hadamard", _gaussian)
+
+
+def _product_circuit(factors):
+    """``factors`` one-variable input layers read by one Hadamard layer
+    under a 1 x 2 sum head; valid only for two factors."""
+    store = ParameterStore()
+    layers = [Layer(v, INPUT, (v,), 2, family=GaussianFamily(2)) for v in range(factors)]
+    scope = tuple(range(factors))
+    layers.append(Layer(factors, HADAMARD, scope, 2, inputs=list(range(factors))))
+    head = store.add_block("head", (1, 2))
+    layers.append(Layer(factors + 1, SUM, scope, 1, inputs=[factors], param_block=head))
+    return TensorizedCircuit(layers, factors + 1, store, factors)
+
+
+class TestBinaryTreeOfLayers:
+    def _circuit(self):
+        return from_region_graph(build_binary_tree(4, seed=0), 2, "hadamard", _gaussian)
+
+    def test_layer_read_twice_rejected(self):
+        # the second reader is dead: nothing reads it and it is not the output
+        c = self._circuit()
+        j = c.layer(c.layer(c.output_layer).inputs[0]).inputs[0]
+        root_block = c.layer(c.output_layer).param_block
+        c.layers.append(
+            Layer(len(c.layers), SUM, c.layer(j).scope, 1, inputs=[j], param_block=root_block)
+        )
+        with pytest.raises(PcsqError, match=f"layer {j} is read by 2 layers"):
+            c.assert_valid()
+
+    def test_unread_layer_rejected(self):
+        c = self._circuit()
+        dead = len(c.layers)
+        c.layers.append(Layer(dead, INPUT, (0,), 2, family=c.layer(0).family))
+        with pytest.raises(PcsqError, match=f"layer {dead} is read by 0 layers"):
+            c.assert_valid()
+
+    @pytest.mark.parametrize("factors", [1, 3], ids=["one-input", "three-inputs"])
+    def test_product_layer_takes_two_inputs(self, factors):
+        _product_circuit(2).assert_valid()
+        with pytest.raises(PcsqError, match=f"product layer {factors} takes two inputs"):
+            _product_circuit(factors).assert_valid()
 
 
 class TestCheckProperty:

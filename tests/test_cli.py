@@ -347,6 +347,19 @@ class TestExitCodes:
         assert not (out / "model.json").exists()
         assert not (out / "train_report.csv").exists()
 
+    def test_rejected_config_creates_no_out_directory(self, tmp_path):
+        cfg = _write_config(tmp_path, "train.cfg", TRAIN_CFG)
+        out = tmp_path / "newdir"
+        args = ["train", "--config", cfg, "--set", "train.max_epochs=0", "--out", str(out)]
+        assert main(args) == 2
+        assert not out.exists()
+
+    def test_artifacts_create_a_nested_out_directory(self, tmp_path):
+        cfg = _write_config(tmp_path, "train.cfg", TRAIN_CFG)
+        out = tmp_path / "runs" / "first"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "model.json").is_file() and (out / "train_report.csv").is_file()
+
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = _write_config(tmp_path, "bad.cfg", "bogus.key = 1\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 2

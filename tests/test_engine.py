@@ -16,7 +16,7 @@ from pcsq.families import (
     GaussianFamily,
     SplineFamily,
 )
-from pcsq.inference import log_value
+from pcsq.inference import log_value, partition_function
 from pcsq.learning import init_parameters
 from pcsq.regions import build_binary_tree, build_linear_tree, linear_tree_from_order
 from pcsq.splines import BSplineBasis
@@ -202,6 +202,17 @@ def test_nan_parameters_rejected(rng):
         engine.forward(c, np.zeros((1, 2)))
 
 
+def _taped_pass(c, squared, rng):
+    """A taped data pass of ``c``, or the one-row partition-function pass of
+    its square (a squared circuit's only taped pass), with a log-gradient
+    seed for its root."""
+    if squared:
+        _, res = partition_function(square(c), want_tape=True)
+        return res, engine.log_grad_seed(res.root, np.array([-1.0]))
+    res = engine.forward(c, rng.normal(size=(5, c.variable_count)), want_tape=True)
+    return res, engine.log_grad_seed(res.root, np.full(5, 0.2))
+
+
 @pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
 def test_nan_in_weight_gradient_input_raises(rng, squared):
     # a NaN in the root sum layer's recorded input reaches only that
@@ -210,13 +221,23 @@ def test_nan_in_weight_gradient_input_raises(rng, squared):
     c = from_region_graph(rg, 2, "hadamard", lambda s, k: GaussianFamily(k))
     c.store.values[:] = rng.normal(size=c.store.values.size)
     c.store.bump()
-    graph = square(c).circuit if squared else c
-    res = engine.forward(graph, rng.normal(size=(5, 4)), want_tape=True)
+    res, seed = _taped_pass(c, squared, rng)
+    graph = res.tape.circuit
     u = res.tape.outputs[graph.layer(graph.output_layer).inputs[0]]
-    assert u.sign[2, 1] != 0.0
-    u.log_magnitude[2, 1] = np.nan
+    row = 0 if squared else 2
+    assert u.sign[row, 1] != 0.0
+    u.log_magnitude[row, 1] = np.nan
     with pytest.raises(NumericError, match="NaN in accumulated gradients"):
-        engine.backward(res.tape, engine.log_grad_seed(res.root, np.full(5, 0.2)))
+        engine.backward(res.tape, seed)
+
+
+def test_data_pass_of_a_squared_circuit_is_not_taped(rng):
+    # a squared circuit trains through its source (log c^2 = 2 log|c|), so
+    # its own K^2-wide data pass is never taped
+    c = _CASES["gaussian-bt-hadamard"]()
+    x = rng.normal(size=(5, c.variable_count))
+    with pytest.raises(ConfigError, match="unsquared"):
+        engine.forward(square(c).circuit, x, want_tape=True)
 
 
 def test_linear_and_slog_spaces_agree(rng):
@@ -304,24 +325,22 @@ def test_zero_row_batches(rng):
     assert engine.forward(graph, empty, marginalized={1}, space="linear").root.shape == (0,)
 
 
-@pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
-def test_gaussian_vjp_reuses_taped_values(squared, rng, monkeypatch):
+def test_gaussian_vjp_reuses_taped_values(rng, monkeypatch):
     # the tape keeps each input layer's f(x) and z-scores, so the backward
     # pass evaluates no Gaussian again
     c = _CASES["gaussian-bt-hadamard"]()
     c.store.values[:] = rng.normal(size=c.store.values.size) * 0.6 + 0.3
     c.store.bump()
-    graph = square(c).circuit if squared else c
     x = rng.normal(size=(5, c.variable_count))
-    res = engine.forward(graph, x, want_tape=True)
+    res = engine.forward(c, x, want_tape=True)
 
     def evaluated(*args, **kwargs):
         raise AssertionError("backward evaluated an input layer again")
 
     monkeypatch.setattr(GaussianFamily, "log_eval", evaluated)
-    graph.store.zero_grad()
+    c.store.zero_grad()
     engine.backward(res.tape, engine.log_grad_seed(res.root, np.full(5, 0.2)))
-    grads = graph.store.gradients
+    grads = c.store.gradients
     assert np.all(np.isfinite(grads)) and np.any(grads != 0.0)
 
 
@@ -331,7 +350,7 @@ def _non_root(result):
 
 @pytest.mark.parametrize("marginalized", [frozenset(), frozenset({1, 2})], ids=["data", "marg"])
 def test_untaped_pass_holds_only_the_root(rng, marginalized):
-    # each layer output is released once its last reader has run
+    # each layer output is released once its one reader has run
     graph = _random_model(rng, "kronecker", lambda s, k: GaussianFamily(k), True, 4)
     x = rng.normal(size=(6, 4))
     res = engine.forward(graph, x, marginalized=marginalized)
@@ -365,9 +384,8 @@ def test_backward_releases_the_tape(rng, squared):
     c = _CASES["gaussian-bt-hadamard"]()
     c.store.values[:] = rng.normal(size=c.store.values.size) * 0.6 + 0.3
     c.store.bump()
-    graph = square(c).circuit if squared else c
-    res = engine.forward(graph, rng.normal(size=(5, c.variable_count)), want_tape=True)
+    res, seed = _taped_pass(c, squared, rng)
     assert all(out is not None for out in res.tape.outputs) and res.tape.saved
-    graph.store.zero_grad()
-    engine.backward(res.tape, engine.log_grad_seed(res.root, np.full(5, 0.2)))
+    c.store.zero_grad()
+    engine.backward(res.tape, seed)
     assert all(out is None for out in _non_root(res)) and res.tape.saved == {}

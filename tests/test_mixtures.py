@@ -93,6 +93,12 @@ def test_inference_queries_delegate_to_the_mixture(rng):
     np.testing.assert_array_equal(inference.sample(mix, 50, seed=3), mix.sample(50, seed=3))
 
 
+def test_mixture_log_likelihood_of_zero_rows_is_config_error(rng):
+    mix = CircuitMixture.from_components([_component(rng, s) for s in range(2)])
+    with pytest.raises(ConfigError, match="zero rows"):
+        mix.log_likelihood(np.zeros((0, 3)))
+
+
 @pytest.mark.parametrize("mixture", [False, True], ids=["single", "mixture"])
 def test_log_density_names_a_row_where_the_model_is_zero(rng, mixture):
     # state 1 of variable 0 has an all-zero embedding column in both
