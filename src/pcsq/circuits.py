@@ -4,9 +4,12 @@ A circuit is a topologically-ordered list of layers (input / sum /
 hadamard-product / kronecker-product) plus one flat float64 parameter
 store.  The layers form a binary tree with the output last: every other
 layer has exactly one reader, and every product layer two factors.
-Construction from a tree region graph yields a smooth,
-structured-decomposable circuit by design: one input layer per leaf
-region, one product+sum pair per partition, and a width-1 sum at the root.
+:meth:`TensorizedCircuit.assert_valid` is the one structural check; a
+valid circuit is smooth, decomposable and structured-decomposable by
+construction, so :func:`check_property` answers those three by it.
+Construction from a tree region graph yields such a circuit: one input
+layer per leaf region, one product+sum pair per partition, and a width-1
+sum at the root.
 """
 
 from __future__ import annotations
@@ -165,9 +168,6 @@ class TensorizedCircuit:
     def sum_layers(self):
         return [l for l in self.layers if l.kind == SUM]
 
-    def product_layers(self):
-        return [l for l in self.layers if l.kind in (HADAMARD, KRONECKER)]
-
     def effective_weights(self, layer: Layer):
         return self.store.effective(layer.param_block)
 
@@ -181,12 +181,14 @@ class TensorizedCircuit:
 
     def assert_valid(self):
         """Return the circuit, or raise PcsqError naming the first layer that
-        breaks its structure: positional ids in topological order; an input
-        layer has a family, a sum layer one input and a parameter block, a
-        product layer two inputs with disjoint scopes; each scope is the
-        union of its inputs'; and the layers form a binary tree, so every
+        breaks its structure: positional ids in topological order; each layer
+        is an input, sum, Hadamard or Kronecker layer; an input layer has a
+        family and a non-empty scope, a sum layer one input and a parameter
+        block, a product layer two inputs with disjoint scopes; each scope is
+        the union of its inputs'; the layers form a binary tree, so every
         layer but the output has exactly one reader and the output, which
-        has none, is the last layer."""
+        has none, is the last layer; and the output is one unit wide over
+        every variable."""
         seen = set()
         readers = [0] * len(self.layers)
         for i, l in enumerate(self.layers):
@@ -201,24 +203,27 @@ class TensorizedCircuit:
                     raise PcsqError("input layers take no inputs")
                 if l.family is None:
                     raise PcsqError("input layers need a family")
+                if not l.scope:
+                    raise PcsqError(f"input layer {i} has an empty scope")
             elif l.kind == SUM:
                 if len(l.inputs) != 1:
                     raise PcsqError("sum layers take exactly one input (smoothness)")
                 if l.param_block is None:
                     raise PcsqError("sum layers need a parameter block")
-            else:
+            elif l.kind in (HADAMARD, KRONECKER):
                 if len(l.inputs) != 2:
                     raise PcsqError(f"product layer {i} takes two inputs, not {len(l.inputs)}")
-                widths = [self.layer(j).output_width for j in l.inputs]
+                a, b = (self.layer(j) for j in l.inputs)
                 if l.kind == HADAMARD:
-                    if len(set(widths)) != 1 or l.output_width != widths[0]:
+                    if not l.output_width == a.output_width == b.output_width:
                         raise PcsqError("hadamard inputs must share the output width")
-                else:
-                    if l.output_width != int(np.prod(widths)):
-                        raise PcsqError("kronecker width must be the product of input widths")
-                merged = [v for j in l.inputs for v in self.layer(j).scope]
+                elif l.output_width != a.output_width * b.output_width:
+                    raise PcsqError("kronecker width must be the product of input widths")
+                merged = a.scope + b.scope
                 if len(merged) != len(set(merged)):
                     raise PcsqError(f"product layer {i} has overlapping input scopes")
+            else:
+                raise PcsqError(f"layer {i} has unknown kind {l.kind!r}")
             if l.kind != INPUT:
                 union = normalize_scope(
                     [v for j in l.inputs for v in self.layer(j).scope]
@@ -236,6 +241,8 @@ class TensorizedCircuit:
         out = self.layer(self.output_layer)
         if out.scope != tuple(range(self.variable_count)):
             raise PcsqError("output layer scope must cover every variable")
+        if out.output_width != 1:
+            raise PcsqError(f"output layer {out.layer_id} has width {out.output_width}, not 1")
         return self
 
 
@@ -282,13 +289,9 @@ def from_region_graph(
             lid = add_layer(INPUT, node.scope, width, family=family)
             family.register(store, f"L{lid}.")
             return lid
-        part = rg.node(node.children[0])
-        child_tops = [build_region(c) for c in part.children]
-        if product_kind == HADAMARD:
-            prod_width = width
-        else:
-            prod_width = int(np.prod([layers[c].output_width for c in child_tops]))
-        pid = add_layer(product_kind, node.scope, prod_width, inputs=child_tops)
+        a, b = (build_region(c) for c in rg.node(node.children[0]).children)
+        prod_width = width if product_kind == HADAMARD else width * width
+        pid = add_layer(product_kind, node.scope, prod_width, inputs=[a, b])
         out_width = 1 if region_id == rg.root else width
         block = store.add_block(f"L{len(layers)}.weight", (out_width, prod_width), sum_reparam)
         return add_layer(SUM, node.scope, out_width, inputs=[pid], param_block=block)
@@ -312,32 +315,11 @@ def from_region_graph(
 # structural properties and size
 
 
-def _is_smooth(c: TensorizedCircuit):
-    for l in c.sum_layers():
-        if len(l.inputs) != 1:
-            return False
-        if any(c.layer(j).scope != l.scope for j in l.inputs):
-            return False
-    return True
-
-
-def _is_decomposable(c: TensorizedCircuit):
-    for l in c.product_layers():
-        merged = [v for j in l.inputs for v in c.layer(j).scope]
-        if len(merged) != len(set(merged)):
-            return False
-    return True
-
-
-def _is_structured_decomposable(c: TensorizedCircuit):
-    if not (_is_smooth(c) and _is_decomposable(c)):
+def _is_valid(c: TensorizedCircuit):
+    try:
+        c.assert_valid()
+    except PcsqError:
         return False
-    seen = {}
-    for l in c.product_layers():
-        split = tuple(sorted(c.layer(j).scope for j in l.inputs))
-        if l.scope in seen and seen[l.scope] != split:
-            return False
-        seen[l.scope] = split
     return True
 
 
@@ -386,16 +368,25 @@ def _is_deterministic(c: TensorizedCircuit):
 
 
 _PROPERTY_CHECKS = {
-    "smooth": _is_smooth,
-    "decomposable": _is_decomposable,
-    "structured_decomposable": _is_structured_decomposable,
+    "smooth": _is_valid,
+    "decomposable": _is_valid,
+    "structured_decomposable": _is_valid,
     "monotonic": _is_monotonic,
     "deterministic_inputs": _is_deterministic,
 }
 
 
 def check_property(c: TensorizedCircuit, prop: str) -> bool:
-    """Structural property test; see the glossary names in the README."""
+    """Property test; see the glossary names in the README.
+
+    The three structural properties hold on every circuit that passes
+    :meth:`TensorizedCircuit.assert_valid`, so each name answers whether
+    the circuit is valid: a sum's one input has its scope (smooth), a
+    product's two inputs are disjoint (decomposable), and every product
+    strictly shrinks the scope, so no two products of a tree share one
+    (structured-decomposable).  Monotonicity and determinism are checked
+    against the parameters.
+    """
     if prop not in _PROPERTY_CHECKS:
         raise ConfigError(f"unknown property {prop!r}; choices: {sorted(_PROPERTY_CHECKS)}")
     return _PROPERTY_CHECKS[prop](c)
@@ -404,21 +395,18 @@ def check_property(c: TensorizedCircuit, prop: str) -> bool:
 def circuit_size(c: TensorizedCircuit) -> int:
     """Number of scalar input connections across all layers.
 
-    Sum layers with an S x K matrix count S*K; Hadamard products of N
-    width-K inputs count N*K; Kronecker products of N width-K inputs count
-    K^(N+1).  Input layers contribute nothing.
+    Sum layers with an S x K matrix count S*K; Hadamard products of two
+    width-K inputs count 2*K; Kronecker products of two width-K inputs
+    count K^3, and of widths Ka != Kb count 2*Ka*Kb.  Input layers
+    contribute nothing.
     """
     total = 0
     for l in c.layers:
         if l.kind == SUM:
-            k = c.layer(l.inputs[0]).output_width
-            total += l.output_width * k
+            total += l.output_width * c.layer(l.inputs[0]).output_width
         elif l.kind == HADAMARD:
-            total += len(l.inputs) * l.output_width
+            total += 2 * l.output_width
         elif l.kind == KRONECKER:
-            widths = [c.layer(j).output_width for j in l.inputs]
-            if len(set(widths)) == 1:
-                total += widths[0] ** (len(widths) + 1)
-            else:
-                total += len(widths) * int(np.prod(widths))
+            ka, kb = (c.layer(j).output_width for j in l.inputs)
+            total += ka**3 if ka == kb else 2 * ka * kb
     return total

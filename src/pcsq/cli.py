@@ -383,17 +383,28 @@ def _cmd_grid(cfg, out):
     return 0
 
 
+def _at_least_one(cfg, key):
+    if cfg[key] < 1:
+        raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+    return cfg[key]
+
+
 def _cmd_reduce_psd(cfg, out):
     rng = np.random.default_rng(cfg["seed"])
+    points = _at_least_one(cfg, "psd.check_points")
     if cfg["psd.anchors_csv"]:
-        anchors = np.loadtxt(cfg["psd.anchors_csv"], delimiter=",", ndmin=2)
+        try:
+            anchors = np.loadtxt(cfg["psd.anchors_csv"], delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise IngestError(f"{cfg['psd.anchors_csv']}: {exc}") from exc
     else:
-        anchors = rng.normal(size=(cfg["psd.anchor_count"], cfg["psd.dim"]))
+        shape = (_at_least_one(cfg, "psd.anchor_count"), _at_least_one(cfg, "psd.dim"))
+        anchors = rng.normal(size=shape)
     d = anchors.shape[0]
     m = rng.normal(size=(d, d))
     psd = PsdModel(anchors, cfg["psd.bandwidth"], m @ m.T)
     mixture = psd_to_circuit(psd)
-    pts = rng.normal(size=(cfg["psd.check_points"], anchors.shape[1]))
+    pts = rng.normal(size=(points, anchors.shape[1]))
     direct = psd.direct_value(pts)
     via_circuit = np.exp(mixture.log_value(pts))
     rel = np.abs(via_circuit - direct) / np.maximum(np.abs(direct), 1e-12)
@@ -406,6 +417,7 @@ def _cmd_reduce_psd(cfg, out):
 
 
 def _cmd_reduce_mps(cfg, out):
+    points = _at_least_one(cfg, "mps.check_points")
     if cfg["mps.path"]:
         mps = MpsFactorization.read(cfg["mps.path"])
     else:
@@ -417,10 +429,10 @@ def _cmd_reduce_mps(cfg, out):
     circuit = mps_to_circuit(mps, cp_config, report=report)
     d, m = mps.variable_count, mps.states
     rng = np.random.default_rng(cfg["seed"])
-    if m**d <= cfg["mps.check_points"]:
+    if m**d <= points:
         grid = np.indices((m,) * d).reshape(d, -1).T.astype(float)
     else:
-        grid = rng.integers(0, m, size=(cfg["mps.check_points"], d)).astype(float)
+        grid = rng.integers(0, m, size=(points, d)).astype(float)
     got = inference.evaluate(circuit, grid).to_linear()
     want = np.array([mps.contract(row) for row in grid])
     err = float(np.max(np.abs(got - want)))

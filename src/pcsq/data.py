@@ -128,7 +128,10 @@ def ingest_csv(path, schema, standardize=False, split_fractions=(0.8, 0.1, 0.1),
         if spec == "continuous":
             columns.append(Column(name, "continuous"))
         elif spec.startswith("discrete:"):
-            columns.append(Column(name, "discrete", int(spec.split(":", 1)[1])))
+            try:
+                columns.append(Column(name, "discrete", int(spec.split(":", 1)[1])))
+            except ValueError as exc:
+                raise IngestError(f"bad schema entry {name!r}: {spec!r}") from exc
         else:
             raise IngestError(f"bad schema entry {name!r}: {spec!r}")
     rows = np.empty((len(raw), len(keep)))

@@ -18,16 +18,18 @@ With ``want_tape=True`` the pass records a tape; :func:`backward` then
 replays it in exact reverse order, propagating adjoints of the scalar
 objective w.r.t. each layer's linear-space output (the adjoints
 themselves are carried in signed log-space) and accumulating parameter
-gradients into the store.  The tape keeps each evaluated input layer's
-values and features (spline design matrices, table states, Gaussian
-z-scores), so the input VJPs reuse them.  Only data passes of unsquared
-circuits and one-row partition-function passes are taped: a squared
-circuit trains through its source, as log c^2 = 2 log|c|, so the K^2-wide
-data pass of the squared graph is never differentiated.  Each layer has
-one reader, so an untaped signed log-space pass drops a layer's inputs
-once the layer has run, and :func:`backward` gives each input its one
-adjoint and then drops the input's recorded output; a pass holds a few
-layers at a time rather than all of them.
+gradients into the store.  A sum layer's input adjoint is its forward
+rule applied with W^T, so one function computes both.  The tape keeps
+each evaluated input layer's values and features (spline design
+matrices, table states, Gaussian z-scores), so the input VJPs reuse
+them.  Only data passes of unsquared circuits and one-row
+partition-function passes are taped: a squared circuit trains through
+its source, as log c^2 = 2 log|c|, so the K^2-wide data pass of the
+squared graph is never differentiated.  Each layer has one reader, so an
+untaped signed log-space pass drops a layer's inputs once the layer has
+run, and :func:`backward` gives each input its one adjoint and then
+drops the input's recorded output; a pass holds a few layers at a time
+rather than all of them.
 
 :func:`path_adjoint` pushes the root's adjoint, by the same per-layer
 rules, along the one path from the root to the input layer of a chosen
@@ -79,10 +81,8 @@ class EvalResult:
     def root(self):
         out = self.outputs[self.output_layer]
         if isinstance(out, SignedLogTensor):
-            if out.shape[-1] == 1:
-                return SignedLogTensor(out.log_magnitude[..., 0], out.sign[..., 0])
-            return out
-        return out[..., 0] if out.shape[-1] == 1 else out
+            return SignedLogTensor(out.log_magnitude[..., 0], out.sign[..., 0])
+        return out[..., 0]
 
 
 def _scope_values(x, scope):
@@ -137,12 +137,19 @@ def _forward_input(circuit, layer, x, marginalized, saved):
     return signed_outer(f, f) if layer.squared else f
 
 
-def _forward_sum_squared(weights, u, save_to=None, layer_id=None):
-    b = u.shape[0]
+def _sum(weights, x, squared, save_to=None, layer_id=None):
+    """A sum layer's rule W x, or W X W^T on the (k, k) blocks X of a
+    squared layer's rows.  Called with ``ascontiguousarray(W^T)`` on an
+    output adjoint, the same rule gives the input adjoint.  A squared
+    layer's first stage is saved under ``layer_id`` when ``save_to`` is
+    given."""
+    if not squared:
+        return signed_logsumexp(weights, x)
+    b = x.shape[0]
     s, k = weights.shape
-    # stage 1: V[b, s, j] = sum_k W[s, k] U[b, k, j]
+    # stage 1: V[b, s, j] = sum_k W[s, k] X[b, k, j]
     v_lm, v_sg = kernels.slse_batched_matmul(
-        weights, u.log_magnitude.reshape(b, k, k), u.sign.reshape(b, k, k)
+        weights, x.log_magnitude.reshape(b, k, k), x.sign.reshape(b, k, k)
     )
     if save_to is not None:
         save_to[layer_id] = SignedLogTensor(v_lm, v_sg)
@@ -214,12 +221,7 @@ def forward(
             out = _forward_input(circuit, layer, x, marginalized, saved)
         elif layer.kind == SUM:  # no local holds the input, so its release frees it
             weights = circuit.effective_weights(layer)
-            if layer.squared:
-                out = _forward_sum_squared(
-                    weights, outputs[layer.inputs[0]], save_to=saved, layer_id=layer.layer_id
-                )
-            else:
-                out = signed_logsumexp(weights, outputs[layer.inputs[0]])
+            out = _sum(weights, outputs[layer.inputs[0]], layer.squared, saved, layer.layer_id)
         else:
             out = signed_product([outputs[j] for j in layer.inputs], layer.kind, layer.squared)
         if np.isnan(out.log_magnitude).any() or np.isnan(out.sign).any():
@@ -319,7 +321,7 @@ def _backward_inner(circuit, layer, tape, adj):
     else:
         lm, sg = kernels.slse_pair_accum(adj.log_magnitude, adj.sign, u.log_magnitude, u.sign)
         grad_eff = SignedLogTensor(lm, sg).to_linear()
-        adj_in = _sum_input_adjoint(weights, adj, squared=False)
+        adj_in = _sum(np.ascontiguousarray(weights.T), adj, squared=False)
     circuit.store.accumulate_effective_grad(layer.param_block, grad_eff)
     return [adj_in]
 
@@ -343,27 +345,13 @@ def path_adjoint(circuit: TensorizedCircuit, outputs, variable):
     while layer.kind != INPUT:
         i = next(i for i, j in enumerate(layer.inputs) if variable in circuit.layer(j).scope)
         if layer.kind == SUM:
-            adj = _sum_input_adjoint(circuit.effective_weights(layer), adj, layer.squared)
+            weights = circuit.effective_weights(layer)
+            adj = _sum(np.ascontiguousarray(weights.T), adj, layer.squared)
         else:
             outs = [outputs[j] for j in layer.inputs]
             (adj,) = _product_input_adjoints(layer, outs, adj, [i])
         layer = circuit.layer(layer.inputs[i])
     return layer, adj
-
-
-def _sum_input_adjoint(weights, adj, squared):
-    """Adjoint of a sum layer's input: W^T G, or W^T G W for the (s, s)
-    blocks G of a squared layer's output adjoint."""
-    wt = np.ascontiguousarray(weights.T)
-    if not squared:
-        return signed_logsumexp(wt, adj)
-    b = adj.shape[0]
-    s, k = weights.shape
-    t1_lm, t1_sg = kernels.slse_batched_matmul(
-        wt, adj.log_magnitude.reshape(b, s, s), adj.sign.reshape(b, s, s)
-    )  # (b, k1, s2)
-    du = signed_logsumexp(wt, SignedLogTensor(t1_lm.reshape(b * k, s), t1_sg.reshape(b * k, s)))
-    return SignedLogTensor(du.log_magnitude.reshape(b, k * k), du.sign.reshape(b, k * k))
 
 
 def _product_input_adjoints(layer, outs, adj, positions):
@@ -400,7 +388,7 @@ def _backward_sum_squared(weights, u, adj, v):
     g_lm = adj.log_magnitude.reshape(b, s, s)
     g_sg = adj.sign.reshape(b, s, s)
     wt = np.ascontiguousarray(weights.T)
-    adj_in = _sum_input_adjoint(weights, adj, squared=True)
+    adj_in = _sum(wt, adj, squared=True)
 
     # weight gradient: sum_b G A U^T + G^T A U; the first term pairs the
     # columns of G A and of U, so it reads (G A)^T straight from the batched

@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from pcsq.circuits import Layer, ParameterStore, TensorizedCircuit
-from pcsq.errors import ConfigError
+from pcsq.errors import ConfigError, IngestError
 from pcsq.families import family_from_dict
 from pcsq.mixtures import CircuitMixture
 from pcsq.regions import RegionGraph
@@ -192,5 +192,10 @@ def save_model(model, path):
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    """Read ``model.json``.  An unreadable file, undecodable JSON, or a
+    missing or mistyped key is an IngestError naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return model_from_dict(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise IngestError(f"{path}: not a readable model document ({exc!r})") from exc

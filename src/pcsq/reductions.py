@@ -274,6 +274,8 @@ class MpsFactorization:
 
     @classmethod
     def random(cls, d, m, r, seed=0, scale=1.0):
+        if d < 2 or m < 1 or r < 1:
+            raise ConfigError(f"an MPS needs d >= 2, m >= 1 and r >= 1, got ({d}, {m}, {r})")
         rng = np.random.default_rng(seed)
         cores = [rng.normal(scale=scale, size=(m, r))]
         cores += [rng.normal(scale=scale, size=(m, r, r)) for _ in range(d - 2)]

@@ -81,7 +81,7 @@ def square_deterministic(c: TensorizedCircuit) -> TensorizedCircuit:
     sum weights elementwise, and squares the input functions pointwise.
     The result is monotonic by construction.
     """
-    if not (check_property(c, "smooth") and check_property(c, "decomposable")):
+    if not check_property(c, "decomposable"):
         raise PreconditionError("deterministic squaring needs a smooth, decomposable circuit")
     try:
         deterministic = check_property(c, "deterministic_inputs")

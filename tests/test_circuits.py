@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcsq.circuits import (
     HADAMARD,
     INPUT,
+    KRONECKER,
     SUM,
     Layer,
     ParameterStore,
@@ -16,7 +19,16 @@ from pcsq.circuits import (
 )
 from pcsq.errors import ConfigError, PcsqError, UnsupportedStructureError
 from pcsq.families import CategoricalFamily, EmbeddingFamily, GaussianFamily
+from pcsq.reductions import (
+    Graph,
+    MpsFactorization,
+    PsdModel,
+    mps_to_circuit,
+    psd_to_circuit,
+    udisj_circuit,
+)
 from pcsq.regions import build_binary_tree, build_linear_tree, linear_tree_from_order
+from pcsq.squaring import square
 
 from conftest import random_deterministic_circuit, random_discrete_circuit
 
@@ -122,6 +134,111 @@ class TestBinaryTreeOfLayers:
         _product_circuit(2).assert_valid()
         with pytest.raises(PcsqError, match=f"product layer {factors} takes two inputs"):
             _product_circuit(factors).assert_valid()
+
+
+class TestValidatorRules:
+    def test_unknown_layer_kind_rejected(self):
+        c = from_region_graph(build_binary_tree(4, seed=1), 2, "kronecker", _gaussian)
+        i = next(l.layer_id for l in c.layers if l.kind == KRONECKER)
+        c.layer(i).kind = "foo"
+        with pytest.raises(PcsqError, match=f"layer {i} has unknown kind 'foo'"):
+            c.assert_valid()
+        assert not check_property(c, "smooth")
+
+    def test_input_layer_with_empty_scope_rejected(self):
+        c = _product_circuit(2)
+        c.layer(1).scope = ()
+        c.layer(2).scope = c.layer(3).scope = (0,)
+        c.variable_count = 1
+        with pytest.raises(PcsqError, match="input layer 1 has an empty scope"):
+            c.assert_valid()
+        # the product's scope (0,) is its first factor's, so the product does
+        # not strictly shrink the scope: the old predicates accept the
+        # circuit, and check_property no longer does
+        assert _ref_is_structured_decomposable(c)
+        assert not check_property(c, "structured_decomposable")
+
+    def test_output_wider_than_one_rejected(self):
+        c = _product_circuit(2)
+        c.layer(3).output_width = 2
+        c.layer(3).param_block = c.store.add_block("wide head", (2, 2))
+        with pytest.raises(PcsqError, match="output layer 3 has width 2, not 1"):
+            c.assert_valid()
+
+
+# the N-ary DAG predicates check_property used before assert_valid decided
+# structure; kept as reference oracles
+
+
+def _ref_is_smooth(c):
+    for l in c.sum_layers():
+        if len(l.inputs) != 1:
+            return False
+        if any(c.layer(j).scope != l.scope for j in l.inputs):
+            return False
+    return True
+
+
+def _products(c):
+    return [l for l in c.layers if l.kind in (HADAMARD, KRONECKER)]
+
+
+def _ref_is_decomposable(c):
+    for l in _products(c):
+        merged = [v for j in l.inputs for v in c.layer(j).scope]
+        if len(merged) != len(set(merged)):
+            return False
+    return True
+
+
+def _ref_is_structured_decomposable(c):
+    if not (_ref_is_smooth(c) and _ref_is_decomposable(c)):
+        return False
+    seen = {}
+    for l in _products(c):
+        split = tuple(sorted(c.layer(j).scope for j in l.inputs))
+        if l.scope in seen and seen[l.scope] != split:
+            return False
+        seen[l.scope] = split
+    return True
+
+
+_REFERENCES = {
+    "smooth": _ref_is_smooth,
+    "decomposable": _ref_is_decomposable,
+    "structured_decomposable": _ref_is_structured_decomposable,
+}
+
+
+def _assert_structure_agrees(c):
+    for prop, reference in _REFERENCES.items():
+        assert check_property(c, prop) == reference(c) is True, prop
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 7),
+    k=st.integers(1, 3),
+    rg=st.sampled_from(["lt", "bt"]),
+    product=st.sampled_from(["hadamard", "kronecker"]),
+    seed=st.integers(0, 2**31 - 1),
+    squared=st.booleans(),
+)
+def test_structural_properties_agree_with_references(d, k, rg, product, seed, squared):
+    build = build_linear_tree if rg == "lt" else build_binary_tree
+    c = from_region_graph(build(d, seed), k, product, _gaussian)
+    _assert_structure_agrees(square(c).circuit if squared else c)
+
+
+def test_reduction_circuits_agree_with_references():
+    mps = mps_to_circuit(MpsFactorization.random(4, 2, 2, seed=0), {"seed": 0})
+    udisj = udisj_circuit(Graph.matching(2))
+    anchors = np.random.default_rng(0).normal(size=(3, 2))
+    psd = psd_to_circuit(PsdModel(anchors, 1.0, np.eye(3)))
+    graphs = [mps, square(mps).circuit, udisj.circuit, udisj.source]
+    graphs += [g for sq in psd.components for g in (sq.circuit, sq.source)]
+    for g in graphs:
+        _assert_structure_agrees(g)
 
 
 class TestCheckProperty:

@@ -446,6 +446,62 @@ class TestExitCodes:
         )
         assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 5
 
+    @pytest.mark.parametrize("command", ["eval", "sample", "grid"])
+    @pytest.mark.parametrize("defect", ["missing file", "undecodable json", "missing key"])
+    def test_unreadable_model_path_is_an_ingest_error(self, tmp_path, capsys, command, defect):
+        path = tmp_path / "model.json"
+        if defect == "undecodable json":
+            path.write_text('{"format_version": 1, "kind": ')
+        elif defect == "missing key":
+            path.write_text('{"format_version": 1, "kind": "circuit"}')
+        cfg = _write_config(tmp_path, "m.cfg", f"model.path = {path}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert f"ingest error: {path}" in capsys.readouterr().err
+
+    def test_model_with_an_unknown_layer_kind_is_a_config_error(self, tmp_path, capsys):
+        model_path = _psd_model(tmp_path, 2)
+        doc = json.loads(model_path.read_text())
+        doc["components"][0]["source"]["layers"][0]["kind"] = "foo"
+        model_path.write_text(json.dumps(doc))
+        cfg = _write_config(tmp_path, "s.cfg", f"model.path = {model_path}\nsample.n = 3\n")
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "layer 0 has unknown kind 'foo'" in capsys.readouterr().err
+
+    def test_missing_anchors_csv_is_an_ingest_error(self, tmp_path):
+        cfg = _write_config(tmp_path, "p.cfg", f"psd.anchors_csv = {tmp_path / 'absent.csv'}\n")
+        assert main(["reduce-psd", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize(
+        "command,setting",
+        [
+            ("reduce-psd", "psd.anchor_count=0"),
+            ("reduce-psd", "psd.dim=0"),
+            ("reduce-psd", "psd.check_points=0"),
+            ("reduce-mps", "mps.d=1"),
+            ("reduce-mps", "mps.check_points=0"),
+        ],
+    )
+    def test_reduction_sizes_below_one_are_config_errors(self, tmp_path, capsys, command, setting):
+        cfg = _write_config(tmp_path, "r.cfg", "seed = 1\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--set", setting, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_discrete_states_is_an_ingest_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("a,b\n1,0\n3,1\n")
+        cfg = _write_config(
+            tmp_path,
+            "ingest.cfg",
+            "dataset.kind = csv\n"
+            f"dataset.path = {csv_path}\n"
+            "dataset.schema = a=continuous;b=discrete:abc\n"
+            "model.family = gaussian\n",
+        )
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "bad schema entry 'b': 'discrete:abc'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command,key,value,code",
         [

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pcsq import engine
 from pcsq.circuits import from_region_graph
-from pcsq.errors import ConfigError
+from pcsq.errors import ConfigError, IngestError, PcsqError
 from pcsq.families import BinomialFamily, CategoricalFamily, GaussianFamily, SplineFamily
 from pcsq.inference import evaluate, partition_function
 from pcsq.mixtures import CircuitMixture
@@ -152,6 +152,42 @@ def test_document_is_utf8_json_with_version(rng, tmp_path):
     assert doc["values"]["encoding"] == "base64-f64le"
     names = [b["name"] for b in doc["parameter_blocks"]]
     assert len(names) == len(set(names))
+
+
+def _kronecker_document(tmp_path):
+    c = from_region_graph(build_binary_tree(3, seed=0), 2, "kronecker", lambda s, k: GaussianFamily(k))
+    path = tmp_path / "model.json"
+    save_model(square(c), path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_document_with_an_unknown_layer_kind_is_refused(tmp_path):
+    path, doc = _kronecker_document(tmp_path)
+    layer = next(rec for rec in doc["source"]["layers"] if rec["kind"] == "kronecker")
+    layer["kind"] = "foo"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(PcsqError, match=f"layer {layer['id']} has unknown kind 'foo'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "defect", ["missing file", "undecodable json", "missing key", "mistyped key"]
+)
+def test_unreadable_document_is_an_ingest_error_naming_the_path(tmp_path, defect):
+    path, doc = _kronecker_document(tmp_path)
+    if defect == "missing file":
+        path = tmp_path / "absent.json"
+    elif defect == "undecodable json":
+        path.write_text(path.read_text(encoding="utf-8")[:-20], encoding="utf-8")
+    else:
+        if defect == "missing key":
+            del doc["source"]["parameter_blocks"]
+        else:
+            doc["source"]["layers"] = 7
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(IngestError) as err:
+        load_model(path)
+    assert str(path) in str(err.value)
 
 
 # --- every model kind reloads bit-identically (or is refused on save) ---------

@@ -171,6 +171,11 @@ class TestMpsReduction:
         for a, b in zip(mps.cores, again.cores):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("d,m,r", [(1, 2, 2), (0, 2, 2), (3, 0, 2), (3, 2, 0)])
+    def test_random_rejects_bad_shapes(self, d, m, r):
+        with pytest.raises(ConfigError, match="an MPS needs d >= 2"):
+            MpsFactorization.random(d, m, r)
+
     def test_truncated_file_rejected(self, tmp_path, rng):
         mps = MpsFactorization.random(3, 2, 2, seed=0)
         path = tmp_path / "cores.mps"

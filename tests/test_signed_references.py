@@ -292,7 +292,7 @@ def test_squared_sum_layer_equals_transposed_copies(rng, case):
             w = _weights(rng, (s, k), case)
             u = _tensor(rng, (13, k * k), case)
             saved = {}
-            y = engine._forward_sum_squared(w, u, save_to=saved, layer_id=0)
+            y = engine._sum(w, u, True, save_to=saved, layer_id=0)
             want_y, want_v = _ref_forward_sum_squared(w, u)
             _assert_same(y, want_y)
             _assert_same(saved[0], want_v)
