@@ -358,6 +358,8 @@ def _is_deterministic(c: TensorizedCircuit):
         result = engine.forward(c, x, space="linear")
         support = result.outputs[src.layer_id] != 0.0  # (assignments, units)
         weights = c.effective_weights(l)
+        if l.squared:  # rows (s1, s2) and columns (k1, k2), row-major like the layer's units
+            weights = np.kron(weights, weights)
         for row in weights:
             active = row != 0.0
             if active.sum() < 2:

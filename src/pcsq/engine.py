@@ -20,9 +20,10 @@ objective w.r.t. each layer's linear-space output (the adjoints
 themselves are carried in signed log-space) and accumulating parameter
 gradients into the store.  A sum layer's input adjoint is its forward
 rule applied with W^T, so one function computes both.  The tape keeps
-each evaluated input layer's values and features (spline design
-matrices, table states, Gaussian z-scores), so the input VJPs reuse
-them.  Only data passes of unsquared circuits and one-row
+each evaluated input layer's values and features (the band of live
+bases of each spline row, table states, Gaussian z-scores), so the input
+VJPs reuse them; a linear family's VJP touches only those live bases.
+Only data passes of unsquared circuits and one-row
 partition-function passes are taped: a squared circuit trains through
 its source, as log c^2 = 2 log|c|, so the K^2-wide data pass of the
 squared graph is never differentiated.  Each layer has one reader, so an

@@ -236,7 +236,8 @@ def _check_states(x, states):
 class _OneHotBasis:
     """Indicators of the states 0..S-1, phi(x) = e_x: a value table is the
     linear family over this basis.  Its feature is the state itself, so
-    phi(x) C^T is a column gather, C (int phi) a row sum and C G = C."""
+    phi(x) C^T is a column gather, its band the one basis x with value 1,
+    C (int phi) a row sum and C G = C."""
 
     def __init__(self, states):
         if states < 1:
@@ -247,10 +248,8 @@ class _OneHotBasis:
         xi = _check_states(x, self.num_bases)
         return coeffs[:, xi].T, xi
 
-    def expand(self, xi):
-        design = np.zeros((xi.size, self.num_bases))
-        design[np.arange(xi.size), xi] = 1.0
-        return design
+    def live_band(self, xi):
+        return xi, np.ones((xi.size, 1))
 
     def basis_integrals(self):
         return np.ones(self.num_bases)
@@ -267,9 +266,11 @@ class _LinearFamily(InputFamily):
     C are the family's one parameter block.  The integrals are C (int phi)
     and C G C^T for the basis Gram matrix G.  The basis computes its
     products with C: ``evaluate(C, x)`` gives phi(x) C^T and the feature
-    the VJP reuses, ``expand`` turns that feature into the (n, bases)
-    matrix phi(x), ``integrate(C)`` is C (int phi), ``basis_integrals()``
-    int phi, and ``gram_times(C)`` is C G."""
+    the VJP reuses, ``live_band`` turns that feature into the bases live
+    at each row, (first, band) with phi_{first[n] + r}(x_n) = band[n, r]
+    and every other basis 0, ``integrate(C)`` is C (int phi),
+    ``basis_integrals()`` int phi, and ``gram_times(C)`` is C G.  So
+    evaluation and the VJP touch only the live bases of each row."""
 
     block_name = "coeffs"
     reparam = "identity"
@@ -296,9 +297,9 @@ class _LinearFamily(InputFamily):
         return SignedLogTensor.from_linear(values), features
 
     def log_eval_vjp(self, store, adj, f, features):
-        d_slog = SignedLogTensor.from_linear(self.basis.expand(features))
-        lm, sg = kernels.slse_pair_accum(
-            adj.log_magnitude, adj.sign, d_slog.log_magnitude, d_slog.sign
+        first, band = self.basis.live_band(features)
+        lm, sg = kernels.slse_band_accum(
+            adj.log_magnitude, adj.sign, first, band, self.basis.num_bases
         )
         self._accumulate(store, SignedLogTensor(lm, sg).to_linear())
 
@@ -313,13 +314,15 @@ class _LinearFamily(InputFamily):
         return SignedLogTensor.from_linear(self.basis.gram_times(c) @ c.T)
 
     def integral_matrix_vjp(self, store, adj):
-        # dM[i,j]/dC[a,:] contributes through both slots
+        # dM[i,j]/dC[a,:] contributes through both slots: (A + A^T) C G,
+        # as one row pass over the stacked rows of A and A^T
         cg = self.basis.gram_times(self._coeffs(store))  # (units, bases)
-        left = signed_logsumexp(cg.T, adj).to_linear()
-        right = signed_logsumexp(
-            cg.T, SignedLogTensor(adj.log_magnitude.T, adj.sign.T)
-        ).to_linear()
-        self._accumulate(store, left + right)
+        both = SignedLogTensor(
+            np.concatenate([adj.log_magnitude, adj.log_magnitude.T]),
+            np.concatenate([adj.sign, adj.sign.T]),
+        )
+        rows = signed_logsumexp(cg.T, both).to_linear()
+        self._accumulate(store, rows[: self.units] + rows[self.units :])
 
 
 class _TableFamily(_LinearFamily):

@@ -7,9 +7,9 @@ autoregressive sampling by inverse-transform: each conditional comes from
 one forward pass and one path-adjoint pass per variable and chunk of
 rows, then the input family's closed forms (value tables, integrals up
 to a point) give its PMF or CDF without further circuit passes.
-``log_density``, ``log_likelihood`` and ``sample`` also take a
-CircuitMixture, so callers need not know which kind of model they hold;
-``log_density`` refuses a row where either kind of model is 0.
+``marginal_batch``, ``log_density``, ``log_likelihood`` and ``sample``
+also take a CircuitMixture, so callers need not know which kind of model
+they hold; ``log_density`` refuses a row where either kind of model is 0.
 """
 
 from __future__ import annotations
@@ -150,7 +150,16 @@ def marginalize(model, query: Query) -> SignedLogTensor:
 
 
 def marginal_batch(model, x, marginalized) -> SignedLogTensor:
-    """Vectorized marginalization over a batch of evidence rows."""
+    """Vectorized marginalization over a batch of evidence rows.  A
+    mixture's marginal is sum_i weight_i m_i(x), over its components'
+    marginals m_i."""
+    if _is_mixture(model):
+        parts = [marginal_batch(c, x, marginalized) for c in model.components]
+        stacked = SignedLogTensor(
+            np.stack([p.log_magnitude for p in parts], axis=-1),
+            np.stack([p.sign for p in parts], axis=-1),
+        )
+        return signed_logsumexp(model.weights()[None, :], stacked).reshape(parts[0].shape)
     graph = _graph(model)
     return engine.forward(graph, x, marginalized=frozenset(marginalized)).root
 

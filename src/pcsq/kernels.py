@@ -9,22 +9,26 @@ The operations below dominate circuit evaluation and backprop:
   of transposed copies.
 * ``slse_pair_accum`` -- sign-aware accumulation of outer products over a
   shared leading axis, used for weight gradients.
+* ``slse_band_accum`` -- the same accumulation against a banded basis
+  matrix given by its nonzero band, used for linear input families'
+  coefficient gradients.
 * ``slse_weighted_colsum`` -- sign-aware column sums of an elementwise
   product against plain weights, used for input-family gradients.
 
 All scale each input row by its largest magnitude, exponentiate once per
 input entry and hand the sum to one dense BLAS matmul (in
 ``slse_weighted_colsum``, which scales columns, one ``einsum`` per weight
-array).  ``slse_matmul`` sums one row at a time, so its row maximum is
-the shift.
+array; in ``slse_band_accum``, one ``bincount`` over the band).
+``slse_matmul`` sums one row at a time, so its row maximum is the shift.
 ``slse_pair_accum`` sums across rows, so it also factors out one global
 shift G, the largest row-pair maximum; this is the log-einsum-exp trick
 of EinsumNetworks (Peharz et al., ICML 2020).  Its scaled terms are at
 most 1 in magnitude, and a guard checks in O(M (S + K)) that the
 smallest live one is at least exp(-700), so every term is a normal
-float.  Inputs that span a wider exponent range than that take the
-per-entry kernel, which factors a separate maximum out of each output
-entry.  Either way exact zeros stay zero, exact cancellations give sign 0
+float.  ``slse_band_accum``, whose band values are at most 1, shifts by
+the largest live adjoint alone and keeps the guard.  Inputs that span a
+wider exponent range than that take the per-entry kernel, which factors
+a separate maximum out of each output entry.  Either way exact zeros stay zero, exact cancellations give sign 0
 and log-magnitude -inf, and no term overflows.
 
 The kernels rely on the slog invariant (sign == 0 exactly where the
@@ -166,6 +170,49 @@ def slse_pair_accum(a_log, a_sign, b_log, b_sign):
         return _restore_shift(raw, g, raw)
 
 
+def slse_band_accum(a_log, a_sign, first, band, width):
+    """``slse_pair_accum`` against a banded non-negative matrix phi that is
+    given by its nonzero band: row m of phi is 0 except phi[m, first[m] + r]
+    = band[m, r].  Used for the coefficient gradients of a linear input
+    family, whose basis values at a point are a band of at most 1 each
+    (B-spline values, or the 1 of a one-hot state).
+
+    out[s, j] = sum_m a[m, s] * phi[m, j] takes one shift G, the largest
+    live a_log, and scatters the terms sign_a * exp(a_log - G) * band, each
+    at most 1 in magnitude, into their columns with one ``np.bincount``:
+    M S exponentials and M S R products, where the dense form takes
+    M (S + width) exponentials and a GEMM over every column.  The guard of
+    ``slse_pair_accum`` applies: when the smallest live term would fall
+    below exp(-700), the call runs the per-entry kernel on the dense phi.
+    Takes (M, S) arrays, M integers and an (M, R) array; returns two
+    (S, width) arrays.
+    """
+    m, s = a_log.shape
+    r = band.shape[1]
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        g = np.max(a_log, initial=-np.inf)
+        if g == -np.inf:  # every term is zero
+            return np.full((s, width), -np.inf), np.zeros((s, width))
+        # a NaN or infinite input fails this test and takes the exact kernel
+        a_min = np.min(a_log, where=a_sign != 0.0, initial=np.inf)
+        b_min = np.min(band, where=band > 0.0, initial=np.inf)
+        if not a_min + np.log(b_min) - g >= _MIN_SCALED_EXPONENT:
+            phi = np.zeros((m, width))
+            np.put_along_axis(phi, first[:, None] + np.arange(r), band, axis=1)
+            return _slse_pair_accum_exact(a_log, a_sign, np.log(phi), np.sign(phi))
+        # rows run along the last axis of every (R, S, M) array below
+        a_hat = np.subtract(a_log.T, g, out=np.empty((s, m)))
+        np.exp(a_hat, out=a_hat)
+        a_hat *= a_sign.T
+        terms = np.ascontiguousarray(band.T)[:, None, :] * a_hat
+        # term (r, s, m) adds to out[s, first[m] + r]; bincount sums each
+        # output entry's terms in order
+        offsets = np.arange(r)[:, None, None] + (np.arange(s) * width)[:, None]
+        raw = np.bincount((first + offsets).reshape(-1), terms.reshape(-1), minlength=s * width)
+        raw = raw.reshape(s, width)
+        return _restore_shift(raw, g, raw)
+
+
 def slse_weighted_colsum(a_log, a_sign, b_log, b_sign, weights):
     """Sign-aware column sums against plain weights.
 
@@ -198,8 +245,8 @@ def _slse_pair_accum_exact(a_log, a_sign, b_log, b_sign, chunk=4096):
     """Per-entry form of ``slse_pair_accum``: every output entry factors out
     the largest magnitude among its own terms, accumulating chunks of rows
     under a running maximum.  Accurate over any exponent range, but costs
-    M S K exponentials; ``slse_pair_accum`` falls back to it, and the tests
-    use it as the oracle.
+    M S K exponentials; ``slse_pair_accum`` and ``slse_band_accum`` fall
+    back to it, and the tests use it as the oracle.
     """
     s, k = a_log.shape[1], b_log.shape[1]
     alpha = np.full((s, k), -np.inf)

@@ -57,32 +57,43 @@ class BSplineBasis:
         inside = lambda v: (v >= lo) & (v <= hi)  # False at NaN
         return DomainError.check(x, inside, f"outside spline interval [{lo}, {hi}]")
 
-    def design_matrix(self, x):
-        """Evaluate all basis functions at ``x``: returns (len(x), num_bases).
+    def band(self, x):
+        """The bases live at ``x``: (first, band) with basis first[n] + r
+        taking the value band[n, r], r = 0..order; every other basis is 0.
 
         Points must lie inside [a, b].  Spans are half-open [t_i, t_{i+1}),
         except that x == b joins the last non-degenerate span so the closed
         interval is covered.
         """
         x = self.check_domain(np.atleast_1d(x))
-        t = self.knots
         k = self.order
-        span = np.clip(np.searchsorted(t, x, side="right") - 1, k, self.num_bases - 1)
-        # band[:, r] holds basis span - d + r at degree d; degree 0 is one
-        band = np.ones((x.size, 1))
+        # x lies in knot span first + k, t_{first+k} <= x < t_{first+k+1}:
+        # first counts the interior knots <= x, which also puts x == b in
+        # the last non-degenerate span
+        first = np.searchsorted(self.interior, x, side="right")
+        # rows of b hold the bases first + k - d + r, r = 0..d, at degree
+        # d; degree 0 is one.  Bases run along rows so that every step is
+        # a vector op over the points
+        b = np.ones((1, x.size))
         for d in range(1, k + 1):
             # degree d-1 basis j = span-d+1+r, supported on [t_j, t_{j+d}),
             # feeds B_{j,d} by the left Cox-de Boor term and B_{j-1,d} by
             # the right one; both divide by that width
-            lo = t[span[:, None] + np.arange(1 - d, 1)]
-            hi = t[span[:, None] + np.arange(1, d + 1)]
+            ends = np.take(self.knots, first + np.arange(k + 1 - d, k + d + 1)[:, None])
+            lo, hi = ends[:d], ends[d:]
             width = hi - lo
-            nxt = np.zeros((x.size, d + 1))
-            nxt[:, 1:] = (x[:, None] - lo) / width * band
-            nxt[:, :-1] += (hi - x[:, None]) / width * band
-            band = nxt
-        out = np.zeros((x.size, self.num_bases))
-        np.put_along_axis(out, span[:, None] - k + np.arange(k + 1), band, axis=1)
+            nxt = np.zeros((d + 1, x.size))
+            nxt[1:] = (x - lo) / width * b
+            nxt[:-1] += (hi - x) / width * b
+            b = nxt
+        return first, b.T
+
+    def design_matrix(self, x):
+        """Evaluate all basis functions at ``x``: returns (len(x), num_bases),
+        the band of :meth:`band` scattered into zeros."""
+        first, band = self.band(x)
+        out = np.zeros((first.size, self.num_bases))
+        np.put_along_axis(out, first[:, None] + np.arange(self.order + 1), band, axis=1)
         return out
 
     def _quad_nodes(self):
@@ -114,13 +125,15 @@ class BSplineBasis:
 
     # --- as the basis of a linear family (families._LinearFamily) ----------
     def evaluate(self, coeffs, x):
-        """(phi(x) C^T, phi(x)): the values of the units with coefficient
-        rows C, and the design matrix, which their VJP reuses."""
-        design = self.design_matrix(x)
-        return design @ coeffs.T, design
+        """(phi(x) C^T, (first, band)): the values of the units with
+        coefficient rows C, a gather of C's band columns, and the band of
+        :meth:`band`, which their VJP reuses."""
+        first, band = self.band(x)
+        live = np.take(coeffs.T, first + np.arange(self.order + 1)[:, None], axis=0)
+        return np.einsum("rn,rnk->nk", band.T, live), (first, band)
 
-    def expand(self, design):
-        return design
+    def live_band(self, feature):
+        return feature
 
     def integrate(self, coeffs):
         return coeffs @ self.basis_integrals()

@@ -18,7 +18,7 @@ from pcsq.circuits import (
     from_region_graph,
 )
 from pcsq.errors import ConfigError, PcsqError, UnsupportedStructureError
-from pcsq.families import CategoricalFamily, EmbeddingFamily, GaussianFamily
+from pcsq.families import BinomialFamily, CategoricalFamily, EmbeddingFamily, GaussianFamily
 from pcsq.reductions import (
     Graph,
     MpsFactorization,
@@ -263,6 +263,23 @@ class TestCheckProperty:
     def test_overlapping_support_mixture_not_deterministic(self, rng):
         c, _ = random_discrete_circuit(rng)
         assert not check_property(c, "deterministic_inputs")
+
+    @pytest.mark.parametrize("family", [CategoricalFamily, BinomialFamily])
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_squared_graph_answers_as_its_source(self, rng, family, d):
+        # a squared sum layer mixes the K^2 products of its input by W (x) W,
+        # rows (s1, s2) and columns (k1, k2); active inputs k, k' of a source
+        # row overlap exactly where the squared pairs (k, k) and (k', k') of
+        # row (s, s) do, so the squared graph answers as its source
+        det = random_deterministic_circuit(rng, d + 1)
+        full = from_region_graph(
+            build_linear_tree(d, 0), 3, "hadamard", lambda scope, k: family(k, 2)
+        )
+        full.store.values[:] = rng.normal(size=full.store.values.size)
+        full.store.bump()
+        for c, want in ((det, True), (full, False)):
+            assert check_property(c, "deterministic_inputs") is want
+            assert check_property(square(c).circuit, "deterministic_inputs") is want
 
     def test_determinism_check_rejects_continuous(self, rng):
         rg = build_linear_tree(2, 0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from pcsq import families
+from pcsq import families, kernels
 from pcsq.circuits import ParameterStore
 from pcsq.errors import DomainError
 from pcsq.families import (
@@ -469,3 +469,137 @@ class TestWeightedBatchSum:
         factor = np.array([[1.0, 1.0], [1.0, 1.0], [1e-6, 1.0]])
         got = _assert_close_to_signed_log_sums(adj, f, [factor])
         assert got[0][0] == pytest.approx(1e-9 + 1e-9, rel=1e-6)
+
+
+# --- linear families: the band path against the dense design ---------------
+
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u): the relative error bound of a
+    recursive sum of n terms (Accuracy and Stability of Numerical
+    Algorithms, ch. 3)."""
+    return n * _U / (1.0 - n * _U)
+
+
+def _linear_case(case, rng):
+    """(family, store, x, dense design) for one linear family; every block is
+    an identity block, so a VJP stores the gradient of the effective values
+    as it is (the categorical softmax only chains it on)."""
+    kind, size = case
+    if kind == "spline":
+        # irregular knots; x includes every interior knot and both ends
+        basis = BSplineBasis(size, [0.1, 0.25, 0.5, 0.55, 0.8], (0.0, 1.0))
+        fam = SplineFamily(4, basis)
+        x = np.concatenate([rng.uniform(0.0, 1.0, 40), basis.interior, [0.0, 1.0, 1.0]])
+        design = basis.design_matrix(x)
+    else:
+        fam = (CategoricalFamily if kind == "categorical" else EmbeddingFamily)(4, size)
+        fam.reparam = "identity"
+        x = np.concatenate([rng.integers(0, size, 40), [0, size - 1]]).astype(np.float64)
+        design = np.eye(size)[x.astype(np.int64)]
+    store = _make(fam, seed=int(rng.integers(1 << 30)), scale=1.0)
+    return fam, store, x, design
+
+
+def _adjoint(rng, rows, units, spread=5.0):
+    """A signed-log adjoint with log-magnitudes in [-spread, spread], 10% zero
+    entries and rows 3 and 7 exactly zero."""
+    lm = rng.uniform(-spread, spread, size=(rows, units))
+    sg = rng.choice([-1.0, 1.0], size=(rows, units))
+    dead = rng.random((rows, units)) < 0.1
+    dead[[3, 7]] = True
+    lm[dead], sg[dead] = -np.inf, 0.0
+    return SignedLogTensor(lm, sg)
+
+
+def _exact_reference(adj, design):
+    with np.errstate(divide="ignore"):
+        d_lm = np.log(design)
+    out = kernels._slse_pair_accum_exact(adj.log_magnitude, adj.sign, d_lm, np.sign(design))
+    return SignedLogTensor(*out).to_linear()
+
+
+LINEAR_CASES = [("spline", order) for order in range(4)] + [
+    (kind, states) for kind in ("categorical", "embedding") for states in (2, 300)
+]
+
+
+@pytest.mark.parametrize("case", LINEAR_CASES, ids=lambda c: f"{c[0]}{c[1]}")
+class TestLinearFamilyBand:
+    def test_band_scatters_to_the_dense_design(self, case, rng):
+        fam, store, x, design = _linear_case(case, rng)
+        _, features = fam.log_eval(store, x)
+        first, band = fam.basis.live_band(features)
+        assert band.shape == (x.size, fam.basis.order + 1 if case[0] == "spline" else 1)
+        dense = np.zeros_like(design)
+        np.put_along_axis(dense, first[:, None] + np.arange(band.shape[1]), band, axis=1)
+        np.testing.assert_array_equal(dense, design)
+
+    def test_values_match_the_dense_design(self, case, rng):
+        fam, store, x, design = _linear_case(case, rng)
+        f, features = fam.log_eval(store, x)
+        coeffs = fam._coeffs(store)
+        want = design @ coeffs.T
+        scale = design @ np.abs(coeffs).T
+        # the band sums R live terms and the dense product at most B; each is
+        # within gamma of the term scale.  The signed-log round trip of
+        # log_eval adds a relative (|log v| + 2) u, with |v| <= scale
+        width = fam.basis.live_band(features)[1].shape[1]
+        with np.errstate(divide="ignore"):
+            round_trip = (3.0 + np.abs(np.log(scale))) * _U
+        tol = (_gamma(width) + _gamma(design.shape[1]) + round_trip) * scale
+        assert np.all(np.abs(f.to_linear() - want) <= tol)
+
+    def test_vjp_matches_the_exact_kernel_on_the_dense_design(self, case, rng):
+        fam, store, x, design = _linear_case(case, rng)
+        f, features = fam.log_eval(store, x)
+        adj = _adjoint(rng, x.size, fam.units)
+        store.zero_grad()
+        fam.log_eval_vjp(store, adj, f, features)
+        got = store.grad_view(fam.blocks[fam.block_name])
+        want = _exact_reference(adj, design)
+        a = adj.to_linear()
+        scale = np.abs(a).T @ design
+        # each kernel: exponent arguments within lam of 0 round by lam u, so
+        # its terms and its restored output carry (4 lam + 5) u relative
+        # error, and the sum of at most M terms gamma_M; both kernels err
+        with np.errstate(divide="ignore"):
+            live = np.log(design[design > 0.0])
+        lam = np.max(np.abs(adj.log_magnitude[adj.sign != 0.0])) + np.max(-live)
+        lam += math.log(x.size) + 1.0
+        tol = 2.0 * (_gamma(x.size) + (4.0 * lam + 5.0) * _U) * scale
+        assert np.all(np.abs(got - want) <= tol)
+        assert np.all(got[scale == 0.0] == 0.0)
+
+    def test_wide_adjoint_takes_the_exact_kernel(self, case, rng, monkeypatch):
+        # rows 800 nats apart: one shift would push the low rows' terms below
+        # exp(-700), so the call runs the per-entry kernel on the dense design
+        fam, store, x, design = _linear_case(case, rng)
+        f, features = fam.log_eval(store, x)
+        adj = _adjoint(rng, x.size, fam.units)
+        adj.log_magnitude[::2] += 400.0
+        adj.log_magnitude[1::2] -= 400.0
+        calls = []
+        exact = kernels._slse_pair_accum_exact
+
+        def counted(*args):
+            calls.append(1)
+            return exact(*args)
+
+        monkeypatch.setattr(kernels, "_slse_pair_accum_exact", counted)
+        store.zero_grad()
+        fam.log_eval_vjp(store, adj, f, features)
+        assert calls == [1]
+        got = store.grad_view(fam.blocks[fam.block_name])
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, _exact_reference(adj, design))
+
+    def test_zero_adjoint_gives_a_zero_gradient(self, case, rng):
+        fam, store, x, _ = _linear_case(case, rng)
+        f, features = fam.log_eval(store, x)
+        zero = SignedLogTensor.zeros((x.size, fam.units))
+        store.zero_grad()
+        fam.log_eval_vjp(store, zero, f, features)
+        assert np.all(store.gradients == 0.0)

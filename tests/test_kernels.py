@@ -142,3 +142,23 @@ def test_all_zero_rows_stay_zero():
     out_lm, out_sg = kernels.slse_pair_accum(lm, sg, np.zeros((2, 3)), np.ones((2, 3)))
     assert out_lm.shape == (4, 3)
     assert np.all(np.isneginf(out_lm)) and np.all(out_sg == 0.0)
+
+
+def test_band_accum_nan_adjoint_spoils_only_its_entries(rng):
+    # a NaN fails the guard, so the exact kernel runs on the dense matrix; it
+    # reaches only the entries of its unit at the columns live in its row
+    m, s, width = 9, 3, 6
+    a_lm, a_sg = _random_signed(rng, (m, s), zero_fraction=0.0)
+    first = rng.integers(0, width - 1, size=m)
+    band = rng.uniform(0.1, 1.0, size=(m, 2))
+    phi = np.zeros((m, width))
+    np.put_along_axis(phi, first[:, None] + np.arange(2), band, axis=1)
+    a = _linear(a_lm, a_sg)
+    a_lm[4, 1] = np.nan
+    out_lm, out_sg = kernels.slse_band_accum(a_lm, a_sg, first, band, width)
+    spoiled = np.zeros((s, width), dtype=bool)
+    spoiled[1, first[4] : first[4] + 2] = True
+    assert np.isnan(out_lm[spoiled]).all() and not np.isnan(out_lm[~spoiled]).any()
+    _assert_matches_oracle(
+        (out_lm[~spoiled], out_sg[~spoiled]), (a.T @ phi)[~spoiled], (np.abs(a).T @ phi)[~spoiled]
+    )

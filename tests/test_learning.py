@@ -242,8 +242,9 @@ class TestTrain:
 
 
 def test_taped_step_builds_one_design_matrix_per_spline_layer(rng, monkeypatch):
-    # the data pass keeps each spline layer's design matrix on the tape and
-    # its VJP reuses it; the Z pass reads cached Gram matrices
+    # the data pass keeps each spline layer's band of live bases on the tape
+    # and its VJP reuses it; the Z pass reads cached Gram matrices, so a warm
+    # step builds no dense design matrix at all
     basis = BSplineBasis.uniform(2, 6, (-2.0, 2.0))
     c = from_region_graph(
         linear_tree_from_order([0, 1, 2]), 3, "hadamard", lambda s, k: SplineFamily(k, basis)
@@ -253,16 +254,22 @@ def test_taped_step_builds_one_design_matrix_per_spline_layer(rng, monkeypatch):
     sq = square(c)
     x = rng.uniform(-1.9, 1.9, size=(8, 3))
     _accumulate_gradients(sq, x)  # fills each family's Gram cache
-    rows = []
-    original = BSplineBasis.design_matrix
+    rows, dense = [], []
+    band, design_matrix = BSplineBasis.band, BSplineBasis.design_matrix
 
-    def counted(self, t):
+    def counted_band(self, t):
         rows.append(len(t))
-        return original(self, t)
+        return band(self, t)
 
-    monkeypatch.setattr(BSplineBasis, "design_matrix", counted)
+    def counted_design(self, t):
+        dense.append(len(t))
+        return design_matrix(self, t)
+
+    monkeypatch.setattr(BSplineBasis, "band", counted_band)
+    monkeypatch.setattr(BSplineBasis, "design_matrix", counted_design)
     _accumulate_gradients(sq, x)
     assert rows == [8] * len(c.input_layers())
+    assert dense == []
 
 
 class TestGradientOfObjective:

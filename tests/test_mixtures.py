@@ -6,8 +6,8 @@ import pytest
 from pcsq.circuits import from_region_graph
 from pcsq.data import Column, Dataset
 from pcsq.errors import ConfigError, NumericError
-from pcsq.families import EmbeddingFamily
-from pcsq import inference
+from pcsq.families import CategoricalFamily, EmbeddingFamily
+from pcsq import engine, inference
 from pcsq.inference import partition_function, sample
 from pcsq.learning import TrainConfig, init_parameters, train
 from pcsq.mixtures import CircuitMixture
@@ -91,6 +91,33 @@ def test_inference_queries_delegate_to_the_mixture(rng):
     np.testing.assert_array_equal(inference.log_density(mix, grid), mix.log_density(grid))
     assert inference.log_likelihood(mix, grid) == mix.log_likelihood(grid)
     np.testing.assert_array_equal(inference.sample(mix, 50, seed=3), mix.sample(50, seed=3))
+
+
+@pytest.mark.parametrize("marginalized", [{0}, {1, 3}, {0, 1, 2, 3}])
+def test_mixture_marginal_is_the_weighted_sum_of_component_marginals(marginalized):
+    # squared categorical components with non-negative parameters, so no sum
+    # cancels and both float64 routes stay within a few ulps per layer
+    comps = []
+    for seed in range(2):
+        c = from_region_graph(
+            build_linear_tree(4, seed), 2, "hadamard", lambda s, k: CategoricalFamily(k, 3)
+        )
+        comps.append(square(c))
+        init_parameters(comps[-1], "uniform(0,1)", seed)
+    weights = np.array([0.3, 0.7])
+    mix = CircuitMixture.from_components(comps, weights=weights, learnable=False)
+    x = enumerate_assignments(4, 3)
+    got = inference.marginal_batch(mix, x, marginalized)
+    assert got.shape == (len(x),)
+    parts = [inference.marginal_batch(c, x, marginalized).to_linear() for c in comps]
+    linear = [
+        engine.forward(c.circuit, x, marginalized=frozenset(marginalized), space="linear").root
+        for c in comps
+    ]
+    np.testing.assert_allclose(got.to_linear(), weights @ np.stack(parts), rtol=1e-12)
+    np.testing.assert_allclose(got.to_linear(), weights @ np.stack(linear), rtol=1e-12)
+    if len(marginalized) == 4:
+        np.testing.assert_allclose(got.to_linear(), np.exp(mix.partition()), rtol=1e-12)
 
 
 def test_mixture_log_likelihood_of_zero_rows_is_config_error(rng):
