@@ -21,6 +21,7 @@ import numpy as np
 
 from pcsq.errors import ConfigError, PcsqError, UnsupportedStructureError
 from pcsq.regions import RegionGraph, normalize_scope, validate as validate_region_graph
+from pcsq.slog import log_weighted_sum
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +90,7 @@ class ParameterStore:
             return free
         if b.reparam == "exp":
             return np.exp(free)
-        # softmax over the trailing axis, stabilized
-        shifted = free - free.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
+        return log_weighted_sum(np.ones(free.shape[-1]), free)[1]  # softmax over the last axis
 
     def grad_view(self, name):
         b = self.blocks[name]
@@ -314,6 +312,8 @@ def from_region_graph(
 # ---------------------------------------------------------------------------
 # structural properties and size
 
+_ENUMERATION_LIMIT = 1 << 20  # assignments the determinism check may enumerate
+
 
 def _is_valid(c: TensorizedCircuit):
     try:
@@ -323,11 +323,17 @@ def _is_valid(c: TensorizedCircuit):
     return True
 
 
+def _applied_weights(c: TensorizedCircuit, layer):
+    """W, or W (x) W on a squared layer, row-major like the layer's units."""
+    weights = c.effective_weights(layer)
+    return np.kron(weights, weights) if layer.squared else weights
+
+
 def _is_monotonic(c: TensorizedCircuit):
-    return all(np.all(c.effective_weights(l) >= 0.0) for l in c.sum_layers())
+    return all(np.all(_applied_weights(c, l) >= 0.0) for l in c.sum_layers())
 
 
-def _enumerate_scope(c: TensorizedCircuit, scope, limit=1 << 20):
+def _enumerate_scope(c: TensorizedCircuit, scope):
     states = c.states_per_variable()
     sizes = []
     for v in scope:
@@ -338,7 +344,7 @@ def _enumerate_scope(c: TensorizedCircuit, scope, limit=1 << 20):
             )
         sizes.append(m)
     total = int(np.prod(sizes, dtype=np.int64))
-    if total > limit:
+    if total > _ENUMERATION_LIMIT:
         raise UnsupportedStructureError(
             f"determinism check over {total} assignments exceeds the enumeration limit"
         )
@@ -357,10 +363,7 @@ def _is_deterministic(c: TensorizedCircuit):
         x = _enumerate_scope(c, src.scope)
         result = engine.forward(c, x, space="linear")
         support = result.outputs[src.layer_id] != 0.0  # (assignments, units)
-        weights = c.effective_weights(l)
-        if l.squared:  # rows (s1, s2) and columns (k1, k2), row-major like the layer's units
-            weights = np.kron(weights, weights)
-        for row in weights:
+        for row in _applied_weights(c, l):
             active = row != 0.0
             if active.sum() < 2:
                 continue

@@ -21,7 +21,7 @@ import numpy as np
 from pcsq import engine
 from pcsq.circuits import TensorizedCircuit
 from pcsq.errors import ConfigError, DegenerateModelError, NumericError, UnsupportedStructureError
-from pcsq.slog import SignedLogTensor, signed_logsumexp, signed_mul, signed_sum
+from pcsq.slog import SignedLogTensor, log_weighted_sum, signed_logsumexp, signed_mul, signed_sum
 from pcsq.squaring import SquaredCircuit
 
 
@@ -129,23 +129,22 @@ def partition_function(model, want_tape=False):
 
 
 def marginalize(model, query: Query) -> SignedLogTensor:
-    """Integrate the marginalized variables out at the given evidence.
+    """The one-row case of :func:`marginal_batch`, for circuits and mixtures.
 
     Evidence plus marginalized variables must cover the full scope; the
     result is a scalar signed log-value, normalized by Z on request.
     """
-    graph = _graph(model)
-    ev, marg = query.check(graph.variable_count)
-    if ev | marg != set(range(graph.variable_count)):
-        missing = set(range(graph.variable_count)) - ev - marg
+    d = (model if _is_mixture(model) else _graph(model)).variable_count
+    ev, marg = query.check(d)
+    if ev | marg != set(range(d)):
+        missing = set(range(d)) - ev - marg
         raise ConfigError(f"query leaves variables {sorted(missing)} unconstrained")
-    x = np.zeros((1, graph.variable_count))
+    x = np.zeros((1, d))
     for v, value in query.evidence.items():
         x[0, v] = value
-    out = _scalar(engine.forward(graph, x, marginalized=marg).root)
+    out = _scalar(marginal_batch(model, x, marg))
     if query.require_normalized:
-        z = partition_function(model)
-        out = SignedLogTensor(out.log_magnitude - z.log_magnitude, out.sign * z.sign)
+        out = SignedLogTensor(out.log_magnitude - _log_partition(model), out.sign)
     return out
 
 
@@ -164,17 +163,19 @@ def marginal_batch(model, x, marginalized) -> SignedLogTensor:
     return engine.forward(graph, x, marginalized=frozenset(marginalized)).root
 
 
+def _log_partition(model) -> float:
+    if _is_mixture(model):
+        return model.partition()
+    return float(partition_function(model).log_magnitude)
+
+
 def log_density(model, x) -> np.ndarray:
     """Normalized log-density per row: log model(x) - log Z.
 
     Raises NumericError naming the first row where the model value is 0.
     """
-    if _is_mixture(model):
-        logz = model.partition()
-        logs = model.log_value(x)
-    else:
-        logz = float(partition_function(model).log_magnitude)
-        logs = log_value(model, x)
+    logz = _log_partition(model)
+    logs = model.log_value(x) if _is_mixture(model) else log_value(model, x)
     if np.any(logs == -np.inf):
         row = int(np.argmax(logs == -np.inf))
         raise NumericError(f"model value is 0 exactly at row {row}; log-density undefined")
@@ -204,6 +205,9 @@ def _family_for_variable(model, v):
 # sample rows (continuous columns) or distinct prefixes (discrete columns)
 # conditioned together in one forward pass
 _CHUNK = 256
+# a continuous draw bisects until |CDF - target| <= _CDF_TOL * mass, or _BISECTION_STEPS times
+_CDF_TOL = 1e-9
+_BISECTION_STEPS = 80
 
 
 def sample(model, n, seed=0):
@@ -271,17 +275,15 @@ def _sample_discrete_column(graph, out, v, m, rng):
         vals = signed_logsumexp(table.T, adj)  # one row, or one per prefix
         if np.any(vals.sign < 0.0):
             raise NumericError(f"negative conditional mass at variable {v}")
-        lm, sg = vals.log_magnitude, vals.sign
-        shift = np.max(lm, axis=1, keepdims=True)
-        if not np.all(np.isfinite(shift)):
+        log_mass, pmf = log_weighted_sum(np.ones(m), vals.log_magnitude)
+        if not np.all(np.isfinite(log_mass)):
             raise NumericError(f"conditional PMF at variable {v} is identically zero")
-        w = np.where(sg > 0.0, np.exp(lm - shift), 0.0)
-        cdf[start : start + _CHUNK] = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+        cdf[start : start + _CHUNK] = np.cumsum(pmf, axis=1)
     # the number of CDF entries <= u is searchsorted(cdf, u, side="right")
     out[:, v] = np.sum(cdf[which] <= draws[:, None], axis=1)
 
 
-def _sample_continuous_column(graph, out, v, rng, cdf_tol=1e-9, max_steps=80):
+def _sample_continuous_column(graph, out, v, rng):
     lo, hi = _family_for_variable(graph, v).sample_bracket(graph.store)
     for start in range(0, out.shape[0], _CHUNK):
         rows = out[start : start + _CHUNK]
@@ -296,12 +298,12 @@ def _sample_continuous_column(graph, out, v, rng, cdf_tol=1e-9, max_steps=80):
             partial = family.partial_integral_vector
         targets = rng.random(rows.shape[0]) * mass
         a, b = np.full(rows.shape[0], lo), np.full(rows.shape[0], hi)
-        for _ in range(max_steps):
+        for _ in range(_BISECTION_STEPS):
             mid = 0.5 * (a + b)
             rows[:, v] = mid
             p = partial(graph.store, mid).reshape(rows.shape[0], layer.output_width)
             err = signed_sum(signed_mul(adj, p), axis=-1).to_linear() - targets
-            done = np.all(np.abs(err) <= cdf_tol * mass)
+            done = np.all(np.abs(err) <= _CDF_TOL * mass)
             if done or np.max(b - a) < 1e-14 * np.max(np.abs(a) + np.abs(b) + 1.0):
                 break
             b = np.where(err > 0, mid, b)

@@ -6,10 +6,10 @@ mixture with weight 1.  Per optimizer step, each component runs one taped
 forward+backward over the batch through its unnormalized log-value (the
 source circuit, for a squared one) and exactly one taped forward+backward
 through its partition function (Z does not depend on the data, so its
-cost is amortized over the batch).  The data pass's log-values give the
-mixture responsibilities and seed its own backward pass.  Early stopping
-watches validation likelihood; the best-validation parameters are
-restored at the end.
+cost is amortized over the batch).  ``slog.log_weighted_sum`` turns the
+passes' log-values into the responsibilities and Z shares that seed their
+backward passes.  Early stopping watches validation likelihood; the
+best-validation parameters are restored at the end.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from pcsq.circuits import TensorizedCircuit
 from pcsq.data import write_csv
 from pcsq.errors import ConfigError, NumericError
 from pcsq.mixtures import CircuitMixture
+from pcsq.slog import log_weighted_sum
 from pcsq.squaring import SquaredCircuit
 
 
@@ -172,34 +173,20 @@ def _accumulate_gradients(model, x):
     b = x.shape[0]
     data = [inference.log_value(c, x, want_tape=True) for c in comps]
     zs = [inference.partition_function(c, want_tape=True) for c in comps]
-    with np.errstate(divide="ignore"):
-        loglam = np.log(lam)
-    shifted = np.stack([logs for logs, _ in data], axis=-1) + loglam[None, :]
-    top = shifted.max(axis=1, keepdims=True)
-    dead = top[:, 0] == -np.inf
+    log_values, resp = log_weighted_sum(lam, np.stack([logs for logs, _ in data], axis=-1))
+    dead = log_values == -np.inf
     if dead.any():
         raise NumericError(f"model value is 0 exactly at batch row {int(np.argmax(dead))}")
-    shifted -= top
-    resp = np.exp(shifted)
-    row_sum = resp.sum(axis=1, keepdims=True)
-    resp /= row_sum
-
-    zsh = np.array([float(z.log_magnitude) for z, _ in zs]) + loglam
-    zmax = zsh.max()
-    zsh -= zmax
-    rho = np.exp(zsh)
-    rho_sum = rho.sum()
-    rho /= rho_sum
+    log_z, rho = log_weighted_sum(lam, np.array([float(z.log_magnitude) for z, _ in zs]))
     # log sum_i lam_i c_i(x) - log sum_i lam_i Z_i, summed over the batch
-    batch_ll = float(np.sum(top + np.log(row_sum)) - b * (zmax + np.log(rho_sum)))
+    batch_ll = float(np.sum(log_values) - b * log_z)
 
     scale = 2.0 if isinstance(comps[0], SquaredCircuit) else 1.0  # log c^2 = 2 log|c|
     for i, ((_, res), (_, zres)) in enumerate(zip(data, zs)):
         engine.backward(res.tape, engine.log_grad_seed(res.root, scale * resp[:, i] / b))
         engine.backward(zres.tape, engine.log_grad_seed(zres.root, np.array([-rho[i]])))
-    if mixture:
-        with np.errstate(divide="ignore"):
-            eff = (resp.mean(axis=0) - rho) / lam
+    if mixture:  # a zero weight is fixed, or an exp(theta) that underflowed: no gradient
+        eff = np.divide(resp.mean(axis=0) - rho, lam, out=np.zeros_like(lam), where=lam > 0.0)
         model.store.accumulate_effective_grad(model.weight_block, eff)
     return batch_ll
 

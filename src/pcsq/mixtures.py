@@ -5,6 +5,8 @@ monotonic) under one layer of non-negative weights.  This is the shape of
 two things in the package: multi-structure models (several random tree
 region graphs mixed at the root) and the output of the PSD-model
 reduction, which is a non-negative combination of squared components.
+Its values, its normalizer and its sampling shares are one weighted
+log-sum-exp over the components, :func:`pcsq.slog.log_weighted_sum`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from pcsq import inference
 from pcsq.circuits import ParameterStore
 from pcsq.errors import ConfigError, DegenerateModelError
+from pcsq.slog import log_weighted_sum
 from pcsq.squaring import SquaredCircuit
 
 
@@ -36,15 +39,20 @@ class CircuitMixture:
         d = components[0].variable_count
         if any(c.variable_count != d for c in components):
             raise ConfigError("mixture components must share the variable set")
-        store = ParameterStore()
         k = len(components)
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+            ok = np.isfinite(weights) & (weights > 0.0 if learnable else weights >= 0.0)
+            if not np.all(ok):
+                i = int(np.argmin(ok))
+                rule = "finite and > 0 if learnable" if learnable else "finite and >= 0 if fixed"
+                raise ConfigError(f"mixture weight {i} is {weights[i]}; it must be {rule}")
+        store = ParameterStore()
         if learnable:
-            init = np.zeros(k) if weights is None else np.log(np.asarray(weights, dtype=np.float64))
+            init = np.zeros(k) if weights is None else np.log(weights)
             block = store.add_block("mixture.weights", (k,), "exp", init=init)
         else:
-            vals = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=np.float64)
-            if np.any(vals < 0):
-                raise ConfigError("mixture weights must be non-negative")
+            vals = np.full(k, 1.0 / k) if weights is None else weights
             block = store.add_block("mixture.weights", (k,), "identity", trainable=False, init=vals)
         return cls(components, store, block, d)
 
@@ -66,29 +74,19 @@ class CircuitMixture:
 
     def log_value(self, x):
         """log of the unnormalized mixture value per batch row."""
-        logs = self.component_log_values(np.atleast_2d(x))
-        with np.errstate(divide="ignore"):  # log 0 = -inf: a zero weight or an all-zero row
-            shifted = logs + np.log(self.weights())[None, :]
-            top = np.max(shifted, axis=-1)
-            safe = np.where(np.isfinite(top), top, 0.0)
-            out = safe + np.log(np.sum(np.exp(shifted - safe[:, None]), axis=-1))
-        return np.where(np.isfinite(top), out, -np.inf)
+        return log_weighted_sum(self.weights(), self.component_log_values(np.atleast_2d(x)))[0]
 
-    def component_log_partitions(self):
-        return np.array(
-            [float(inference.partition_function(c).log_magnitude) for c in self.components]
-        )
+    def _normalizer(self):
+        """(log Z, each component's share of Z) for Z = sum_i weight_i * Z_i."""
+        logs = [float(inference.partition_function(c).log_magnitude) for c in self.components]
+        log_z, shares = log_weighted_sum(self.weights(), np.array(logs))
+        if not np.isfinite(log_z):
+            raise DegenerateModelError("mixture normalizer is zero")
+        return float(log_z), shares
 
     def partition(self):
-        """log of the mixture normalizer: sum_i weight_i * Z_i (each Z_i is
-        cached per parameter version by ``inference.partition_function``)."""
-        logz = self.component_log_partitions()
-        with np.errstate(divide="ignore"):
-            shifted = logz + np.log(self.weights())
-        top = float(np.max(shifted))
-        if not np.isfinite(top):
-            raise DegenerateModelError("mixture normalizer is zero")
-        return top + float(np.log(np.sum(np.exp(shifted - top))))
+        """log Z; each Z_i is cached per parameter version by ``inference.partition_function``."""
+        return self._normalizer()[0]
 
     def log_density(self, x):
         return inference.log_density(self, x)
@@ -100,11 +98,7 @@ class CircuitMixture:
         if n < 0:
             raise ConfigError(f"cannot draw a negative number of samples ({n})")
         rng = np.random.default_rng(seed)
-        logz = self.component_log_partitions()
-        with np.errstate(divide="ignore"):
-            w = np.log(self.weights()) + logz
-        w = np.exp(w - np.max(w))
-        w = w / w.sum()
+        _, w = self._normalizer()
         counts = rng.multinomial(n, w)
         parts = [np.zeros((0, self.variable_count))]
         for c, m in zip(self.components, counts):

@@ -13,6 +13,8 @@ which is 0 * 0 on zeros (-0.0 where the sign entry is -0.0, as a
 product of 0 and -1 leaves it).  The invariant holds for finite and -inf
 log-magnitudes; a product of a zero and an infinite magnitude is NaN,
 which the engine's per-layer NaN check reports.
+Non-negative terms under non-negative weights need no signs; their one
+rule is :func:`log_weighted_sum`.
 """
 
 from __future__ import annotations
@@ -100,6 +102,23 @@ def signed_logsumexp(weights, x: SignedLogTensor) -> SignedLogTensor:
     out_lm, out_sg = kernels.slse_matmul(weights, lm, sg)
     s = weights.shape[0]
     return SignedLogTensor(out_lm.reshape(*lead, s), out_sg.reshape(*lead, s))
+
+
+def log_weighted_sum(weights, logs):
+    """log sum_i w_i exp(logs_i) over the last axis, and each term's share.
+
+    Weights and terms are non-negative; a zero term's log is -inf.  A row
+    with no live term sums to -inf, and its shares are 0.
+    """
+    with np.errstate(divide="ignore"):  # log 0 = -inf: a zero weight or a zero total
+        shifted = logs + np.log(weights)
+        top = np.max(shifted, axis=-1, keepdims=True)
+        top[top == -np.inf] = 0.0
+        terms = np.exp(shifted - top)
+        total = np.sum(terms, axis=-1, keepdims=True)
+        log_total = (top + np.log(total))[..., 0]
+    shares = np.divide(terms, total, out=np.zeros_like(terms), where=total > 0.0)
+    return log_total, shares
 
 
 def signed_product(xs, kind="hadamard", squared=False):

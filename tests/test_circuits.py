@@ -281,6 +281,23 @@ class TestCheckProperty:
             assert check_property(c, "deterministic_inputs") is want
             assert check_property(square(c).circuit, "deterministic_inputs") is want
 
+    @pytest.mark.parametrize("signs", ["negative", "mixed"])
+    def test_squared_graph_is_monotonic_where_w_kron_w_is(self, rng, signs):
+        # a squared sum layer applies W (x) W, which is non-negative when
+        # every entry of W is negative, and has a negative entry when W
+        # mixes signs
+        c = from_region_graph(
+            build_linear_tree(2, 0), 2, "hadamard", lambda scope, k: CategoricalFamily(k, 3)
+        )
+        c.store.values[:] = -np.abs(rng.normal(size=c.store.values.size))
+        for l in c.sum_layers():
+            w = c.store.free(l.param_block).copy()
+            if signs == "mixed":
+                w.flat[0] = 1.0
+            c.store.set_free(l.param_block, w)
+        assert not check_property(c, "monotonic")
+        assert check_property(square(c).circuit, "monotonic") is (signs == "negative")
+
     def test_determinism_check_rejects_continuous(self, rng):
         rg = build_linear_tree(2, 0)
         c = from_region_graph(rg, 2, "hadamard", _gaussian)

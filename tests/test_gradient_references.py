@@ -213,3 +213,24 @@ def test_row_where_every_component_is_zero_is_named(squared, rng):
         _accumulate_gradients(mix, x)
     with pytest.raises(NumericError, match="row 2"):
         _accumulate_gradients(comps[0], x)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", ["squared", "monotonic"])
+def test_a_circuit_trains_as_its_one_component_mixture(kind, family, rng):
+    circuit, x = _model(kind, family, rng)
+    other, _ = _model(kind, family, rng)
+    init_parameters(other, "uniform(0.5,1)", seed=99)
+    one = CircuitMixture.from_components([circuit], weights=[1.0], learnable=False)
+    # a fixed zero weight leaves its component responsibility 0 and share 0
+    dropped = CircuitMixture.from_components([other, circuit], weights=[0.0, 1.0], learnable=False)
+    runs = []
+    for model in (circuit, one, dropped):
+        for s in _stores(model):
+            s.zero_grad()
+        ll = _accumulate_gradients(model, x)
+        runs.append((ll, circuit.store.gradients.copy()))
+    for ll, grads in runs[1:]:
+        assert ll == runs[0][0]
+        np.testing.assert_array_equal(grads, runs[0][1])
+    np.testing.assert_array_equal(dropped.store.gradients, [0.0, 0.0])

@@ -5,10 +5,10 @@ import pytest
 
 from pcsq.circuits import from_region_graph
 from pcsq.data import Column, Dataset
-from pcsq.errors import ConfigError, NumericError
+from pcsq.errors import ConfigError, DegenerateModelError, NumericError
 from pcsq.families import CategoricalFamily, EmbeddingFamily
 from pcsq import engine, inference
-from pcsq.inference import partition_function, sample
+from pcsq.inference import Query, marginalize, partition_function, sample
 from pcsq.learning import TrainConfig, init_parameters, train
 from pcsq.mixtures import CircuitMixture
 from pcsq.regions import build_linear_tree
@@ -118,6 +118,53 @@ def test_mixture_marginal_is_the_weighted_sum_of_component_marginals(marginalize
     np.testing.assert_allclose(got.to_linear(), weights @ np.stack(linear), rtol=1e-12)
     if len(marginalized) == 4:
         np.testing.assert_allclose(got.to_linear(), np.exp(mix.partition()), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "weights, learnable, index",
+    [
+        ([-1.0, 2.0], True, 0),  # log of a negative weight is NaN
+        ([1.0, 0.0], True, 1),  # log 0 = -inf, a free value no step can move
+        ([1.0, np.inf], True, 1),
+        ([0.5, -0.5], False, 1),
+        ([np.nan, 1.0], False, 0),
+        ([1.0, np.inf], False, 1),
+    ],
+)
+def test_unrepresentable_weights_are_config_errors(rng, weights, learnable, index):
+    comps = [_component(rng, s) for s in range(2)]
+    with pytest.raises(ConfigError, match=f"mixture weight {index} is"):
+        CircuitMixture.from_components(comps, weights=weights, learnable=learnable)
+
+
+def test_fixed_zero_weight_drops_its_component(rng):
+    comps = [_component(rng, s) for s in range(2)]
+    mix = CircuitMixture.from_components(comps, weights=[0.0, 1.0], learnable=False)
+    x = enumerate_assignments(3)
+    np.testing.assert_array_equal(mix.log_value(x), inference.log_value(comps[1], x))
+    assert mix.partition() == float(partition_function(comps[1]).log_magnitude)
+    nothing = CircuitMixture.from_components(comps, weights=[0.0, 0.0], learnable=False)
+    for query in (nothing.partition, lambda: nothing.sample(5)):
+        with pytest.raises(DegenerateModelError, match="normalizer is zero"):
+            query()
+
+
+def test_marginalize_is_the_one_row_marginal_batch_of_a_mixture(rng):
+    comps = [_component(rng, s) for s in range(2)]
+    mix = CircuitMixture.from_components(comps, weights=[0.4, 0.6], learnable=False)
+    want = inference.marginal_batch(mix, np.array([[1.0, 0.0, 0.0]]), {1, 2})
+    got = marginalize(mix, Query(evidence={0: 1.0}, marginalized={1, 2}))
+    assert got.shape == ()
+    assert got.log_magnitude == want.log_magnitude[0] and got.sign == want.sign[0]
+    query = Query(evidence={0: 1.0}, marginalized={1, 2}, require_normalized=True)
+    normalized = marginalize(mix, query)
+    assert normalized.log_magnitude == want.log_magnitude[0] - mix.partition()
+    total = marginalize(mix, Query(marginalized={0, 1, 2}, require_normalized=True))
+    assert total.log_magnitude == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ConfigError, match="unconstrained"):
+        marginalize(mix, Query(evidence={0: 1.0}))
+    with pytest.raises(ConfigError, match="overlap"):
+        marginalize(mix, Query(evidence={0: 1.0}, marginalized={0, 1, 2}))
 
 
 def test_mixture_log_likelihood_of_zero_rows_is_config_error(rng):

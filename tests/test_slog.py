@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pcsq.errors import PcsqError
 from pcsq.slog import (
     SignedLogTensor,
+    log_weighted_sum,
     signed_logsumexp,
     signed_product,
     signed_scale,
@@ -58,6 +59,58 @@ class TestSignedLogsumexp:
     def test_width_mismatch(self):
         with pytest.raises(PcsqError, match="width"):
             signed_logsumexp(np.ones((1, 2)), SignedLogTensor.from_linear([1.0]))
+
+
+class TestLogWeightedSum:
+    def test_matches_linear_space(self, rng):
+        # a zero weight, a zero term (log -inf) and terms over ~40 nats
+        w = np.array([0.5, 0.0, 2.0, 1.5])
+        terms = rng.uniform(0.1, 3.0, size=(6, 4)) * np.exp(rng.uniform(-20, 20, size=(6, 1)))
+        terms[2, 3] = 0.0
+        with np.errstate(divide="ignore"):
+            logs = np.log(terms)
+        log_total, shares = log_weighted_sum(w, logs)
+        want = terms @ w
+        assert log_total.shape == (6,) and shares.shape == (6, 4)
+        np.testing.assert_allclose(log_total, np.log(want), rtol=1e-14)
+        np.testing.assert_allclose(shares, terms * w / want[:, None], rtol=1e-13)
+        assert np.all(shares[:, 1] == 0.0) and shares[2, 3] == 0.0
+        # a 1-d input is one row: the mixture Z and sampling case
+        log_z, z_shares = log_weighted_sum(w, logs[0])
+        assert log_z.shape == () and z_shares.shape == (4,)
+        assert log_z == log_total[0]
+        np.testing.assert_array_equal(z_shares, shares[0])
+
+    def test_row_with_no_live_term_sums_to_minus_inf_without_warning(self):
+        logs = np.array([[-np.inf, -np.inf], [0.5, -1.0]])
+        # the suite turns RuntimeWarnings into errors; raise here outside it too
+        with np.errstate(all="raise"):
+            log_total, shares = log_weighted_sum(np.array([1.0, 3.0]), logs)
+            zero_weights = log_weighted_sum(np.zeros(2), logs)
+            zero_z = log_weighted_sum(np.zeros(3), np.zeros(3))
+        assert log_total[0] == -np.inf and np.all(shares[0] == 0.0)
+        assert np.isfinite(log_total[1])
+        for total, parts in (zero_weights, zero_z):
+            assert np.all(total == -np.inf) and np.all(parts == 0.0)
+
+    def test_one_term_of_weight_one_returns_its_logs(self, rng):
+        logs = rng.normal(scale=300.0, size=(40, 1))
+        logs[5, 0] = -np.inf
+        log_total, shares = log_weighted_sum(np.ones(1), logs)
+        np.testing.assert_array_equal(log_total, logs[:, 0])
+        want = np.ones((40, 1))
+        want[5, 0] = 0.0
+        np.testing.assert_array_equal(shares, want)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 64, 1000])
+    def test_shares_sum_to_one_within_rounding(self, rng, k):
+        # the total's k-term sum (k - 1 roundings), one division per share and
+        # the shares' own sum (k - 1 more): first order, (2k - 1) u (Higham, ch. 3)
+        u = np.finfo(np.float64).eps / 2
+        w = rng.uniform(0.0, 2.0, size=k)
+        logs = rng.normal(scale=5.0, size=(200, k))
+        _, shares = log_weighted_sum(w, logs)
+        assert np.all(np.abs(shares.sum(axis=1) - 1.0) <= 2 * k * u)
 
 
 class TestSignedProduct:
