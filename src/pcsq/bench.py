@@ -1,6 +1,11 @@
 """Micro-benchmarks: training-step timing, partition-function amortization
 counts, and the log-space vs linear-space overflow sweep.
 
+A step-timing row also counts the minor page faults of its timed steps
+(``resource.getrusage``'s ``ru_minflt``), which shows whether passes reuse
+freed heap pages (see :mod:`pcsq.kernels`); the column is empty where the
+``resource`` module is missing.
+
 Writes one flat CSV; rows belong to a ``section`` and leave unrelated
 columns empty.  The overflow sweep records the smallest variable count at
 which the linear-space float64 partition function stops being finite
@@ -21,6 +26,11 @@ from pcsq.learning import TrainConfig, _Adam, _accumulate_gradients, init_parame
 from pcsq.regions import build_binary_tree
 from pcsq.squaring import square
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 _COLUMNS = [
     "section",
     "k",
@@ -28,6 +38,7 @@ _COLUMNS = [
     "steps",
     "z_evals_per_step",
     "seconds_per_step",
+    "minor_faults_per_step",
     "peak_mb",
     "variables",
     "log_z_logspace",
@@ -58,14 +69,23 @@ def _timed_steps(model, batch, steps, seed):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     z_before = inference.z_eval_count(model)
+    faults_before = _minor_faults()
     t0 = time.perf_counter()
     for _ in range(steps):
         model.store.zero_grad()
         _accumulate_gradients(model, x)
         opt.step()
     elapsed = time.perf_counter() - t0
+    faults = _minor_faults()
+    faults_per_step = "" if faults is None else (faults - faults_before) / steps
     z_per_step = (inference.z_eval_count(model) - z_before) / steps
-    return elapsed / steps, peak / 1e6, z_per_step
+    return elapsed / steps, faults_per_step, peak / 1e6, z_per_step
+
+
+def _minor_faults():
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def run_benchmarks(
@@ -82,7 +102,7 @@ def run_benchmarks(
     for width in k:
         for batch in batch_sizes:
             model = _gaussian_squared_model(variables, width, seed)
-            sec, peak_mb, z_per_step = _timed_steps(model, batch, steps, seed)
+            sec, faults, peak_mb, z_per_step = _timed_steps(model, batch, steps, seed)
             rows.append(
                 {
                     "section": "step_timing",
@@ -91,6 +111,7 @@ def run_benchmarks(
                     "steps": steps,
                     "z_evals_per_step": z_per_step,
                     "seconds_per_step": sec,
+                    "minor_faults_per_step": faults,
                     "peak_mb": peak_mb,
                     "variables": variables,
                 }

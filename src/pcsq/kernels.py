@@ -41,11 +41,61 @@ log|0| + 0 = -inf with sign 0.  Each pass writes into arrays the kernel
 owns (``out=``), so the only full-size arrays ``slse_matmul`` allocates
 are the scaled terms, the matmul result (reused for the log-magnitude)
 and the sign.
+
+Importing this module (and so pcsq) sets one process-wide allocator
+policy where the C library is glibc: arrays up to 32 MiB (glibc's largest
+mmap threshold) come from the heap, and the heap keeps up to 64 MiB of
+freed pages at its top (twice that threshold, glibc's own ratio) instead
+of handing them back to the OS.  A pass allocates 0.5-2 MB temporaries
+per layer; by default glibc unmaps or trims them as they are freed, and
+the next layer touches them again as fresh pages, one minor fault per
+4 KiB page: about 2,500 faults per 4096-row log-density call on an
+8-variable K = 16 squared Gaussian model, about 30% of the call's time
+on a 2-core VM.  With the policy a warm pass faults on no page.  Peak
+resident memory was measured unchanged on the benchmark workloads, since
+the pages kept are the ones the next pass reuses.  The policy changes no
+arithmetic.  An application that embeds pcsq and wants glibc's defaults
+back can call ``mallopt`` itself after the import; on any other platform
+the policy does nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
+import sys
+
 import numpy as np
+
+# glibc's mallopt parameter numbers (<malloc.h>)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# glibc's largest mmap threshold on 64-bit platforms
+_MMAP_THRESHOLD = 32 << 20
+
+
+def _keep_freed_pages():
+    """Serve arrays up to ``_MMAP_THRESHOLD`` bytes from the heap and keep
+    freed heap pages up to twice that, through glibc's ``mallopt``; do
+    nothing off Linux or where the C library has no ``mallopt``.
+
+    The trim threshold is set only once the mmap threshold is: either
+    call switches off glibc's dynamic mmap threshold, and a trim threshold
+    alone leaves every temporary above 128 KiB to ``mmap`` (more faults,
+    not fewer).
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
+_keep_freed_pages()
 
 
 def backend_name():

@@ -321,8 +321,11 @@ class TestCommands:
         lines = (out / "bench.csv").read_text().splitlines()
         header = lines[0].split(",")
         z_col = header.index("z_evals_per_step")
+        fault_col = header.index("minor_faults_per_step")
         timing = [l.split(",") for l in lines[1:] if l.startswith("step_timing")]
         assert timing and all(float(row[z_col]) == 1.0 for row in timing)
+        faults = [float(row[fault_col]) for row in timing]
+        assert all(np.isfinite(f) and f >= 0 for f in faults)
 
 
 class TestExitCodes:

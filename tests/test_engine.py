@@ -1,6 +1,7 @@
 """Forward/backward engine: gradients against central finite differences,
 numeric-error policy, and the tape contract."""
 
+import platform
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from pcsq.families import (
     GaussianFamily,
     SplineFamily,
 )
-from pcsq.inference import log_value, partition_function
+from pcsq.inference import log_density, log_value, partition_function
 from pcsq.learning import init_parameters
 from pcsq.regions import build_binary_tree, build_linear_tree, linear_tree_from_order
 from pcsq.splines import BSplineBasis
@@ -389,3 +390,21 @@ def test_backward_releases_the_tape(rng, squared):
     c.store.zero_grad()
     engine.backward(res.tape, seed)
     assert all(out is None for out in _non_root(res)) and res.tape.saved == {}
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator policy is glibc's")
+def test_a_warm_signed_log_pass_refaults_no_heap_pages(rng):
+    # importing pcsq keeps freed heap pages, so a pass reuses the pages the
+    # previous pass freed instead of faulting them in afresh (about 2,500
+    # minor faults per call under glibc's default policy)
+    resource = pytest.importorskip("resource")
+    rg = build_binary_tree(8, seed=0)
+    model = square(from_region_graph(rg, 16, "hadamard", lambda s, u: GaussianFamily(u)))
+    init_parameters(model, "uniform(0,1)", 0)
+    x = rng.normal(size=(4096, 8))
+    for _ in range(2):
+        log_density(model, x)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        log_density(model, x)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100

@@ -1,6 +1,10 @@
 """The signed log-space kernels against linear float64 oracles."""
 
+import ctypes
 import functools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -162,3 +166,56 @@ def test_band_accum_nan_adjoint_spoils_only_its_entries(rng):
     _assert_matches_oracle(
         (out_lm[~spoiled], out_sg[~spoiled]), (a.T @ phi)[~spoiled], (np.abs(a).T @ phi)[~spoiled]
     )
+
+
+class _Libc:
+    """A C library stub that records its ``mallopt`` calls, or has none."""
+
+    def __init__(self, has_mallopt, accepts=1):
+        self.calls = []
+        if has_mallopt:
+            self.mallopt = lambda param, value: self.calls.append((param, value)) or accepts
+
+
+def _unloadable(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize(
+    "plat,has_mallopt,loads",
+    [("linux", False, True), ("linux", True, False), ("darwin", True, True), ("win32", True, True)],
+)
+def test_allocator_policy_is_a_no_op_without_glibc_mallopt(monkeypatch, plat, has_mallopt, loads):
+    libc = _Libc(has_mallopt)
+    monkeypatch.setattr(sys, "platform", plat)
+    monkeypatch.setattr(ctypes, "CDLL", (lambda name: libc) if loads else _unloadable)
+    kernels._keep_freed_pages()
+    assert libc.calls == []
+
+
+@pytest.mark.parametrize("accepts", [1, 0], ids=["accepted", "refused"])
+def test_allocator_policy_sets_the_trim_threshold_only_after_the_mmap_one(monkeypatch, accepts):
+    # a trim threshold alone would switch off glibc's dynamic mmap threshold
+    # and send every temporary above 128 KiB to mmap; a 32-bit glibc refuses
+    # a 32 MiB mmap threshold
+    libc = _Libc(True, accepts)
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    kernels._keep_freed_pages()
+    mmap = (kernels._M_MMAP_THRESHOLD, 32 << 20)
+    assert libc.calls == ([mmap, (kernels._M_TRIM_THRESHOLD, 64 << 20)] if accepts else [mmap])
+
+
+@pytest.mark.parametrize("stub", ["no-mallopt", "not-linux"])
+def test_importing_pcsq_never_raises_without_glibc_mallopt(stub):
+    patch = {
+        "no-mallopt": "ctypes.CDLL = lambda name: object()",
+        "not-linux": "sys.platform = 'darwin'",
+    }[stub]
+    code = f"import ctypes, sys\nimport numpy\n{patch}\nimport pcsq\n"
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
