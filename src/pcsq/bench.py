@@ -21,6 +21,7 @@ import numpy as np
 
 from pcsq import data, engine, inference
 from pcsq.circuits import from_region_graph
+from pcsq.errors import ConfigError
 from pcsq.families import GaussianFamily
 from pcsq.learning import TrainConfig, _Adam, _accumulate_gradients, init_parameters
 from pcsq.regions import build_binary_tree
@@ -98,6 +99,8 @@ def run_benchmarks(
     overflow_init="uniform(0,4)",
     seed=0,
 ):
+    if min(steps, *k, *batch_sizes) < 1:
+        raise ConfigError("bench steps, widths k and batch sizes must be at least 1")
     rows = []
     for width in k:
         for batch in batch_sizes:

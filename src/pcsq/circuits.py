@@ -1,9 +1,12 @@
 """Tensorized circuits: layered computation graphs with scopes.
 
-A circuit is a topologically-ordered list of layers (input / sum /
-hadamard-product / kronecker-product) plus one flat float64 parameter
-store.  The layers form a binary tree with the output last: every other
-layer has exactly one reader, and every product layer two factors.
+A circuit is its layers and its store: a topologically-ordered list of
+layers (input / sum / hadamard-product / kronecker-product) plus one flat
+float64 parameter store.  The layers form a binary tree with the output
+last, one unit wide over the variables 0..n-1: every other layer has
+exactly one reader, and every product layer two factors.  So the output
+layer and the variable count are read off the layer list, and the tree
+of layer scopes is the circuit's region graph.
 :meth:`TensorizedCircuit.assert_valid` is the one structural check; a
 valid circuit is smooth, decomposable and structured-decomposable by
 construction, so :func:`check_property` answers those three by it.
@@ -152,10 +155,15 @@ class Layer:
 @dataclass
 class TensorizedCircuit:
     layers: list
-    output_layer: int
     store: ParameterStore
-    variable_count: int
-    region_graph: RegionGraph | None = None
+
+    @property
+    def output_layer(self):
+        return len(self.layers) - 1
+
+    @property
+    def variable_count(self):
+        return len(self.layers[-1].scope)
 
     def layer(self, layer_id) -> Layer:
         return self.layers[layer_id]
@@ -181,12 +189,17 @@ class TensorizedCircuit:
         """Return the circuit, or raise PcsqError naming the first layer that
         breaks its structure: positional ids in topological order; each layer
         is an input, sum, Hadamard or Kronecker layer; an input layer has a
-        family and a non-empty scope, a sum layer one input and a parameter
-        block, a product layer two inputs with disjoint scopes; each scope is
-        the union of its inputs'; the layers form a binary tree, so every
-        layer but the output has exactly one reader and the output, which
-        has none, is the last layer; and the output is one unit wide over
-        every variable."""
+        non-empty scope and a family of its width whose blocks are the ones
+        its kind registers, in the store with their shapes and
+        reparameterizations; a sum layer has one input and a (width, input
+        width) block in the store, each side squared on a squared layer; a
+        product layer has two inputs with disjoint scopes; each scope is the
+        union of its inputs'; the layers form a binary tree, so every layer
+        but the output has exactly one reader and the output, which has
+        none, is the last layer; and the output is one unit wide over the
+        variables 0..n-1."""
+        if not self.layers:
+            raise PcsqError("a circuit needs at least one layer")
         seen = set()
         readers = [0] * len(self.layers)
         for i, l in enumerate(self.layers):
@@ -203,11 +216,18 @@ class TensorizedCircuit:
                     raise PcsqError("input layers need a family")
                 if not l.scope:
                     raise PcsqError(f"input layer {i} has an empty scope")
+                self._check_family(l)
             elif l.kind == SUM:
                 if len(l.inputs) != 1:
                     raise PcsqError("sum layers take exactly one input (smoothness)")
-                if l.param_block is None:
-                    raise PcsqError("sum layers need a parameter block")
+                shape = self._block(l, l.param_block).shape
+                if l.squared:
+                    shape = tuple(s * s for s in shape)
+                if shape != (l.output_width, self.layer(l.inputs[0]).output_width):
+                    raise PcsqError(
+                        f"sum layer {i}'s block {l.param_block!r} does not map its input's "
+                        "width to its own"
+                    )
             elif l.kind in (HADAMARD, KRONECKER):
                 if len(l.inputs) != 2:
                     raise PcsqError(f"product layer {i} takes two inputs, not {len(l.inputs)}")
@@ -238,10 +258,32 @@ class TensorizedCircuit:
                 )
         out = self.layer(self.output_layer)
         if out.scope != tuple(range(self.variable_count)):
-            raise PcsqError("output layer scope must cover every variable")
+            raise PcsqError(f"output layer scope {out.scope} is not the variables 0..n-1")
         if out.output_width != 1:
             raise PcsqError(f"output layer {out.layer_id} has width {out.output_width}, not 1")
         return self
+
+    def _check_family(self, l: Layer):
+        family = l.family
+        if (family.units**2 if l.squared else family.units) != l.output_width:
+            raise PcsqError(f"input layer {l.layer_id}'s family does not match its width")
+        specs = family.block_specs()
+        if sorted(family.blocks) != sorted(specs):
+            raise PcsqError(
+                f"input layer {l.layer_id}'s {family.kind} family names blocks "
+                f"{sorted(family.blocks)}, not {sorted(specs)}"
+            )
+        for key, (shape, reparam) in specs.items():
+            block = self._block(l, family.blocks[key])
+            if (block.shape, block.reparam) != (shape, reparam):
+                raise PcsqError(
+                    f"input layer {l.layer_id}'s block {key!r} is not a {shape} {reparam} block"
+                )
+
+    def _block(self, l: Layer, name):
+        if name not in self.store.blocks:
+            raise PcsqError(f"layer {l.layer_id} reads block {name!r}, which the store lacks")
+        return self.store.blocks[name]
 
 
 # ---------------------------------------------------------------------------
@@ -294,19 +336,12 @@ def from_region_graph(
         block = store.add_block(f"L{len(layers)}.weight", (out_width, prod_width), sum_reparam)
         return add_layer(SUM, node.scope, out_width, inputs=[pid], param_block=block)
 
-    top = build_region(rg.root)
-    if layers[top].kind == INPUT:
+    build_region(rg.root)
+    if layers[-1].kind == INPUT:
         # single-region graph: still give the circuit a scalar sum head
         block = store.add_block(f"L{len(layers)}.weight", (1, width), sum_reparam)
-        top = add_layer(SUM, layers[top].scope, 1, inputs=[top], param_block=block)
-    circuit = TensorizedCircuit(
-        layers=layers,
-        output_layer=top,
-        store=store,
-        variable_count=rg.variable_count,
-        region_graph=rg,
-    )
-    return circuit.assert_valid()
+        add_layer(SUM, layers[-1].scope, 1, inputs=[0], param_block=block)
+    return TensorizedCircuit(layers, store).assert_valid()
 
 
 # ---------------------------------------------------------------------------

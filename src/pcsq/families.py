@@ -62,9 +62,17 @@ class InputFamily:
         self.blocks = {}
 
     # --- parameter wiring -------------------------------------------------
+    def block_specs(self):
+        """Key -> (shape, reparameterization) of each parameter block."""
+        return {}
+
     def register(self, store, prefix):
         """Create this family's parameter blocks under ``prefix``."""
-        raise NotImplementedError
+        self.blocks = {
+            key: store.add_block(f"{prefix}{key}", shape, reparam)
+            for key, (shape, reparam) in self.block_specs().items()
+        }
+        return self
 
     def bind(self, blocks):
         self.blocks = dict(blocks)
@@ -157,12 +165,8 @@ class GaussianFamily(_GaussianShaped, InputFamily):
 
     kind = "gaussian"
 
-    def register(self, store, prefix):
-        self.blocks = {
-            "mean": store.add_block(f"{prefix}mean", (self.units,), "identity"),
-            "std": store.add_block(f"{prefix}std", (self.units,), "exp"),
-        }
-        return self
+    def block_specs(self):
+        return {"mean": ((self.units,), "identity"), "std": ((self.units,), "exp")}
 
     def _params(self, store):
         return store.effective(self.blocks["mean"]), store.effective(self.blocks["std"])
@@ -279,12 +283,8 @@ class _LinearFamily(InputFamily):
         super().__init__(units)
         self.basis = basis
 
-    def register(self, store, prefix):
-        shape = (self.units, self.basis.num_bases)
-        self.blocks = {
-            self.block_name: store.add_block(f"{prefix}{self.block_name}", shape, self.reparam)
-        }
-        return self
+    def block_specs(self):
+        return {self.block_name: ((self.units, self.basis.num_bases), self.reparam)}
 
     def _coeffs(self, store):
         return store.effective(self.blocks[self.block_name])
@@ -378,11 +378,8 @@ class BinomialFamily(InputFamily):
     def num_states(self):
         return self.trials + 1
 
-    def register(self, store, prefix):
-        self.blocks = {
-            "logit_p": store.add_block(f"{prefix}logit_p", (self.units,), "identity")
-        }
-        return self
+    def block_specs(self):
+        return {"logit_p": ((self.units,), "identity")}
 
     def _p(self, store):
         theta = store.effective(self.blocks["logit_p"])
@@ -479,17 +476,14 @@ class RbfKernelFamily(_GaussianShaped, InputFamily):
     def __init__(self, anchors, bandwidth):
         anchors = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
         super().__init__(anchors.shape[0])
-        if bandwidth <= 0:
-            raise ConfigError("rbf bandwidth must be positive")
+        if not 0 < bandwidth < math.inf:
+            raise ConfigError(f"rbf bandwidth must be positive and finite, got {bandwidth}")
         self.anchors = anchors
         self.bandwidth = float(bandwidth)
 
     @property
     def dim(self):
         return self.anchors.shape[1]
-
-    def register(self, store, prefix):
-        return self
 
     def log_eval(self, store, x):
         x = DomainError.check(x, np.isfinite, "is not finite")
@@ -559,4 +553,6 @@ def family_from_dict(doc):
         )
     else:
         fam = RbfKernelFamily(doc["anchors"], doc["bandwidth"])
+        if fam.units != doc["units"]:
+            raise ConfigError(f"rbf family has {fam.units} anchors, not {doc['units']} units")
     return fam.bind(doc["blocks"])

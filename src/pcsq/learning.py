@@ -14,6 +14,7 @@ best-validation parameters are restored at the end.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from dataclasses import dataclass, field
@@ -78,9 +79,14 @@ def parse_init(scheme: str):
         raise ConfigError(
             f"bad init scheme {scheme!r}; expected uniform(a,b) or normal(mean,std)"
         )
-    kind, a, b = m.group(1), float(m.group(2)), float(m.group(3))
-    if kind == "uniform" and not a < b:
-        raise ConfigError("uniform init needs a < b")
+    try:
+        kind, a, b = m.group(1), float(m.group(2)), float(m.group(3))
+    except ValueError as exc:
+        raise ConfigError(f"bad number in init scheme {scheme!r}") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ConfigError(f"init scheme {scheme!r} needs finite numbers")
+    if kind == "uniform" and not (a < b and math.isfinite(b - a)):
+        raise ConfigError("uniform init needs a < b and a finite b - a")
     if kind == "normal" and b <= 0:
         raise ConfigError("normal init needs std > 0")
     return kind, a, b

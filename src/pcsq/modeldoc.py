@@ -1,11 +1,14 @@
 """Model document serialization.
 
-A model saves as one UTF-8 JSON document carrying the region graph, the
-layer list, the parameter-block table, and the flat value vector encoded
-as base64 of raw little-endian IEEE-754 bits (bit-exact round trip; JSON
-decimals cannot carry non-finite floats).  Squared models serialize by
-reference to their source circuit plus a ``squared: true`` flag and are
-re-squared on load; mixtures nest their component documents.
+A model saves as one UTF-8 JSON document: a circuit as its layer list
+(output last), its parameter-block table, and its flat value vector
+encoded as base64 of raw little-endian IEEE-754 bits (bit-exact round
+trip; JSON decimals cannot carry non-finite floats).  Squared models
+serialize by reference to their source circuit and are re-squared on
+load; mixtures nest their component documents.  Loading reads every key
+and validates each circuit; the keys older documents also carry (a
+variable count, an output index, a region graph, a squared flag) are
+ignored.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from pcsq.circuits import Layer, ParameterStore, TensorizedCircuit
 from pcsq.errors import ConfigError, IngestError
 from pcsq.families import family_from_dict
 from pcsq.mixtures import CircuitMixture
-from pcsq.regions import RegionGraph
 from pcsq.squaring import SquaredCircuit, square
 
 FORMAT_VERSION = 1
@@ -79,9 +81,6 @@ def circuit_to_dict(c: TensorizedCircuit):
             "not keep; save the SquaredCircuit instead of its engine graph"
         )
     return {
-        "variable_count": c.variable_count,
-        "output_layer": c.output_layer,
-        "region_graph": None if c.region_graph is None else c.region_graph.to_dict(),
         "layers": [
             {
                 "id": l.layer_id,
@@ -115,15 +114,7 @@ def circuit_from_dict(doc) -> TensorizedCircuit:
                 family=family,
             )
         )
-    rg = None if doc["region_graph"] is None else RegionGraph.from_dict(doc["region_graph"])
-    circuit = TensorizedCircuit(
-        layers=layers,
-        output_layer=doc["output_layer"],
-        store=store,
-        variable_count=doc["variable_count"],
-        region_graph=rg,
-    )
-    return circuit.assert_valid()
+    return TensorizedCircuit(layers, store).assert_valid()
 
 
 def model_to_dict(model):
@@ -131,14 +122,12 @@ def model_to_dict(model):
         return {
             "format_version": FORMAT_VERSION,
             "kind": "squared",
-            "squared": True,
             "source": circuit_to_dict(model.source),
         }
     if isinstance(model, TensorizedCircuit):
         return {
             "format_version": FORMAT_VERSION,
             "kind": "circuit",
-            "squared": False,
             **circuit_to_dict(model),
         }
     if isinstance(model, CircuitMixture):

@@ -31,7 +31,6 @@ from pcsq.engine import forward
 from pcsq.errors import ConfigError, DegenerateModelError, IngestError, NumericError
 from pcsq.families import EmbeddingFamily, RbfKernelFamily
 from pcsq.mixtures import CircuitMixture
-from pcsq.regions import linear_tree_from_order
 from pcsq.squaring import SquaredCircuit, square
 
 
@@ -89,10 +88,7 @@ def _shallow_kernel_component(psd: PsdModel, weights):
     layers = [Layer(0, INPUT, tuple(range(dim)), d, family=family)]
     block = store.add_block("L1.weight", (1, d), trainable=False, init=weights.reshape(1, d))
     layers.append(Layer(1, SUM, tuple(range(dim)), 1, inputs=[0], param_block=block))
-    circuit = TensorizedCircuit(
-        layers=layers, output_layer=1, store=store, variable_count=dim
-    )
-    return circuit.assert_valid()
+    return TensorizedCircuit(layers, store).assert_valid()
 
 
 def psd_to_circuit(psd: PsdModel, eig_clip=1e-9) -> CircuitMixture:
@@ -384,14 +380,7 @@ def _linear_tree_chain(tables, weights):
         lid = len(layers)
         layers.append(Layer(lid, HADAMARD, scope, tables[v].shape[0], inputs=[v, top]))
         top = add_sum(scope, lid, weights[v])
-    circuit = TensorizedCircuit(
-        layers=layers,
-        output_layer=top,
-        store=store,
-        variable_count=d,
-        region_graph=linear_tree_from_order(range(d)),
-    )
-    return circuit.assert_valid()
+    return TensorizedCircuit(layers, store).assert_valid()
 
 
 # ---------------------------------------------------------------------------

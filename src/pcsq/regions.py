@@ -4,7 +4,9 @@ structure and guarantee structured-decomposability.
 A region graph is a rooted bipartite tree: region nodes carry variable
 scopes, partition nodes split a parent region's scope into two disjoint,
 covering child scopes.  Node ids are dense integers assigned in
-construction order so graphs serialize stably.
+construction order.  A graph fixes a circuit's structure when the circuit
+is built (see :func:`pcsq.circuits.from_region_graph`); the circuit keeps
+no reference to it, since its layer scopes form the same tree.
 """
 
 from __future__ import annotations
@@ -62,45 +64,6 @@ class RegionGraph:
 
     def leaf_regions(self):
         return [n for n in self.regions() if not n.children]
-
-    def to_dict(self):
-        return {
-            "variable_count": self.variable_count,
-            "root": self.root,
-            "nodes": [
-                {
-                    "id": n.node_id,
-                    "kind": n.kind,
-                    "scope": list(n.scope) if n.kind == "region" else None,
-                    "parent": n.parent,
-                    "children": list(n.children),
-                }
-                for n in self.nodes
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        nodes = []
-        for rec in doc["nodes"]:
-            if rec["kind"] == "region":
-                nodes.append(
-                    RegionNode(
-                        node_id=rec["id"],
-                        scope=tuple(rec["scope"]),
-                        parent=rec["parent"],
-                        children=list(rec["children"]),
-                    )
-                )
-            else:
-                nodes.append(
-                    PartitionNode(
-                        node_id=rec["id"],
-                        parent=rec["parent"],
-                        children=list(rec["children"]),
-                    )
-                )
-        return cls(nodes=nodes, root=doc["root"], variable_count=doc["variable_count"])
 
 
 class _Builder:

@@ -48,6 +48,8 @@ class BSplineBasis:
     @classmethod
     def uniform(cls, order, num_knots, bounds):
         """Basis over ``num_knots`` uniformly placed interior knots."""
+        if num_knots < 0:
+            raise ConfigError(f"spline knot count must be >= 0, got {num_knots}")
         a, b = bounds
         interior = np.linspace(a, b, num_knots + 2)[1:-1]
         return cls(order, interior, bounds)

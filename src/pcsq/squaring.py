@@ -63,14 +63,7 @@ def square(c: TensorizedCircuit) -> SquaredCircuit:
         replace(src, output_width=src.output_width**2, inputs=list(src.inputs), squared=True)
         for src in c.layers
     ]
-    squared = TensorizedCircuit(
-        layers=layers,
-        output_layer=c.output_layer,
-        store=c.store,
-        variable_count=c.variable_count,
-        region_graph=c.region_graph,
-    )
-    return SquaredCircuit(circuit=squared.assert_valid(), source=c)
+    return SquaredCircuit(circuit=TensorizedCircuit(layers, c.store).assert_valid(), source=c)
 
 
 def square_deterministic(c: TensorizedCircuit) -> TensorizedCircuit:
@@ -121,11 +114,4 @@ def square_deterministic(c: TensorizedCircuit) -> TensorizedCircuit:
                 inputs=list(src.inputs),
             )
         layers.append(layer)
-    out = TensorizedCircuit(
-        layers=layers,
-        output_layer=c.output_layer,
-        store=store,
-        variable_count=c.variable_count,
-        region_graph=c.region_graph,
-    )
-    return out.assert_valid()
+    return TensorizedCircuit(layers, store).assert_valid()

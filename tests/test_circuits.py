@@ -1,5 +1,7 @@
 """Circuit construction, structural properties, and size accounting."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,12 +101,15 @@ def _product_circuit(factors):
     """``factors`` one-variable input layers read by one Hadamard layer
     under a 1 x 2 sum head; valid only for two factors."""
     store = ParameterStore()
-    layers = [Layer(v, INPUT, (v,), 2, family=GaussianFamily(2)) for v in range(factors)]
+    layers = [
+        Layer(v, INPUT, (v,), 2, family=GaussianFamily(2).register(store, f"L{v}."))
+        for v in range(factors)
+    ]
     scope = tuple(range(factors))
     layers.append(Layer(factors, HADAMARD, scope, 2, inputs=list(range(factors))))
     head = store.add_block("head", (1, 2))
     layers.append(Layer(factors + 1, SUM, scope, 1, inputs=[factors], param_block=head))
-    return TensorizedCircuit(layers, factors + 1, store, factors)
+    return TensorizedCircuit(layers, store)
 
 
 class TestBinaryTreeOfLayers:
@@ -123,9 +128,12 @@ class TestBinaryTreeOfLayers:
             c.assert_valid()
 
     def test_unread_layer_rejected(self):
+        # the output is the last layer, so a new root goes above the dead one
         c = self._circuit()
-        dead = len(c.layers)
+        root, dead = c.output_layer, len(c.layers)
         c.layers.append(Layer(dead, INPUT, (0,), 2, family=c.layer(0).family))
+        block = c.store.add_block("new_root", (1, 1))
+        c.layers.append(Layer(dead + 1, SUM, c.layer(root).scope, 1, [root], block))
         with pytest.raises(PcsqError, match=f"layer {dead} is read by 0 layers"):
             c.assert_valid()
 
@@ -149,7 +157,6 @@ class TestValidatorRules:
         c = _product_circuit(2)
         c.layer(1).scope = ()
         c.layer(2).scope = c.layer(3).scope = (0,)
-        c.variable_count = 1
         with pytest.raises(PcsqError, match="input layer 1 has an empty scope"):
             c.assert_valid()
         # the product's scope (0,) is its first factor's, so the product does
@@ -163,6 +170,29 @@ class TestValidatorRules:
         c.layer(3).output_width = 2
         c.layer(3).param_block = c.store.add_block("wide head", (2, 2))
         with pytest.raises(PcsqError, match="output layer 3 has width 2, not 1"):
+            c.assert_valid()
+
+    @pytest.mark.parametrize(
+        "defect,message",
+        [
+            ("family width", "input layer 0's family does not match its width"),
+            ("family block shape", "input layer 0's block 'mean' is not a (2,) identity block"),
+            ("family block reparam", "input layer 0's block 'std' is not a (2,) exp block"),
+            ("sum block shape", "sum layer 3's block 'odd' does not map its input's width"),
+        ],
+        ids=["family-width", "family-block-shape", "family-block-reparam", "sum-block-shape"],
+    )
+    def test_misshapen_block_reference_rejected(self, defect, message):
+        c = _product_circuit(2)
+        if defect == "family width":
+            c.layer(0).family.units = 3
+        elif defect == "family block shape":
+            c.layer(0).family.blocks["mean"] = c.store.add_block("odd", (3,))
+        elif defect == "family block reparam":
+            c.store.blocks[c.layer(0).family.blocks["std"]].reparam = "identity"
+        else:
+            c.layer(3).param_block = c.store.add_block("odd", (1, 3))
+        with pytest.raises(PcsqError, match=re.escape(message)):
             c.assert_valid()
 
 

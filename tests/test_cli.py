@@ -340,7 +340,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "setting",
-        ["train.max_epochs=0", "train.l2=-1", "train.l2=nan", "train.learning_rate=nan"],
+        [
+            "train.max_epochs=0",
+            "train.l2=-1",
+            "train.l2=nan",
+            "train.learning_rate=nan",
+            "train.init=uniform(1e,2)",
+            "train.init=normal(0,1e400)",
+            "train.init=uniform(-1e308,1e308)",
+        ],
     )
     def test_out_of_range_train_setting_is_config_error(self, tmp_path, capsys, setting):
         cfg = _write_config(tmp_path, "train.cfg", TRAIN_CFG)
@@ -482,6 +490,9 @@ class TestExitCodes:
             ("reduce-psd", "psd.check_points=0"),
             ("reduce-mps", "mps.d=1"),
             ("reduce-mps", "mps.check_points=0"),
+            ("bench", "bench.steps=0"),
+            ("bench", "bench.k=0"),
+            ("bench", "bench.batch_sizes=0"),
         ],
     )
     def test_reduction_sizes_below_one_are_config_errors(self, tmp_path, capsys, command, setting):
@@ -490,6 +501,47 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--set", setting, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,setting",
+        [
+            ("train", "model.knots=-3"),
+            ("train", "model.knots=-1"),
+            ("reduce-psd", "psd.bandwidth=nan"),
+            ("reduce-psd", "psd.bandwidth=inf"),
+        ],
+    )
+    def test_out_of_range_family_hyperparameter_is_config_error(
+        self, tmp_path, capsys, command, setting
+    ):
+        cfg = _write_config(tmp_path, "f.cfg", TRAIN_CFG if command == "train" else "seed = 1\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--set", setting, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("defect", ["family block", "sum block"])
+    def test_model_with_a_dangling_block_reference_is_refused(self, tmp_path, capsys, defect):
+        data_cfg = "seed = 3\ndataset.n_train = 200\ndataset.n_val = 50\ndataset.n_test = 50\n"
+        train_cfg = data_cfg + "model.family = gaussian\nmodel.k = 2\ntrain.max_epochs = 1\n"
+        run, out = tmp_path / "run", tmp_path / "eval"
+        train_path = _write_config(tmp_path, "t.cfg", train_cfg)
+        assert main(["train", "--config", train_path, "--out", str(run)]) == 0
+        model_path = run / "model.json"
+        doc = json.loads(model_path.read_text())
+        layers = doc["source"]["layers"]
+        if defect == "family block":
+            del layers[0]["family"]["blocks"]["mean"]
+            message = "input layer 0's gaussian family names blocks ['std'], not ['mean', 'std']"
+        else:
+            layer = next(rec for rec in layers if rec["kind"] == "sum")
+            layer["param_block"] = "L99.nope"
+            message = f"layer {layer['id']} reads block 'L99.nope', which the store lacks"
+        model_path.write_text(json.dumps(doc))
+        eval_cfg = _write_config(tmp_path, "e.cfg", data_cfg + f"model.path = {model_path}\n")
+        assert main(["eval", "--config", eval_cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
 
     def test_non_integer_discrete_states_is_an_ingest_error(self, tmp_path, capsys):
         csv_path = tmp_path / "rows.csv"

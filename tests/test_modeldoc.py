@@ -102,7 +102,6 @@ def test_squared_flag_in_document(rng, tmp_path):
     c, _ = random_discrete_circuit(rng)
     doc = model_to_dict(square(c))
     assert doc["kind"] == "squared"
-    assert doc["squared"] is True
     assert "source" in doc
     rebuilt = model_from_dict(doc)
     assert isinstance(rebuilt, SquaredCircuit)
@@ -167,6 +166,14 @@ def test_document_with_an_unknown_layer_kind_is_refused(tmp_path):
     layer["kind"] = "foo"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(PcsqError, match=f"layer {layer['id']} has unknown kind 'foo'"):
+        load_model(path)
+
+
+def test_document_without_layers_is_refused(tmp_path):
+    path, doc = _kronecker_document(tmp_path)
+    doc["source"]["layers"] = []
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(PcsqError, match="a circuit needs at least one layer"):
         load_model(path)
 
 
@@ -283,3 +290,91 @@ def test_every_model_kind_reloads_bit_identically(tmp_path_factory, kind, seed, 
             with pytest.raises(ConfigError, match="save the SquaredCircuit"):
                 save_model(graph.circuit, refused)
             assert not refused.exists()
+
+
+# --- the document format: every key is read, and older keys are ignored -----
+
+
+def _key_paths(node, path=()):
+    """The path of every dict key in a JSON tree, list indices included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _key_paths(value, path + (i,))
+
+
+def _doc_circuit(rng):
+    return from_region_graph(build_binary_tree(3, 1), 2, "hadamard", lambda s, k: GaussianFamily(k))
+
+
+def _doc_squared(rng):
+    basis = BSplineBasis.uniform(2, 3, (-1.0, 1.0))
+    c = from_region_graph(build_linear_tree(2, 0), 2, "hadamard", lambda s, k: SplineFamily(k, basis))
+    return square(c)
+
+
+def _doc_mixture(rng):
+    comps = [
+        square(from_region_graph(build_linear_tree(2, seed), 2, "hadamard", factory))
+        for seed, factory in enumerate(
+            [lambda s, k: CategoricalFamily(k, 3), lambda s, k: BinomialFamily(k, 2)]
+        )
+    ]
+    return CircuitMixture.from_components(comps)
+
+
+def _doc_psd(rng):
+    factor = rng.normal(size=(3, 2))
+    return psd_to_circuit(PsdModel(rng.normal(size=(3, 1)), 0.8, factor @ factor.T))
+
+
+@pytest.mark.parametrize(
+    "build", [_doc_circuit, _doc_squared, _doc_mixture, _doc_psd],
+    ids=["circuit", "squared", "mixture", "psd-mixture"],
+)
+def test_every_document_key_is_read(rng, tmp_path, build):
+    doc = model_to_dict(build(rng))
+    path = tmp_path / "model.json"
+    unread = []
+    for key_path in _key_paths(doc):
+        broken = json.loads(json.dumps(doc))
+        parent = broken
+        for key in key_path[:-1]:
+            parent = parent[key]
+        del parent[key_path[-1]]
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        try:
+            load_model(path)
+        except PcsqError:
+            continue
+        unread.append(key_path)
+    assert unread == []
+
+
+def test_older_document_keys_are_ignored(rng, tmp_path):
+    # documents once also carried the variable count, the output index, a
+    # squared flag and a region graph; none of them is read, so even a
+    # region graph that could not be rebuilt does not stop the load
+    c = from_region_graph(build_binary_tree(4, seed=3), 3, "hadamard", lambda s, k: GaussianFamily(k))
+    _nasty_values(c.store, rng)
+    sq = square(c)
+    doc = model_to_dict(sq)
+    doc["squared"] = True
+    doc["source"].update(
+        variable_count=4,
+        output_layer=len(c.layers) - 1,
+        region_graph={
+            "variable_count": 4,
+            "root": 0,
+            "nodes": [{"id": 0, "kind": "region", "scope": [0, 1, 2, 3], "parent": None}],
+        },
+    )
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    again = load_model(path)
+    x = rng.normal(size=(16, 4))
+    for got, want in zip(_evaluations(again, x), _evaluations(sq, x)):
+        np.testing.assert_array_equal(got, want)

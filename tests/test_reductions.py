@@ -155,13 +155,14 @@ class TestMpsReduction:
         mps = MpsFactorization.random(5, 2, 2, seed=1)
         circuit = mps_to_circuit(mps)
         assert check_property(circuit, "structured_decomposable")
-        rg = circuit.region_graph
-        assert rg is not None
-        assert len(rg.partitions()) == 4
-        # identity-order chain: the root partition peels variable 0 off
-        part = rg.partitions()[0]
-        assert rg.node(part.children[0]).scope == (0,)
-        assert rg.node(part.children[1]).scope == (1, 2, 3, 4)
+        products = [l for l in circuit.layers if l.kind == "hadamard"]
+        assert len(products) == 4
+        # identity-order chain: each product peels its lowest variable off,
+        # the root product variable 0
+        for product in products:
+            first, rest = (circuit.layer(j).scope for j in product.inputs)
+            assert first == product.scope[:1] and rest == product.scope[1:]
+        assert products[-1].scope == (0, 1, 2, 3, 4)
 
     def test_binary_round_trip(self, rng, tmp_path):
         mps = MpsFactorization.random(4, 3, 2, seed=7)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pcsq.errors import ConfigError
 from pcsq.regions import (
-    RegionGraph,
     build_binary_tree,
     build_linear_tree,
     linear_tree_from_order,
@@ -94,10 +93,8 @@ class TestValidate:
 
     def test_missing_leaf_coverage_flagged(self):
         rg = build_linear_tree(3, 0)
-        doc = rg.to_dict()
-        doc["variable_count"] = 4  # leaves now miss variable 3
-        corrupted = RegionGraph.from_dict(doc)
-        codes = {v.code for v in validate(corrupted)}
+        rg.variable_count = 4  # leaves now miss variable 3
+        codes = {v.code for v in validate(rg)}
         assert "leaf-coverage" in codes
 
     def test_nonbinary_partition_flagged(self):
@@ -124,12 +121,5 @@ def test_seed_determinism():
     for builder in (build_linear_tree, build_binary_tree):
         a = builder(9, 1234)
         b = builder(9, 1234)
-        assert a.to_dict() == b.to_dict()
-    assert build_linear_tree(9, 1).to_dict() != build_linear_tree(9, 2).to_dict()
-
-
-def test_round_trip_through_dict():
-    rg = build_binary_tree(6, seed=8)
-    again = RegionGraph.from_dict(rg.to_dict())
-    assert validate(again) == []
-    assert again.to_dict() == rg.to_dict()
+        assert a == b
+    assert build_linear_tree(9, 1) != build_linear_tree(9, 2)
