@@ -21,7 +21,6 @@ from pcsq.regions import (
     build_binary_tree,
     build_linear_tree,
     linear_tree_from_order,
-    validate,
 )
 from pcsq.circuits import (
     Layer,

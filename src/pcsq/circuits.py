@@ -11,7 +11,7 @@ of layer scopes is the circuit's region graph.
 valid circuit is smooth, decomposable and structured-decomposable by
 construction, so :func:`check_property` answers those three by it.
 Construction from a tree region graph yields such a circuit: one input
-layer per leaf region, one product+sum pair per partition, and a width-1
+layer per leaf region, one product+sum pair per split region, and a width-1
 sum at the root.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pcsq.errors import ConfigError, PcsqError, UnsupportedStructureError
-from pcsq.regions import RegionGraph, normalize_scope, validate as validate_region_graph
+from pcsq.regions import RegionGraph, normalize_scope
 from pcsq.slog import log_weighted_sum
 
 
@@ -294,15 +294,15 @@ def from_region_graph(
     rg: RegionGraph, width, product_kind="hadamard", family_factory=None, sum_reparam="identity"
 ):
     """Build a smooth, structured-decomposable circuit over a tree region
-    graph.
+    graph whose root scope is the variables 0..n-1.
 
-    Leaf regions become input layers of ``width`` units, every partition
-    becomes a product layer over its children followed by a sum layer
-    (width ``width``, or 1 at the root), and a lone leaf root gets a 1 x K
-    sum head.  ``family_factory(scope, units)`` must return an unregistered
-    input family suitable for the variables in ``scope``.  Monotonic
-    circuits pass sum_reparam="exp" to keep every effective weight
-    positive.
+    Leaf regions become input layers of ``width`` units, every split region
+    becomes a product layer over its two children (built depth first, the
+    first child first) followed by a sum layer (width ``width``, or 1 at
+    the root), and a lone leaf root gets a 1 x K sum head.
+    ``family_factory(scope, units)`` must return an unregistered input
+    family suitable for the variables in ``scope``.  Monotonic circuits
+    pass sum_reparam="exp" to keep every effective weight positive.
     """
     if width < 1:
         raise ConfigError("width must be >= 1")
@@ -310,33 +310,31 @@ def from_region_graph(
         raise ConfigError(f"unknown product kind {product_kind!r}")
     if family_factory is None:
         raise ConfigError("family_factory is required")
-    problems = validate_region_graph(rg)
-    if problems:
-        raise ConfigError(f"invalid region graph: {problems[0].code}: {problems[0].detail}")
+    if rg.scope != tuple(range(len(rg.scope))):
+        raise ConfigError(f"invalid region graph: root scope {rg.scope} is not variables 0..n-1")
 
     store = ParameterStore()
     layers = []
 
     def add_layer(kind, scope, width_, inputs=None, param_block=None, family=None):
-        layer = Layer(len(layers), kind, normalize_scope(scope), width_, inputs or [], param_block, family)
+        layer = Layer(len(layers), kind, scope, width_, inputs or [], param_block, family)
         layers.append(layer)
         return layer.layer_id
 
-    def build_region(region_id):
-        node = rg.node(region_id)
-        if not node.children:
-            family = family_factory(node.scope, width)
-            lid = add_layer(INPUT, node.scope, width, family=family)
+    def build_region(region):
+        if not region.children:
+            family = family_factory(region.scope, width)
+            lid = add_layer(INPUT, region.scope, width, family=family)
             family.register(store, f"L{lid}.")
             return lid
-        a, b = (build_region(c) for c in rg.node(node.children[0]).children)
+        a, b = (build_region(c) for c in region.children)
         prod_width = width if product_kind == HADAMARD else width * width
-        pid = add_layer(product_kind, node.scope, prod_width, inputs=[a, b])
-        out_width = 1 if region_id == rg.root else width
+        pid = add_layer(product_kind, region.scope, prod_width, inputs=[a, b])
+        out_width = 1 if region is rg else width
         block = store.add_block(f"L{len(layers)}.weight", (out_width, prod_width), sum_reparam)
-        return add_layer(SUM, node.scope, out_width, inputs=[pid], param_block=block)
+        return add_layer(SUM, region.scope, out_width, inputs=[pid], param_block=block)
 
-    build_region(rg.root)
+    build_region(rg)
     if layers[-1].kind == INPUT:
         # single-region graph: still give the circuit a scalar sum head
         block = store.add_block(f"L{len(layers)}.weight", (1, width), sum_reparam)

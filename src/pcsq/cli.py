@@ -192,6 +192,8 @@ def resolve_config(command, raw):
                 raise ConfigError(f"bad value for {key}: {raw[key]!r} ({exc})") from exc
         else:
             cfg[key] = default
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
     return cfg
 
 

@@ -19,7 +19,6 @@ from pcsq import inference
 from pcsq.circuits import ParameterStore
 from pcsq.errors import ConfigError, DegenerateModelError
 from pcsq.slog import log_weighted_sum
-from pcsq.squaring import SquaredCircuit
 
 
 @dataclass
@@ -55,10 +54,6 @@ class CircuitMixture:
             vals = np.full(k, 1.0 / k) if weights is None else weights
             block = store.add_block("mixture.weights", (k,), "identity", trainable=False, init=vals)
         return cls(components, store, block, d)
-
-    @property
-    def squared(self):
-        return isinstance(self.components[0], SquaredCircuit)
 
     def weights(self):
         return self.store.effective(self.weight_block)

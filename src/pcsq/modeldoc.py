@@ -5,10 +5,10 @@ A model saves as one UTF-8 JSON document: a circuit as its layer list
 encoded as base64 of raw little-endian IEEE-754 bits (bit-exact round
 trip; JSON decimals cannot carry non-finite floats).  Squared models
 serialize by reference to their source circuit and are re-squared on
-load; mixtures nest their component documents.  Loading reads every key
-and validates each circuit; the keys older documents also carry (a
-variable count, an output index, a region graph, a squared flag) are
-ignored.
+load; mixtures nest their component documents.  Loading reads every key,
+refuses a non-integer where an integer belongs, and validates each
+circuit; the keys older documents also carry (a variable count, an
+output index, a region graph, a squared flag) are ignored.
 """
 
 from __future__ import annotations
@@ -26,6 +26,26 @@ from pcsq.mixtures import CircuitMixture
 from pcsq.squaring import SquaredCircuit, square
 
 FORMAT_VERSION = 1
+
+# document keys that hold an integer or a list of integers
+_INTEGER_KEYS = frozenset(
+    {"id", "width", "inputs", "scope", "offset", "shape", "units", "states", "order"}
+)
+
+
+def _check_integers(node):
+    """Raise TypeError at the first integer key whose value is not an int or
+    a list of ints: 2.0, 2.5 and True would each pass for an integer
+    somewhere, in a comparison or a truncation, before failing later."""
+    if isinstance(node, list):
+        for item in node:
+            _check_integers(item)
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            if key not in _INTEGER_KEYS:
+                _check_integers(value)
+            elif not all(type(v) is int for v in (value if isinstance(value, list) else [value])):
+                raise TypeError(f"{key!r} must hold integers, got {value!r}")
 
 
 def _encode_values(values):
@@ -146,6 +166,7 @@ def model_to_dict(model):
 
 
 def model_from_dict(doc):
+    _check_integers(doc)
     if doc.get("format_version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported model format version {doc.get('format_version')!r}")
     kind = doc["kind"]

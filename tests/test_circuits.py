@@ -29,7 +29,7 @@ from pcsq.reductions import (
     psd_to_circuit,
     udisj_circuit,
 )
-from pcsq.regions import build_binary_tree, build_linear_tree, linear_tree_from_order
+from pcsq.regions import RegionGraph, build_binary_tree, build_linear_tree, linear_tree_from_order
 from pcsq.squaring import square
 
 from conftest import random_deterministic_circuit, random_discrete_circuit
@@ -91,10 +91,47 @@ class TestFromRegionGraph:
             from_region_graph(build_linear_tree(2, 0), 0, "hadamard", _gaussian)
 
     def test_invalid_region_graph_rejected(self):
-        rg = build_linear_tree(3, 0)
-        rg.partitions()[0].children = rg.partitions()[0].children[:1]
-        with pytest.raises(ConfigError, match="region graph"):
+        # a valid tree over the variables 1 and 2: variable 0 has no input layer
+        rg = RegionGraph((1, 2), (RegionGraph((1,)), RegionGraph((2,))))
+        with pytest.raises(ConfigError, match="invalid region graph"):
             from_region_graph(rg, 2, "hadamard", _gaussian)
+
+    def test_seeded_layers_and_blocks_are_pinned(self):
+        # layers and blocks follow the region tree depth first, left child
+        # first; model documents and trained parameters depend on this order
+        c = from_region_graph(build_binary_tree(5, 2), 2, "kronecker", _gaussian)
+        assert [(l.kind, l.scope, l.inputs, l.param_block) for l in c.layers] == [
+            ("input", (2,), [], None),
+            ("input", (3,), [], None),
+            ("kronecker", (2, 3), [0, 1], None),
+            ("sum", (2, 3), [2], "L3.weight"),
+            ("input", (4,), [], None),
+            ("kronecker", (2, 3, 4), [3, 4], None),
+            ("sum", (2, 3, 4), [5], "L6.weight"),
+            ("input", (0,), [], None),
+            ("input", (1,), [], None),
+            ("kronecker", (0, 1), [7, 8], None),
+            ("sum", (0, 1), [9], "L10.weight"),
+            ("kronecker", (0, 1, 2, 3, 4), [6, 10], None),
+            ("sum", (0, 1, 2, 3, 4), [11], "L12.weight"),
+        ]
+        blocks = sorted(c.store.blocks.values(), key=lambda b: b.offset)
+        assert [(b.name, b.offset, b.shape) for b in blocks] == [
+            ("L0.mean", 0, (2,)),
+            ("L0.std", 2, (2,)),
+            ("L1.mean", 4, (2,)),
+            ("L1.std", 6, (2,)),
+            ("L3.weight", 8, (2, 4)),
+            ("L4.mean", 16, (2,)),
+            ("L4.std", 18, (2,)),
+            ("L6.weight", 20, (2, 4)),
+            ("L7.mean", 28, (2,)),
+            ("L7.std", 30, (2,)),
+            ("L8.mean", 32, (2,)),
+            ("L8.std", 34, (2,)),
+            ("L10.weight", 36, (2, 4)),
+            ("L12.weight", 44, (1, 4)),
+        ]
 
 
 def _product_circuit(factors):

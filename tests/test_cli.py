@@ -570,3 +570,38 @@ class TestExitCodes:
         model_path = _psd_model(tmp_path, 2)
         cfg = _write_config(tmp_path, "c.cfg", f"model.path = {model_path}\n{key} = {value}\n")
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == code
+
+    @pytest.mark.parametrize(
+        "command", ["train", "eval", "sample", "grid", "reduce-psd", "reduce-mps", "udisj", "bench"]
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command):
+        if command == "train":
+            text = TRAIN_CFG
+        elif command in ("eval", "sample", "grid"):
+            text = f"model.path = {_psd_model(tmp_path, 2)}\n"
+            text += "dataset.n_test = 50\n" if command == "eval" else ""
+        elif command == "bench":
+            text = "bench.k = 2\nbench.batch_sizes = 8\nbench.variables = 2\nbench.steps = 1\n"
+        else:
+            text = ""
+        cfg = _write_config(tmp_path, "s.cfg", text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--set", "seed=-1", "--out", str(out)]) == 2
+        assert "config error: seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_with_float_widths_is_an_ingest_error(self, tmp_path, capsys):
+        data_cfg = "seed = 3\ndataset.n_train = 200\ndataset.n_val = 50\ndataset.n_test = 50\n"
+        train_cfg = data_cfg + "model.family = gaussian\nmodel.k = 2\ntrain.max_epochs = 1\n"
+        run, out = tmp_path / "run", tmp_path / "eval"
+        train_path = _write_config(tmp_path, "t.cfg", train_cfg)
+        assert main(["train", "--config", train_path, "--out", str(run)]) == 0
+        model_path = run / "model.json"
+        doc = json.loads(model_path.read_text())
+        for layer in doc["source"]["layers"]:
+            layer["width"] = float(layer["width"])
+        model_path.write_text(json.dumps(doc))
+        eval_cfg = _write_config(tmp_path, "e.cfg", data_cfg + f"model.path = {model_path}\n")
+        assert main(["eval", "--config", eval_cfg, "--out", str(out)]) == 3
+        assert "'width' must hold integers, got 2.0" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()

@@ -80,7 +80,7 @@ def _ref_accumulate_mixture_gradients(model, x):
     rho = np.exp(zsh)
     rho /= rho.sum()
 
-    scale = 2.0 if model.squared else 1.0
+    scale = 2.0 if isinstance(model.components[0], SquaredCircuit) else 1.0
     for i, comp in enumerate(model.components):
         graph = comp.source if isinstance(comp, SquaredCircuit) else comp
         res = engine.forward(graph, x, want_tape=True)

@@ -354,6 +354,56 @@ def test_every_document_key_is_read(rng, tmp_path, build):
     assert unread == []
 
 
+# document keys that hold an integer or a list of integers
+_INTEGER_KEYS = {"id", "width", "inputs", "scope", "offset", "shape", "units", "states", "order"}
+
+
+def _integer_paths(node, path=()):
+    """Key paths of every integer the document keeps under an integer key."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in _INTEGER_KEYS and isinstance(value, list):
+                yield from (path + (key, i) for i in range(len(value)))
+            elif key in _INTEGER_KEYS:
+                yield path + (key,)
+            else:
+                yield from _integer_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _integer_paths(value, path + (i,))
+
+
+@pytest.mark.parametrize(
+    "build", [_doc_circuit, _doc_squared, _doc_mixture, _doc_psd],
+    ids=["circuit", "squared", "mixture", "psd-mixture"],
+)
+def test_every_document_integer_is_type_checked(rng, tmp_path, build):
+    # 2.0, 2.5 and True each compare or truncate like an integer somewhere,
+    # so a document holding one must be refused, not loaded
+    doc = model_to_dict(build(rng))
+    path = tmp_path / "model.json"
+    paths = list(_integer_paths(doc))
+    assert {p[-1] if isinstance(p[-1], str) else p[-2] for p in paths} >= {"id", "units", "shape"}
+    wrong = []
+    for key_path in paths:
+        for mistype in (float, lambda v: v + 0.5, bool):
+            broken = json.loads(json.dumps(doc))
+            parent = broken
+            for key in key_path[:-1]:
+                parent = parent[key]
+            parent[key_path[-1]] = mistype(parent[key_path[-1]])
+            path.write_text(json.dumps(broken), encoding="utf-8")
+            try:
+                load_model(path)
+                outcome = "loaded"
+            except PcsqError as exc:
+                if isinstance(exc, IngestError) and "must hold integers" in str(exc):
+                    continue
+                outcome = repr(exc)
+            wrong.append((key_path, parent[key_path[-1]], outcome))
+    assert wrong == []
+
+
 def test_older_document_keys_are_ignored(rng, tmp_path):
     # documents once also carried the variable count, the output index, a
     # squared flag and a region graph; none of them is read, so even a
