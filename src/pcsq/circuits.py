@@ -321,20 +321,28 @@ def from_region_graph(
         layers.append(layer)
         return layer.layer_id
 
-    def build_region(region):
+    # post-order on an explicit stack, so a deep linear tree needs no deep
+    # recursion; ``built`` holds the output layer of each finished region
+    stack = [(rg, False)]
+    built = []
+    while stack:
+        region, children_built = stack.pop()
         if not region.children:
             family = family_factory(region.scope, width)
             lid = add_layer(INPUT, region.scope, width, family=family)
             family.register(store, f"L{lid}.")
-            return lid
-        a, b = (build_region(c) for c in region.children)
-        prod_width = width if product_kind == HADAMARD else width * width
-        pid = add_layer(product_kind, region.scope, prod_width, inputs=[a, b])
-        out_width = 1 if region is rg else width
-        block = store.add_block(f"L{len(layers)}.weight", (out_width, prod_width), sum_reparam)
-        return add_layer(SUM, region.scope, out_width, inputs=[pid], param_block=block)
-
-    build_region(rg)
+            built.append(lid)
+        elif not children_built:
+            stack.append((region, True))
+            stack.extend((c, False) for c in reversed(region.children))  # first child first
+        else:
+            b = built.pop()
+            a = built.pop()
+            prod_width = width if product_kind == HADAMARD else width * width
+            pid = add_layer(product_kind, region.scope, prod_width, inputs=[a, b])
+            out_width = 1 if region is rg else width
+            block = store.add_block(f"L{len(layers)}.weight", (out_width, prod_width), sum_reparam)
+            built.append(add_layer(SUM, region.scope, out_width, inputs=[pid], param_block=block))
     if layers[-1].kind == INPUT:
         # single-region graph: still give the circuit a scalar sum head
         block = store.add_block(f"L{len(layers)}.weight", (1, width), sum_reparam)

@@ -32,6 +32,32 @@ run, and :func:`backward` gives each input its one adjoint and then
 drops the input's recorded output; a pass holds a few layers at a time
 rather than all of them.
 
+A taped data pass (nothing marginalized) and its backward sweep carry
+scaled-linear values instead (:class:`pcsq.slog.ScaledTensor`): plain
+float64 rows with one log-scale per row, the layout of EinsumNetworks
+(Peharz et al., ICML 2020).  Forward, an input layer exponentiates log f
+once against its row maximum; a Hadamard product multiplies values and
+adds scales, an unsquared Kronecker product takes outer products and adds
+scales; a sum layer is one GEMM and a renormalization of each row to
+largest |value| 1 (a zero row gets values 0 and scale -inf); the root
+becomes log|value| + scale, in signed log-space.  Backward, a sum layer's
+input adjoint is a GEMM with W and a renormalization, and its weight
+gradient e^C (adj r)^T u, where r_b = exp(c_b - C) for c_b the adjoint's
+plus the input's row scale and C their maximum: M exponentials and one
+GEMM.  A Hadamard adjoint multiplies values and adds scales, and an input
+layer's VJP sums over the batch under the same row weights.  The guard is
+``slse_pair_accum``'s exp(-700) rule: a live row whose renormalization
+maximum falls below it (at a forward sum, at a backward sum's input
+adjoint, at a Hadamard adjoint that enters an input layer), or a batch
+sum with a live row weight below it, raises OutOfScaledRange.  The pass
+and its backward sweep then rerun in signed log-space; the scaled sweep
+holds its gradients until it has passed every guard, so nothing of an
+abandoned attempt reaches the store.  A NaN never trips a guard; it ends
+in the NumericError of the per-layer or the gradient NaN check.
+Untaped passes and partition-function passes gain nothing from the
+layout (their cost is exponentials of inputs and per-call overhead), so
+they stay in signed log-space.
+
 :func:`path_adjoint` pushes the root's adjoint, by the same per-layer
 rules, along the one path from the root to the input layer of a chosen
 variable.  The root is linear in that layer's output, so the adjoint
@@ -50,7 +76,11 @@ from pcsq import kernels
 from pcsq.circuits import HADAMARD, INPUT, SUM, TensorizedCircuit
 from pcsq.errors import ConfigError, NumericError, UnsupportedStructureError
 from pcsq.slog import (
+    OutOfScaledRange,
+    ScaledTensor,
     SignedLogTensor,
+    renormalized,
+    row_weights,
     signed_logsumexp,
     signed_mul,
     signed_outer,
@@ -64,12 +94,16 @@ class Tape:
     """Forward-pass record of a data pass of an unsquared circuit or of a
     one-row partition-function pass (``marginalized`` is empty or holds
     every variable); replayed once by backward(), which releases it as it
-    goes."""
+    goes.  A data pass that took the scaled path holds ScaledTensor outputs
+    below its root and keeps its ``evidence``, so a guard that trips in
+    backward() can rerun the pass in signed log-space; a signed log-space
+    tape has no evidence."""
 
     circuit: TensorizedCircuit
     marginalized: frozenset
     outputs: list
     saved: dict = field(default_factory=dict)
+    evidence: np.ndarray | None = None
 
 
 @dataclass
@@ -182,7 +216,9 @@ def forward(
     unsquared circuits (nothing marginalized) and one-row
     partition-function passes (everything marginalized) can be taped;
     taping any other pass raises ConfigError, and so does marginalizing a
-    variable the circuit does not have.
+    variable the circuit does not have.  A taped data pass carries
+    scaled-linear values, or signed log-space ones where a guard trips
+    (see the module docstring); either way its root is in signed log-space.
 
     An untaped signed log-space pass sets each layer's entry of
     ``outputs`` to None once its one reader has run, so only the root is
@@ -214,6 +250,15 @@ def forward(
         )
     if space == "linear":
         return _forward_linear(circuit, x, marginalized, batch)
+    if want_tape and not marginalized:
+        try:
+            return _forward_scaled(circuit, x)
+        except OutOfScaledRange:
+            pass  # a guard tripped: the signed log-space pass below
+    return _forward_slog(circuit, x, marginalized, batch, want_tape, keep_outputs)
+
+
+def _forward_slog(circuit, x, marginalized, batch, want_tape=False, keep_outputs=False):
     saved = {} if want_tape else None
     keep = want_tape or keep_outputs
     outputs = []
@@ -234,6 +279,37 @@ def forward(
     if outputs[circuit.output_layer].shape[0] != batch:
         outputs[circuit.output_layer] = _broadcast(outputs[circuit.output_layer], batch)
     tape = Tape(circuit, marginalized, outputs, saved) if want_tape else None
+    return EvalResult(outputs, circuit.output_layer, tape)
+
+
+def _forward_scaled(circuit, x):
+    """The taped data pass in scaled-linear values (:class:`ScaledTensor`):
+    an input layer exponentiates log f once against its row maximum, a sum
+    layer is one GEMM and a renormalization, and a product multiplies
+    values and adds row scales.  The root is returned in signed log-space.
+    Raises OutOfScaledRange where a sum's renormalization trips."""
+    saved = {}
+    outputs = []
+    for layer in circuit.layers:
+        if layer.kind == INPUT:
+            f, features = layer.family.log_eval(circuit.store, _scope_values(x, layer.scope))
+            out = ScaledTensor.from_slog(f)
+            saved[layer.layer_id] = (out, features)
+        elif layer.kind == SUM:
+            u = outputs[layer.inputs[0]]  # the GEMM's transpose, so its result is column-major
+            out = renormalized((circuit.effective_weights(layer) @ u.values.T).T, u.log_scale)
+        else:
+            a, b = (outputs[j] for j in layer.inputs)
+            if layer.kind == HADAMARD:
+                values = a.values * b.values
+            else:
+                values = (a.values[:, :, None] * b.values[:, None, :]).reshape(-1, layer.output_width)
+            out = ScaledTensor(values, a.log_scale + b.log_scale)
+        if np.isnan(out.values).any() or np.isnan(out.log_scale).any():
+            raise NumericError(f"NaN produced at layer {layer.layer_id} ({layer.kind})")
+        outputs.append(out)
+    outputs[-1] = outputs[-1].to_slog()
+    tape = Tape(circuit, frozenset(), outputs, saved, evidence=x)
     return EvalResult(outputs, circuit.output_layer, tape)
 
 
@@ -296,6 +372,23 @@ def backward(tape: Tape, seed_output: SignedLogTensor):
     seed = seed_output
     if seed.log_magnitude.ndim == 1:
         seed = seed.reshape(-1, 1)
+    if tape.evidence is None:
+        _backward_slog(tape, seed)
+    else:
+        try:
+            _backward_scaled(tape, seed)
+        except OutOfScaledRange:  # nothing reached the store: rerun in signed log-space
+            tape.outputs[: circuit.output_layer] = [None] * circuit.output_layer
+            tape.saved.clear()
+            batch = tape.evidence.shape[0]
+            rerun = _forward_slog(circuit, tape.evidence, frozenset(), batch, want_tape=True)
+            _backward_slog(rerun.tape, seed)
+    if np.isnan(circuit.store.gradients).any():
+        raise NumericError("NaN in accumulated gradients")
+
+
+def _backward_slog(tape, seed):
+    circuit = tape.circuit
     adjoints = {circuit.output_layer: seed}
     for layer in reversed(circuit.layers):
         adj = adjoints.pop(layer.layer_id)
@@ -305,8 +398,76 @@ def backward(tape: Tape, seed_output: SignedLogTensor):
             adjoints.update(zip(layer.inputs, _backward_inner(circuit, layer, tape, adj)))
         for j in layer.inputs:  # the layer was their one reader
             tape.outputs[j] = None
-    if np.isnan(circuit.store.gradients).any():
-        raise NumericError("NaN in accumulated gradients")
+
+
+class _HeldGradients:
+    """The store as a scaled sweep's VJPs see it: parameters are read from
+    the store, and gradients wait until the sweep has passed every guard."""
+
+    def __init__(self, store):
+        self.store = store
+        self.held = []
+
+    def effective(self, name):
+        return self.store.effective(name)
+
+    def accumulate_effective_grad(self, name, grad_effective):
+        self.held.append((name, grad_effective))
+
+    def release(self):
+        for name, grad in self.held:
+            self.store.accumulate_effective_grad(name, grad)
+
+
+def _backward_scaled(tape, seed):
+    """The reverse sweep of a scaled tape, with adjoints carried as
+    ScaledTensors by the forward rules: a sum layer's input adjoint is a
+    GEMM with W and a renormalization, its weight gradient e^C (adj r)^T u
+    for the row weights r of adjoint scale plus input scale, and a product
+    multiplies values and adds scales.  Raises OutOfScaledRange where a
+    guard trips; gradients reach the store only after the whole sweep."""
+    circuit = tape.circuit
+    store = _HeldGradients(circuit.store)
+    adjoints = {circuit.output_layer: ScaledTensor(seed.sign, seed.log_magnitude)}
+    for layer in reversed(circuit.layers):
+        adj = adjoints.pop(layer.layer_id)
+        if layer.kind == INPUT:
+            f, features = tape.saved.pop(layer.layer_id)
+            layer.family.log_eval_vjp(store, adj, f, features)
+        elif layer.kind == SUM:
+            u = tape.outputs[layer.inputs[0]]
+            scale, r = row_weights(adj.log_scale + u.log_scale)
+            grad = (adj.values * r).T @ u.values
+            grad *= scale
+            store.accumulate_effective_grad(layer.param_block, grad)
+            raw = (circuit.effective_weights(layer).T @ adj.values.T).T
+            adjoints[layer.inputs[0]] = renormalized(raw, adj.log_scale)
+        else:
+            a, b = (tape.outputs[j] for j in layer.inputs)
+            adjoints.update(zip(layer.inputs, _scaled_product_adjoints(circuit, layer, adj, a, b)))
+        for j in layer.inputs:  # the layer was their one reader
+            tape.outputs[j] = None
+    store.release()
+
+
+def _scaled_product_adjoints(circuit, layer, adj, a, b):
+    """Adjoints of a product layer's factors a and b on a scaled tape.  A
+    Hadamard adjoint is checked against the exp(-700) row bound where it
+    enters an input layer; a Kronecker adjoint sums, so it renormalizes."""
+    if layer.kind == HADAMARD:
+        adjoints = [
+            ScaledTensor(adj.values * other.values, adj.log_scale + other.log_scale)
+            for other in (b, a)
+        ]
+        return [
+            t.checked() if circuit.layer(j).kind == INPUT else t
+            for j, t in zip(layer.inputs, adjoints)
+        ]
+    adj3 = adj.values.reshape(adj.shape[0], a.shape[1], b.shape[1])
+    return [
+        renormalized(np.einsum("bij,bj->bi", adj3, b.values), adj.log_scale + b.log_scale),
+        renormalized(np.einsum("bij,bi->bj", adj3, a.values), adj.log_scale + a.log_scale),
+    ]
 
 
 def _backward_inner(circuit, layer, tape, adj):

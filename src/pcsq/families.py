@@ -31,7 +31,9 @@ import numpy as np
 from pcsq import kernels
 from pcsq.errors import ConfigError, DomainError, PcsqError
 from pcsq.slog import (
+    ScaledTensor,
     SignedLogTensor,
+    row_weights,
     signed_logsumexp,
     signed_mul,
     signed_scale,
@@ -42,10 +44,17 @@ from pcsq.splines import BSplineBasis
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _weighted_batch_sum(adj: SignedLogTensor, f: SignedLogTensor, *factors):
+def _weighted_batch_sum(adj, f, *factors):
     """For each plain (B, K) array g in ``factors``, sum_b adj * f * g as
-    plain (K,) floats, in one pass over the batch
-    (``kernels.slse_weighted_colsum``)."""
+    plain (K,) floats, in one pass over the batch.  On a scaled tape that
+    is one ``einsum`` per factor under the row weights of adj's and f's
+    scales (``slog.row_weights``); in signed log-space,
+    ``kernels.slse_weighted_colsum``."""
+    if isinstance(adj, ScaledTensor):
+        scale, r = row_weights(adj.log_scale + f.log_scale)
+        terms = adj.values * f.values
+        terms *= r
+        return [scale * np.einsum("bk,bk->k", terms, g) for g in factors]
     sums = kernels.slse_weighted_colsum(
         adj.log_magnitude, adj.sign, f.log_magnitude, f.sign, factors
     )
@@ -298,10 +307,14 @@ class _LinearFamily(InputFamily):
 
     def log_eval_vjp(self, store, adj, f, features):
         first, band = self.basis.live_band(features)
-        lm, sg = kernels.slse_band_accum(
-            adj.log_magnitude, adj.sign, first, band, self.basis.num_bases
-        )
-        self._accumulate(store, SignedLogTensor(lm, sg).to_linear())
+        width = self.basis.num_bases
+        if isinstance(adj, ScaledTensor):  # one bincount under the adjoint's row weights
+            scale, r = row_weights(adj.log_scale)
+            grad = scale * kernels.band_accum(adj.values * r, first, band, width)
+        else:
+            lm, sg = kernels.slse_band_accum(adj.log_magnitude, adj.sign, first, band, width)
+            grad = SignedLogTensor(lm, sg).to_linear()
+        self._accumulate(store, grad)
 
     def integral_vector(self, store):
         return SignedLogTensor.from_linear(self.basis.integrate(self._coeffs(store)))

@@ -11,7 +11,8 @@ The operations below dominate circuit evaluation and backprop:
   shared leading axis, used for weight gradients.
 * ``slse_band_accum`` -- the same accumulation against a banded basis
   matrix given by its nonzero band, used for linear input families'
-  coefficient gradients.
+  coefficient gradients; ``band_accum`` is its plain-valued scatter,
+  which scaled-linear backward sweeps call directly.
 * ``slse_weighted_colsum`` -- sign-aware column sums of an elementwise
   product against plain weights, used for input-family gradients.
 
@@ -238,7 +239,6 @@ def slse_band_accum(a_log, a_sign, first, band, width):
     (S, width) arrays.
     """
     m, s = a_log.shape
-    r = band.shape[1]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         g = np.max(a_log, initial=-np.inf)
         if g == -np.inf:  # every term is zero
@@ -248,19 +248,27 @@ def slse_band_accum(a_log, a_sign, first, band, width):
         b_min = np.min(band, where=band > 0.0, initial=np.inf)
         if not a_min + np.log(b_min) - g >= _MIN_SCALED_EXPONENT:
             phi = np.zeros((m, width))
-            np.put_along_axis(phi, first[:, None] + np.arange(r), band, axis=1)
+            np.put_along_axis(phi, first[:, None] + np.arange(band.shape[1]), band, axis=1)
             return _slse_pair_accum_exact(a_log, a_sign, np.log(phi), np.sign(phi))
-        # rows run along the last axis of every (R, S, M) array below
         a_hat = np.subtract(a_log.T, g, out=np.empty((s, m)))
         np.exp(a_hat, out=a_hat)
         a_hat *= a_sign.T
-        terms = np.ascontiguousarray(band.T)[:, None, :] * a_hat
-        # term (r, s, m) adds to out[s, first[m] + r]; bincount sums each
-        # output entry's terms in order
-        offsets = np.arange(r)[:, None, None] + (np.arange(s) * width)[:, None]
-        raw = np.bincount((first + offsets).reshape(-1), terms.reshape(-1), minlength=s * width)
-        raw = raw.reshape(s, width)
+        raw = band_accum(a_hat.T, first, band, width)
         return _restore_shift(raw, g, raw)
+
+
+def band_accum(a, first, band, width):
+    """out[s, j] = sum_m a[m, s] * phi[m, j] for a plain (M, S) array ``a``
+    and the banded phi of ``slse_band_accum``, by one ``np.bincount``."""
+    r = band.shape[1]
+    s = a.shape[1]
+    # rows run along the last axis of every (R, S, M) array below
+    terms = np.ascontiguousarray(band.T)[:, None, :] * a.T
+    # term (r, s, m) adds to out[s, first[m] + r]; bincount sums each
+    # output entry's terms in order
+    offsets = np.arange(r)[:, None, None] + (np.arange(s) * width)[:, None]
+    raw = np.bincount((first + offsets).reshape(-1), terms.reshape(-1), minlength=s * width)
+    return raw.reshape(s, width)
 
 
 def slse_weighted_colsum(a_log, a_sign, b_log, b_sign, weights):

@@ -191,9 +191,11 @@ def _accumulate_gradients(model, x):
     for i, ((_, res), (_, zres)) in enumerate(zip(data, zs)):
         engine.backward(res.tape, engine.log_grad_seed(res.root, scale * resp[:, i] / b))
         engine.backward(zres.tape, engine.log_grad_seed(zres.root, np.array([-rho[i]])))
-    if mixture:  # a zero weight is fixed, or an exp(theta) that underflowed: no gradient
-        eff = np.divide(resp.mean(axis=0) - rho, lam, out=np.zeros_like(lam), where=lam > 0.0)
-        model.store.accumulate_effective_grad(model.weight_block, eff)
+    if mixture and model.store.blocks[model.weight_block].trainable:
+        # lam = exp(theta), so d/dtheta of the batch mean is r - rho itself; a
+        # fixed block trains nothing and gets no gradient
+        grad = model.store.grad_view(model.weight_block)
+        grad += resp.mean(axis=0) - rho
     return batch_ll
 
 

@@ -49,6 +49,17 @@ class TestFromRegionGraph:
         assert kinds.count("sum") == 2  # one per partition, width 1 at the root
         assert c.layer(c.output_layer).output_width == 1
 
+    def test_deep_linear_tree_builds_squares_and_evaluates(self):
+        # one product+sum pair per level: 600 levels used to overflow
+        # Python's recursion limit while the circuit was built
+        from pcsq.inference import log_density
+        from pcsq.learning import init_parameters
+
+        c = from_region_graph(build_linear_tree(600, 0), 1, "hadamard", _gaussian)
+        assert len(c.layers) == 3 * 600 - 2
+        model = init_parameters(square(c), "uniform(0.5,1)", seed=0)
+        assert np.isfinite(log_density(model, np.zeros((1, 600)))).all()
+
     def test_single_variable_circuit(self):
         rg = build_linear_tree(1, 0)
         c = from_region_graph(rg, 1, "hadamard", lambda s, k: CategoricalFamily(k, 4))

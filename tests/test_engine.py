@@ -20,6 +20,7 @@ from pcsq.families import (
 from pcsq.inference import log_density, log_value, partition_function
 from pcsq.learning import init_parameters
 from pcsq.regions import build_binary_tree, build_linear_tree, linear_tree_from_order
+from pcsq.slog import OutOfScaledRange
 from pcsq.splines import BSplineBasis
 from pcsq.squaring import square
 
@@ -217,7 +218,8 @@ def _taped_pass(c, squared, rng):
 @pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
 def test_nan_in_weight_gradient_input_raises(rng, squared):
     # a NaN in the root sum layer's recorded input reaches only that
-    # layer's weight gradient; backward must report it, not zero it
+    # layer's weight gradient; backward must report it, not zero it, and a
+    # data pass's scaled tape must not rerun in signed log-space over it
     rg = build_binary_tree(4, 0)
     c = from_region_graph(rg, 2, "hadamard", lambda s, k: GaussianFamily(k))
     c.store.values[:] = rng.normal(size=c.store.values.size)
@@ -225,11 +227,92 @@ def test_nan_in_weight_gradient_input_raises(rng, squared):
     res, seed = _taped_pass(c, squared, rng)
     graph = res.tape.circuit
     u = res.tape.outputs[graph.layer(graph.output_layer).inputs[0]]
-    row = 0 if squared else 2
-    assert u.sign[row, 1] != 0.0
-    u.log_magnitude[row, 1] = np.nan
+    if squared:  # the partition-function pass is taped in signed log-space
+        assert u.sign[0, 1] != 0.0
+        u.log_magnitude[0, 1] = np.nan
+    else:
+        assert u.values[2, 1] != 0.0
+        u.values[2, 1] = np.nan
     with pytest.raises(NumericError, match="NaN in accumulated gradients"):
         engine.backward(res.tape, seed)
+
+
+def _signed_log_only(*args):
+    raise OutOfScaledRange
+
+
+def _one_taped_pass(c, x, coeff, seed=None):
+    """Root log-values and store gradients of one taped data pass of ``c``,
+    seeded with ``coeff`` or, if given, with ``seed``."""
+    c.store.zero_grad()
+    res = engine.forward(c, x, want_tape=True)
+    if seed is None:
+        seed = engine.log_grad_seed(res.root, coeff)
+    engine.backward(res.tape, seed)
+    return res.root.log_magnitude, c.store.gradients.copy()
+
+
+def test_a_data_pass_out_of_scaled_range_reruns_in_signed_log_space(monkeypatch):
+    # c(x) = 0.5 f0(x0) g0(x1) + 0.5 f1(x0) g1(x1) with means (0, 100) and
+    # (100, 0), std 1: at x = (0, 0) each product is one density at its mean
+    # times one 100 stds out, so the scaled product row underflows to 0 and
+    # the root sum's renormalization trips
+    c = from_region_graph(linear_tree_from_order([0, 1]), 2, "hadamard", lambda s, k: GaussianFamily(k))
+    first, second = c.input_layers()
+    c.store.set_free(first.family.blocks["mean"], [0.0, 100.0])
+    c.store.set_free(second.family.blocks["mean"], [100.0, 0.0])
+    c.store.set_free(c.layer(c.output_layer).param_block, [[0.5, 0.5]])
+    x = np.zeros((1, 2))
+    trips = []
+    scaled = engine._forward_scaled
+
+    def watched(*args):
+        try:
+            return scaled(*args)
+        except OutOfScaledRange:
+            trips.append(args)
+            raise
+
+    monkeypatch.setattr(engine, "_forward_scaled", watched)
+    root, got = _one_taped_pass(c, x, np.array([2.0]))
+    assert len(trips) == 1
+    assert root[0] == pytest.approx(-5001.84, abs=0.005)
+    monkeypatch.setattr(engine, "_forward_scaled", _signed_log_only)
+    want_root, want = _one_taped_pass(c, x, np.array([2.0]))
+    np.testing.assert_array_equal(root, want_root)
+    assert np.any(want != 0.0)
+    np.testing.assert_array_equal(got, want)  # counted once, nothing from the attempt
+
+
+def test_a_backward_sweep_out_of_scaled_range_reruns_in_signed_log_space(rng, monkeypatch):
+    # two equal rows whose seeds differ by a factor 1e-305: the root's
+    # weight-gradient row weights span more than 700 nats, so the scaled
+    # sweep trips after the forward pass took the scaled path; none of its
+    # gradients may reach the store
+    c = _CASES["gaussian-bt-hadamard"]()
+    c.store.values[:] = rng.normal(size=c.store.values.size) * 0.6 + 0.3
+    c.store.bump()
+    x = np.repeat(rng.normal(size=(1, c.variable_count)), 2, axis=0)
+    res = engine.forward(c, x, want_tape=True)
+    assert res.tape.evidence is not None  # the scaled forward pass held
+    seed = engine.log_grad_seed(res.root, np.array([1.0, 1e-305]))
+    trips = []
+    scaled = engine._backward_scaled
+
+    def watched(*args):
+        try:
+            return scaled(*args)
+        except OutOfScaledRange:
+            trips.append(args)
+            raise
+
+    monkeypatch.setattr(engine, "_backward_scaled", watched)
+    _, got = _one_taped_pass(c, x, None, seed)
+    assert len(trips) == 1
+    monkeypatch.setattr(engine, "_forward_scaled", _signed_log_only)
+    _, want = _one_taped_pass(c, x, None, seed)
+    assert np.any(want != 0.0)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_data_pass_of_a_squared_circuit_is_not_taped(rng):

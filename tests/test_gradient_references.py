@@ -5,9 +5,13 @@ one-component case of a mixture, and runs one taped data pass per
 component.  Its responsibilities are then exactly 1 for a single circuit
 and its seeds equal the old ``2/b``, ``1/b`` and ``-1``, so the store
 gradients must not move by a bit: the old squared, plain and mixture
-branches are kept here verbatim as references and compared with exact
-equality.  Mixture gradients, which no other test checks, are also held
-against central finite differences (acceptance criterion 8's method).
+branches are kept here as references and compared with exact equality.
+The mixture branch follows the routine in two respects: it takes its
+log-values from its taped data passes, whose scaled values round
+differently from an untaped pass, and its weights' free gradient is
+r - rho.  Mixture gradients, which no other test checks, are also held
+against central finite differences (acceptance criterion 8's method),
+and the scaled taped passes against the signed log-space ones.
 """
 
 import numpy as np
@@ -20,6 +24,7 @@ from pcsq.families import CategoricalFamily, EmbeddingFamily, GaussianFamily, Sp
 from pcsq.learning import _accumulate_gradients, _stores, init_parameters
 from pcsq.mixtures import CircuitMixture
 from pcsq.regions import build_binary_tree, build_linear_tree
+from pcsq.slog import OutOfScaledRange, log_weighted_sum
 from pcsq.splines import BSplineBasis
 from pcsq.squaring import SquaredCircuit, square
 
@@ -47,14 +52,13 @@ def _ref_accumulate_gradients(model, x):
         raise ConfigError(f"cannot train a {type(model).__name__}")
 
 
-def _ref_component_log_values(model, x):
+def _ref_component_log_values(model, results):
     cols = []
-    for c in model.components:
+    for c, res in zip(model.components, results):
         if isinstance(c, SquaredCircuit):
-            root = engine.forward(c.source, np.atleast_2d(x)).root
-            cols.append(2.0 * root.log_magnitude)
+            cols.append(2.0 * res.root.log_magnitude)
         else:
-            val = engine.forward(c, np.atleast_2d(x)).root
+            val = res.root
             if np.any(val.sign < 0.0):
                 raise NumericError("monotonic mixture component produced a negative value")
             cols.append(val.log_magnitude)
@@ -64,7 +68,12 @@ def _ref_component_log_values(model, x):
 def _ref_accumulate_mixture_gradients(model, x):
     b = x.shape[0]
     lam = model.weights()
-    logs = _ref_component_log_values(model, x)  # (b, k)
+    # the log-values come from the taped data passes, as in the routine: a
+    # taped pass carries scaled values, so its roots may differ in the last
+    # bits from an untaped pass's
+    graphs = [c.source if isinstance(c, SquaredCircuit) else c for c in model.components]
+    results = [engine.forward(graph, x, want_tape=True) for graph in graphs]
+    logs = _ref_component_log_values(model, results)  # (b, k)
     with np.errstate(divide="ignore"):
         shifted = logs + np.log(lam)[None, :]
     shifted -= shifted.max(axis=1, keepdims=True)
@@ -81,16 +90,13 @@ def _ref_accumulate_mixture_gradients(model, x):
     rho /= rho.sum()
 
     scale = 2.0 if isinstance(model.components[0], SquaredCircuit) else 1.0
-    for i, comp in enumerate(model.components):
-        graph = comp.source if isinstance(comp, SquaredCircuit) else comp
-        res = engine.forward(graph, x, want_tape=True)
+    for i, res in enumerate(results):
         coeff = scale * resp[:, i] / b
         engine.backward(res.tape, engine.log_grad_seed(res.root, coeff))
         zres = zs[i][1]
         engine.backward(zres.tape, engine.log_grad_seed(zres.root, np.array([-rho[i]])))
-    with np.errstate(divide="ignore"):
-        eff = (resp.mean(axis=0) - rho) / lam
-    model.store.accumulate_effective_grad(model.weight_block, eff)
+    # the weights are exp(theta): d/dtheta is r - rho, with no /lam * lam
+    model.store.grad_view(model.weight_block)[:] += resp.mean(axis=0) - rho
 
 
 # --- models -------------------------------------------------------------------
@@ -147,6 +153,41 @@ def test_store_gradients_equal_the_per_kind_routines(kind, family, rng):
     for g, w in zip(got, want):
         assert np.any(g != 0.0)
         np.testing.assert_array_equal(g, w)
+
+
+def _signed_log_only(*args):
+    raise OutOfScaledRange
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_scaled_gradients_agree_with_the_signed_log_path(kind, family, rng, monkeypatch):
+    # taped data passes carry scaled values; forcing every one of them onto
+    # the signed log-space path moves each store's gradients by rounding only
+    model, x = _model(kind, family, rng)
+    got = _gradients(model, _accumulate_gradients, x)
+    monkeypatch.setattr(engine, "_forward_scaled", _signed_log_only)
+    want = _gradients(model, _accumulate_gradients, x)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("kind", ["squared-mixture", "monotonic-mixture"])
+def test_mixture_weight_gradient_is_the_share_gap(kind):
+    # the weights are exp(theta), so the free gradient is r - rho exactly,
+    # with no division by the weights and multiplication back
+    for draw in range(10):
+        rng = np.random.default_rng(draw)
+        model, x = _model(kind, "gaussian", rng)
+        lam = model.weights()
+        logs = np.stack(
+            [inference.log_value(c, x, want_tape=True)[0] for c in model.components], axis=-1
+        )
+        resp = log_weighted_sum(lam, logs)[1]
+        log_zs = [float(inference.partition_function(c).log_magnitude) for c in model.components]
+        rho = log_weighted_sum(lam, np.array(log_zs))[1]
+        _gradients(model, _accumulate_gradients, x)
+        np.testing.assert_array_equal(model.store.grad_view(model.weight_block), resp.mean(0) - rho)
 
 
 def test_one_data_pass_and_one_fresh_z_per_component(rng, monkeypatch):

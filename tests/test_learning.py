@@ -454,3 +454,33 @@ def test_epoch_peak_stays_near_one_step_or_the_validation_pass():
     c.store.restore(start)
     epoch = peak(lambda: train(model, ds, config))
     assert epoch <= 1.2 * max(one_step, val_pass), (epoch, one_step, val_pass)
+
+
+def test_training_steps_take_the_scaled_path(monkeypatch):
+    # a gauss-k64-style epoch (squared Gaussian binary tree, smaller K):
+    # every taped data pass and its backward sweep carry scaled values, and
+    # only Z passes and untaped passes run in signed log-space
+    from pcsq import engine
+
+    rng = np.random.default_rng(5)
+    c = from_region_graph(build_binary_tree(8, 5), 8, "hadamard", lambda s, k: GaussianFamily(k))
+    model = init_parameters(square(c), "uniform(0,1)", seed=5)
+    ds = _continuous_dataset(rng.normal(0.0, 1.5, size=(1024 + 256, 8)), 1024, 256)
+    signed_log_data_passes = []
+    forward_slog, backward_slog = engine._forward_slog, engine._backward_slog
+
+    def forward_watched(circuit, x, marginalized, batch, want_tape=False, keep_outputs=False):
+        if want_tape and not marginalized:
+            signed_log_data_passes.append("forward")
+        return forward_slog(circuit, x, marginalized, batch, want_tape, keep_outputs)
+
+    def backward_watched(tape, seed):
+        if not tape.marginalized:
+            signed_log_data_passes.append("backward")
+        return backward_slog(tape, seed)
+
+    monkeypatch.setattr(engine, "_forward_slog", forward_watched)
+    monkeypatch.setattr(engine, "_backward_slog", backward_watched)
+    report = train(model, ds, TrainConfig(batch_size=256, max_epochs=1, seed=5))
+    assert np.isfinite(report.best_val_ll)
+    assert signed_log_data_passes == []

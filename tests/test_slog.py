@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 
 from pcsq.errors import PcsqError
 from pcsq.slog import (
+    OutOfScaledRange,
+    ScaledTensor,
     SignedLogTensor,
     log_weighted_sum,
+    renormalized,
+    row_weights,
     signed_logsumexp,
     signed_product,
     signed_scale,
@@ -183,3 +187,41 @@ def test_round_trip_and_logsumexp_property(values, weights):
     got = signed_logsumexp(w, x).to_linear()[0]
     want = float(vals @ w[0])
     assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
+
+
+def test_scaled_rules_keep_zero_rows_and_trip_below_exp_minus_700():
+    # rows: a live row, a zero row, a live row that cancelled to 0, a NaN row
+    log_scale = np.array([[3.0], [-np.inf], [1.0], [0.0]])
+    raw = np.array([[2.0, -4.0], [0.0, 0.0], [0.0, 0.0], [np.nan, 1.0]])
+    with pytest.raises(OutOfScaledRange):
+        renormalized(raw.copy(), log_scale)
+    keep = [0, 1, 3]
+    out = renormalized(raw[keep], log_scale[keep])  # a NaN is never a trip
+    np.testing.assert_array_equal(out.values[:2], [[0.5, -1.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(out.log_scale[:2], [[3.0 + np.log(4.0)], [-np.inf]])
+    assert np.isnan(out.values[2]).all()
+    np.testing.assert_array_equal(
+        out.to_slog().log_magnitude[:2], [[3.0 + np.log(2.0), 3.0 + np.log(4.0)], [-np.inf] * 2]
+    )
+    tiny = np.array([[1e-300, 0.0]])
+    renormalized(tiny.copy(), np.array([[0.0]]))  # exp(-700) ~ 9.9e-305
+    with pytest.raises(OutOfScaledRange):
+        renormalized(tiny * 1e-5, np.array([[0.0]]))
+
+    scale, r = row_weights(np.array([[2.0], [-np.inf], [2.0 - 699.0]]))
+    assert scale == np.exp(2.0)
+    np.testing.assert_array_equal(r, [[1.0], [0.0], [np.exp(-699.0)]])
+    with pytest.raises(OutOfScaledRange):
+        row_weights(np.array([[2.0], [2.0 - 701.0]]))
+    assert row_weights(np.array([[-np.inf]]))[0] == 0.0
+    assert np.isnan(row_weights(np.array([[np.nan], [0.0]]))[1]).all()
+
+
+def test_scaled_values_from_signed_log_rows():
+    x = SignedLogTensor(
+        np.array([[0.0, -800.0, 2.0], [-np.inf] * 3]), np.array([[1.0, -1.0, -1.0], [0.0] * 3])
+    )
+    t = ScaledTensor.from_slog(x)
+    np.testing.assert_array_equal(t.log_scale, [[2.0], [-np.inf]])
+    np.testing.assert_array_equal(t.values, [[np.exp(-2.0), -0.0, -1.0], [0.0] * 3])
+    assert t.values.flags.f_contiguous
