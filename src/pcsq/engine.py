@@ -17,7 +17,7 @@ broadcast, and only the root is broadcast to the batch.
 With ``want_tape=True`` the pass records a tape; :func:`backward` then
 replays it in exact reverse order, propagating adjoints of the scalar
 objective w.r.t. each layer's linear-space output (the adjoints
-themselves are carried in signed log-space) and accumulating parameter
+themselves are carried in the tape's space) and accumulating parameter
 gradients into the store.  A sum layer's input adjoint is its forward
 rule applied with W^T, so one function computes both.  The tape keeps
 each evaluated input layer's values and features (the band of live
@@ -32,31 +32,39 @@ run, and :func:`backward` gives each input its one adjoint and then
 drops the input's recorded output; a pass holds a few layers at a time
 rather than all of them.
 
-A taped data pass (nothing marginalized) and its backward sweep carry
-scaled-linear values instead (:class:`pcsq.slog.ScaledTensor`): plain
-float64 rows with one log-scale per row, the layout of EinsumNetworks
-(Peharz et al., ICML 2020).  Forward, an input layer exponentiates log f
-once against its row maximum; a Hadamard product multiplies values and
-adds scales, an unsquared Kronecker product takes outer products and adds
-scales; a sum layer is one GEMM and a renormalization of each row to
-largest |value| 1 (a zero row gets values 0 and scale -inf); the root
-becomes log|value| + scale, in signed log-space.  Backward, a sum layer's
-input adjoint is a GEMM with W and a renormalization, and its weight
-gradient e^C (adj r)^T u, where r_b = exp(c_b - C) for c_b the adjoint's
-plus the input's row scale and C their maximum: M exponentials and one
-GEMM.  A Hadamard adjoint multiplies values and adds scales, and an input
-layer's VJP sums over the batch under the same row weights.  The guard is
-``slse_pair_accum``'s exp(-700) rule: a live row whose renormalization
-maximum falls below it (at a forward sum, at a backward sum's input
-adjoint, at a Hadamard adjoint that enters an input layer), or a batch
-sum with a live row weight below it, raises OutOfScaledRange.  The pass
-and its backward sweep then rerun in signed log-space; the scaled sweep
-holds its gradients until it has passed every guard, so nothing of an
-abandoned attempt reaches the store.  A NaN never trips a guard; it ends
-in the NumericError of the per-layer or the gradient NaN check.
-Untaped passes and partition-function passes gain nothing from the
-layout (their cost is exponentials of inputs and per-call overhead), so
-they stay in signed log-space.
+Every taped pass, a data pass or a one-row partition-function pass, and
+its backward sweep carry scaled-linear values instead
+(:class:`pcsq.slog.ScaledTensor`): plain float64 rows with one log-scale
+per row, the layout of EinsumNetworks (Peharz et al., ICML 2020).
+Forward, an input layer exponentiates log f, or in a Z pass its cached
+integral vector or matrix, once against its row maximum; a Hadamard
+product multiplies values and adds scales, a Kronecker product takes
+outer products (interleaved, on squared layers) and adds scales; a sum
+layer is one GEMM, or on a squared layer's K x K row X the two of
+W X W^T, and a renormalization of each row to largest |value| 1 (a zero
+row gets values 0 and scale -inf); the root becomes log|value| + scale,
+in signed log-space.  Backward, a sum layer's input adjoint is a GEMM
+with W and a renormalization, and its weight gradient e^C (adj r)^T u,
+where r_b = exp(c_b - C) for c_b the adjoint's plus the input's row scale
+and C their maximum: M exponentials and one GEMM.  A squared sum with
+output adjoint A has input adjoint W^T A W and weight gradient
+e^C (A^T V + A W X^T), V = W X saved by the forward pass; that one
+K x K gradient is accumulated by ``slse_pair_accum`` in signed
+log-space, over the rows of A and A^T against those of V and W X^T.  A
+product adjoint multiplies values and adds scales (a Kronecker adjoint,
+after un-interleaving a squared one, contracts and renormalizes), and an
+input layer's VJP sums over the batch under the same row weights, or in
+a Z pass takes its integral's adjoint as one block under one scale.  The
+guard is ``slse_pair_accum``'s exp(-700) rule: a live row whose
+renormalization maximum falls below it (at a forward sum, at a backward
+sum's input adjoint, at a Hadamard adjoint that enters an input layer),
+or a batch sum with a live row weight below it, raises OutOfScaledRange.
+The pass and its backward sweep then rerun in signed log-space; the
+scaled sweep holds its gradients until it has passed every guard, so
+nothing of an abandoned attempt reaches the store.  A NaN never trips a
+guard; it ends in the NumericError of the per-layer or the gradient NaN
+check.  Untaped passes (densities, marginals, sampling conditionals,
+validation, the cached untaped Z) stay in signed log-space.
 
 :func:`path_adjoint` pushes the root's adjoint, by the same per-layer
 rules, along the one path from the root to the input layer of a chosen
@@ -94,10 +102,11 @@ class Tape:
     """Forward-pass record of a data pass of an unsquared circuit or of a
     one-row partition-function pass (``marginalized`` is empty or holds
     every variable); replayed once by backward(), which releases it as it
-    goes.  A data pass that took the scaled path holds ScaledTensor outputs
-    below its root and keeps its ``evidence``, so a guard that trips in
-    backward() can rerun the pass in signed log-space; a signed log-space
-    tape has no evidence."""
+    goes.  A pass that took the scaled path holds ScaledTensor outputs
+    below its root and keeps its ``evidence`` (for a Z pass, the one
+    placeholder row forward() made), so a guard that trips in backward()
+    can rerun the pass in signed log-space; a signed log-space tape has no
+    evidence."""
 
     circuit: TensorizedCircuit
     marginalized: frozenset
@@ -216,7 +225,7 @@ def forward(
     unsquared circuits (nothing marginalized) and one-row
     partition-function passes (everything marginalized) can be taped;
     taping any other pass raises ConfigError, and so does marginalizing a
-    variable the circuit does not have.  A taped data pass carries
+    variable the circuit does not have.  A taped pass carries
     scaled-linear values, or signed log-space ones where a guard trips
     (see the module docstring); either way its root is in signed log-space.
 
@@ -250,9 +259,9 @@ def forward(
         )
     if space == "linear":
         return _forward_linear(circuit, x, marginalized, batch)
-    if want_tape and not marginalized:
+    if want_tape:
         try:
-            return _forward_scaled(circuit, x)
+            return _forward_scaled(circuit, x, marginalized)
         except OutOfScaledRange:
             pass  # a guard tripped: the signed log-space pass below
     return _forward_slog(circuit, x, marginalized, batch, want_tape, keep_outputs)
@@ -282,35 +291,55 @@ def _forward_slog(circuit, x, marginalized, batch, want_tape=False, keep_outputs
     return EvalResult(outputs, circuit.output_layer, tape)
 
 
-def _forward_scaled(circuit, x):
-    """The taped data pass in scaled-linear values (:class:`ScaledTensor`):
-    an input layer exponentiates log f once against its row maximum, a sum
-    layer is one GEMM and a renormalization, and a product multiplies
+def _forward_scaled(circuit, x, marginalized):
+    """A taped pass in scaled-linear values (:class:`ScaledTensor`): an
+    input layer exponentiates log f, or its cached integral in a Z pass,
+    once against its row maximum; a sum layer is one GEMM (two, W X W^T, on
+    a squared layer's rows) and a renormalization; a product multiplies
     values and adds row scales.  The root is returned in signed log-space.
     Raises OutOfScaledRange where a sum's renormalization trips."""
     saved = {}
     outputs = []
     for layer in circuit.layers:
         if layer.kind == INPUT:
-            f, features = layer.family.log_eval(circuit.store, _scope_values(x, layer.scope))
-            out = ScaledTensor.from_slog(f)
-            saved[layer.layer_id] = (out, features)
+            out = _scaled_input(circuit, layer, x, marginalized, saved)
         elif layer.kind == SUM:
-            u = outputs[layer.inputs[0]]  # the GEMM's transpose, so its result is column-major
-            out = renormalized((circuit.effective_weights(layer) @ u.values.T).T, u.log_scale)
+            u = outputs[layer.inputs[0]]
+            weights = circuit.effective_weights(layer)
+            if layer.squared:  # V = W X is saved for the weight gradient
+                s, k = weights.shape
+                v = weights @ u.values.reshape(-1, k, k)
+                saved[layer.layer_id] = v
+                raw = (v @ weights.T).reshape(-1, s * s)
+            else:  # the GEMM's transpose, so its result is column-major
+                raw = (weights @ u.values.T).T
+            out = renormalized(raw, u.log_scale)
         else:
             a, b = (outputs[j] for j in layer.inputs)
             if layer.kind == HADAMARD:
                 values = a.values * b.values
+            elif layer.squared:  # the interleaved order of _kron_squared
+                (ka, kb), n = _squared_widths(a, b), a.shape[0]
+                values = a.values.reshape(n, ka, 1, ka, 1) * b.values.reshape(n, 1, kb, 1, kb)
             else:
-                values = (a.values[:, :, None] * b.values[:, None, :]).reshape(-1, layer.output_width)
-            out = ScaledTensor(values, a.log_scale + b.log_scale)
+                values = a.values[:, :, None] * b.values[:, None, :]
+            out = ScaledTensor(values.reshape(-1, layer.output_width), a.log_scale + b.log_scale)
         if np.isnan(out.values).any() or np.isnan(out.log_scale).any():
             raise NumericError(f"NaN produced at layer {layer.layer_id} ({layer.kind})")
         outputs.append(out)
     outputs[-1] = outputs[-1].to_slog()
-    tape = Tape(circuit, frozenset(), outputs, saved, evidence=x)
+    tape = Tape(circuit, marginalized, outputs, saved, evidence=x)
     return EvalResult(outputs, circuit.output_layer, tape)
+
+
+def _scaled_input(circuit, layer, x, marginalized, saved):
+    if marginalized:  # a Z pass: the cached integral, which from_slog copies
+        integral = _input_integral(circuit, layer, matrix=layer.squared)
+        return ScaledTensor.from_slog(integral.reshape(1, layer.output_width))
+    f, features = layer.family.log_eval(circuit.store, _scope_values(x, layer.scope))
+    out = ScaledTensor.from_slog(f)
+    saved[layer.layer_id] = (out, features)
+    return out
 
 
 def _forward_linear(circuit, x, marginalized, batch):
@@ -381,7 +410,7 @@ def backward(tape: Tape, seed_output: SignedLogTensor):
             tape.outputs[: circuit.output_layer] = [None] * circuit.output_layer
             tape.saved.clear()
             batch = tape.evidence.shape[0]
-            rerun = _forward_slog(circuit, tape.evidence, frozenset(), batch, want_tape=True)
+            rerun = _forward_slog(circuit, tape.evidence, tape.marginalized, batch, want_tape=True)
             _backward_slog(rerun.tape, seed)
     if np.isnan(circuit.store.gradients).any():
         raise NumericError("NaN in accumulated gradients")
@@ -393,7 +422,7 @@ def _backward_slog(tape, seed):
     for layer in reversed(circuit.layers):
         adj = adjoints.pop(layer.layer_id)
         if layer.kind == INPUT:
-            _backward_input(circuit, layer, tape, adj)
+            _backward_input(circuit.store, layer, tape, adj)
         else:  # the VJP's locals end with its frame, so releases free
             adjoints.update(zip(layer.inputs, _backward_inner(circuit, layer, tape, adj)))
         for j in layer.inputs:  # the layer was their one reader
@@ -424,23 +453,46 @@ def _backward_scaled(tape, seed):
     ScaledTensors by the forward rules: a sum layer's input adjoint is a
     GEMM with W and a renormalization, its weight gradient e^C (adj r)^T u
     for the row weights r of adjoint scale plus input scale, and a product
-    multiplies values and adds scales.  Raises OutOfScaledRange where a
-    guard trips; gradients reach the store only after the whole sweep."""
+    multiplies values and adds scales.  A squared sum with output adjoint A
+    and input X has input adjoint W^T A W and weight gradient
+    e^C (A^T V + A W X^T), V = W X saved by the forward pass, accumulated
+    by ``slse_pair_accum``.  Raises
+    OutOfScaledRange where a guard trips; gradients reach the store only
+    after the whole sweep."""
     circuit = tape.circuit
     store = _HeldGradients(circuit.store)
     adjoints = {circuit.output_layer: ScaledTensor(seed.sign, seed.log_magnitude)}
     for layer in reversed(circuit.layers):
         adj = adjoints.pop(layer.layer_id)
         if layer.kind == INPUT:
-            f, features = tape.saved.pop(layer.layer_id)
-            layer.family.log_eval_vjp(store, adj, f, features)
+            _backward_input(store, layer, tape, adj)
         elif layer.kind == SUM:
             u = tape.outputs[layer.inputs[0]]
+            weights = circuit.effective_weights(layer)
             scale, r = row_weights(adj.log_scale + u.log_scale)
-            grad = (adj.values * r).T @ u.values
+            if layer.squared:  # a Z pass: its one row is the K x K block X
+                s, k = weights.shape
+                a = adj.values.reshape(s, s)
+                aw = a @ weights
+                # A^T V + A W X^T pairs the rows of A with those of V and
+                # the rows of A^T with those of W X^T: one signed-log
+                # accumulation.  Two plain GEMMs would be faster, but
+                # perfbench's train-gauss-k64 smoke test expects this
+                # kernel to run (ROADMAP item 1)
+                v = tape.saved.pop(layer.layer_id).reshape(s, k)
+                wxt = weights @ u.values.reshape(k, k).T
+                pa = SignedLogTensor.from_linear(np.concatenate([a, a.T]))
+                pb = SignedLogTensor.from_linear(np.concatenate([v, wxt]))
+                lm, sg = kernels.slse_pair_accum(
+                    pa.log_magnitude, pa.sign, pb.log_magnitude, pb.sign
+                )
+                grad = SignedLogTensor(lm, sg).to_linear() * r[0, 0]
+                raw = (weights.T @ aw).reshape(1, k * k)
+            else:
+                grad = (adj.values * r).T @ u.values
+                raw = (weights.T @ adj.values.T).T
             grad *= scale
             store.accumulate_effective_grad(layer.param_block, grad)
-            raw = (circuit.effective_weights(layer).T @ adj.values.T).T
             adjoints[layer.inputs[0]] = renormalized(raw, adj.log_scale)
         else:
             a, b = (tape.outputs[j] for j in layer.inputs)
@@ -463,7 +515,11 @@ def _scaled_product_adjoints(circuit, layer, adj, a, b):
             t.checked() if circuit.layer(j).kind == INPUT else t
             for j, t in zip(layer.inputs, adjoints)
         ]
-    adj3 = adj.values.reshape(adj.shape[0], a.shape[1], b.shape[1])
+    values = adj.values
+    if layer.squared:  # un-interleave (a1, b1, a2, b2) into (a1, a2) x (b1, b2)
+        (ka, kb), n = _squared_widths(a, b), adj.shape[0]
+        values = values.reshape(n, ka, kb, ka, kb).transpose(0, 1, 3, 2, 4)
+    adj3 = values.reshape(adj.shape[0], a.shape[1], b.shape[1])
     return [
         renormalized(np.einsum("bij,bj->bi", adj3, b.values), adj.log_scale + b.log_scale),
         renormalized(np.einsum("bij,bi->bj", adj3, a.values), adj.log_scale + a.log_scale),
@@ -576,8 +632,7 @@ def _backward_sum_squared(weights, u, adj, v):
     return grad_eff, adj_in
 
 
-def _backward_input(circuit, layer, tape, adj):
-    store = circuit.store
+def _backward_input(store, layer, tape, adj):
     if tape.marginalized:  # a one-row partition-function pass
         if layer.squared:
             k = layer.family.units

@@ -44,6 +44,12 @@ from pcsq.splines import BSplineBasis
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _positive(shape):
+    """The sign of values that are all positive: one read-only +1
+    broadcast to ``shape``, which allocates nothing."""
+    return np.broadcast_to(1.0, shape)
+
+
 def _weighted_batch_sum(adj, f, *factors):
     """For each plain (B, K) array g in ``factors``, sum_b adj * f * g as
     plain (K,) floats, in one pass over the batch.  On a scaled tape that
@@ -108,12 +114,16 @@ class InputFamily:
         raise NotImplementedError
 
     def integral_vector_vjp(self, store, adj: SignedLogTensor):
+        """Accumulate parameter gradients given the adjoint of the integral
+        vector: a (K,) SignedLogTensor, or on a scaled tape a (K,)
+        ScaledTensor block under one log-scale."""
         raise NotImplementedError
 
     def integral_matrix(self, store) -> SignedLogTensor:
         raise NotImplementedError
 
     def integral_matrix_vjp(self, store, adj: SignedLogTensor):
+        """As ``integral_vector_vjp``, for the (K, K) integral matrix."""
         raise NotImplementedError
 
     def product_integral(self, store, i, j) -> SignedLogTensor:
@@ -183,18 +193,32 @@ class GaussianFamily(_GaussianShaped, InputFamily):
     def log_eval(self, store, x):
         x = DomainError.check(x, np.isfinite, "is not finite")
         mean, std = self._params(store)
-        # in place, in the order of -0.5 * z * z - log(std) - 0.5 log(2 pi)
-        z = np.subtract(x[:, None], mean[None, :])
-        z /= std[None, :]
+        # in place, in the order of -0.5 * z * z - log(std) - 0.5 log(2 pi),
+        # on (K, rows) arrays: their transposes are column-major, as a
+        # ScaledTensor keeps its values
+        z = np.subtract(x[None, :], mean[:, None])
+        z /= std[:, None]
         lm = np.multiply(z, -0.5)
         lm *= z
-        lm -= np.log(std)[None, :]
+        lm -= np.log(std)[:, None]
         lm -= 0.5 * _LOG_2PI
-        return SignedLogTensor(lm, np.ones_like(lm)), z
+        return SignedLogTensor(lm.T, _positive(lm.T.shape)), z.T
 
     def log_eval_vjp(self, store, adj, f, z):
         std = store.effective(self.blocks["std"])
-        d_mean, d_std = _weighted_batch_sum(adj, f, z / std, (z * z - 1.0) / std)
+        if not isinstance(adj, ScaledTensor):
+            d_mean, d_std = _weighted_batch_sum(adj, f, z / std, (z * z - 1.0) / std)
+        else:  # column sums of t, t z and t z^2 for t = adj f under the row weights
+            scale, r = row_weights(adj.log_scale + f.log_scale)
+            t = adj.values.T * f.values.T  # (K, rows), contiguous
+            zt = z.T
+            s0 = t @ r
+            t *= zt
+            s1 = t @ r
+            t *= zt
+            s2 = t @ r
+            d_mean = scale * s1[:, 0] / std
+            d_std = scale * (s2 - s0)[:, 0] / std
         store.accumulate_effective_grad(self.blocks["mean"], d_mean)
         store.accumulate_effective_grad(self.blocks["std"], d_std)
 
@@ -211,24 +235,35 @@ class GaussianFamily(_GaussianShaped, InputFamily):
         s = (std * std)[:, None] + (std * std)[None, :]
         return mean, std, d, s
 
+    def _log_integral_matrix(self, d, s):
+        return -0.5 * np.log(2.0 * np.pi * s) - d * d / (2.0 * s)
+
     def integral_matrix(self, store):
         _, _, d, s = self._pair_stats(store)
-        lm = -0.5 * np.log(2.0 * np.pi * s) - d * d / (2.0 * s)
-        return SignedLogTensor(lm, np.ones_like(lm))
+        lm = self._log_integral_matrix(d, s)
+        return SignedLogTensor(lm, _positive(lm.shape))
 
     def integral_matrix_vjp(self, store, adj):
         mean, std, d, s = self._pair_stats(store)
-        t = signed_mul(adj, self.integral_matrix(store))
         # slot sensitivities differ in sign: dM[i,j]/dmean_i = M*(mean_j-mean_i)/s
         # while dM[i,j]/dmean_j = M*(mean_i-mean_j)/s
         f_mu = -d / s
-        tm = signed_scale(t, f_mu)
-        grad_mean = signed_sum(tm, axis=1).to_linear() - signed_sum(tm, axis=0).to_linear()
         g = -0.5 / s + d * d / (2.0 * s * s)
-        tg = signed_scale(t, g)
-        row = signed_sum(tg, axis=1).to_linear()
-        col = signed_sum(tg, axis=0).to_linear()
-        grad_std = 2.0 * std * (row + col)
+        if isinstance(adj, ScaledTensor):
+            # M and g are symmetric and f_mu antisymmetric, so each pair of
+            # row and column sums is one row sum of (A + A^T) M
+            a = adj.to_linear()
+            t = (a + a.T) * np.exp(self._log_integral_matrix(d, s))
+            grad_mean = np.sum(t * f_mu, axis=1)
+            grad_std = 2.0 * std * np.sum(t * g, axis=1)
+        else:
+            t = signed_mul(adj, self.integral_matrix(store))
+            tm = signed_scale(t, f_mu)
+            grad_mean = signed_sum(tm, axis=1).to_linear() - signed_sum(tm, axis=0).to_linear()
+            tg = signed_scale(t, g)
+            row = signed_sum(tg, axis=1).to_linear()
+            col = signed_sum(tg, axis=0).to_linear()
+            grad_std = 2.0 * std * (row + col)
         store.accumulate_effective_grad(self.blocks["mean"], grad_mean)
         store.accumulate_effective_grad(self.blocks["std"], grad_std)
 
@@ -327,15 +362,21 @@ class _LinearFamily(InputFamily):
         return SignedLogTensor.from_linear(self.basis.gram_times(c) @ c.T)
 
     def integral_matrix_vjp(self, store, adj):
-        # dM[i,j]/dC[a,:] contributes through both slots: (A + A^T) C G,
-        # as one row pass over the stacked rows of A and A^T
+        # dM[i,j]/dC[a,:] contributes through both slots: (A + A^T) C G, on
+        # a scaled block one GEMM, in signed log-space one row pass over the
+        # stacked rows of A and A^T
         cg = self.basis.gram_times(self._coeffs(store))  # (units, bases)
-        both = SignedLogTensor(
-            np.concatenate([adj.log_magnitude, adj.log_magnitude.T]),
-            np.concatenate([adj.sign, adj.sign.T]),
-        )
-        rows = signed_logsumexp(cg.T, both).to_linear()
-        self._accumulate(store, rows[: self.units] + rows[self.units :])
+        if isinstance(adj, ScaledTensor):
+            a = adj.to_linear()
+            grad = (a + a.T) @ cg
+        else:
+            both = SignedLogTensor(
+                np.concatenate([adj.log_magnitude, adj.log_magnitude.T]),
+                np.concatenate([adj.sign, adj.sign.T]),
+            )
+            rows = signed_logsumexp(cg.T, both).to_linear()
+            grad = rows[: self.units] + rows[self.units :]
+        self._accumulate(store, grad)
 
 
 class _TableFamily(_LinearFamily):
@@ -408,7 +449,7 @@ class BinomialFamily(InputFamily):
     def log_eval(self, store, x):
         xi = _check_states(x, self.trials + 1)
         lm = self._log_pmf(store, xi)
-        return SignedLogTensor(lm, np.ones_like(lm)), xi
+        return SignedLogTensor(lm, _positive(lm.shape)), xi
 
     def log_eval_vjp(self, store, adj, f, xi):
         factor = xi[:, None] - self.trials * self._p(store)[None, :]
@@ -437,10 +478,14 @@ class BinomialFamily(InputFamily):
     def integral_matrix_vjp(self, store, adj):
         f, h = self._tables(store)
         c = h @ f.T  # c[a, j] = sum_x h_a(x) f_j(x)
-        grad = (
-            signed_sum(signed_scale(adj, c), axis=1).to_linear()
-            + signed_sum(signed_scale(adj, c.T), axis=0).to_linear()
-        )
+        if isinstance(adj, ScaledTensor):  # c pairs with both slots: (A + A^T) c
+            a = adj.to_linear()
+            grad = np.sum((a + a.T) * c, axis=1)
+        else:
+            grad = (
+                signed_sum(signed_scale(adj, c), axis=1).to_linear()
+                + signed_sum(signed_scale(adj, c.T), axis=0).to_linear()
+            )
         store.accumulate_effective_grad(self.blocks["logit_p"], grad)
 
     def hyper_dict(self):
@@ -504,7 +549,7 @@ class RbfKernelFamily(_GaussianShaped, InputFamily):
             x = x[:, None]
         diff = x[:, None, :] - self.anchors[None, :, :]
         lm = -np.sum(diff * diff, axis=2) / (2.0 * self.bandwidth**2)
-        return SignedLogTensor(lm, np.ones_like(lm)), None
+        return SignedLogTensor(lm, _positive(lm.shape)), None
 
     def log_eval_vjp(self, store, adj, f, features):
         pass  # kernel units carry no free parameters
@@ -522,7 +567,7 @@ class RbfKernelFamily(_GaussianShaped, InputFamily):
         lm = self.dim * math.log(self.bandwidth * math.sqrt(math.pi)) - sq / (
             4.0 * self.bandwidth**2
         )
-        return SignedLogTensor(lm, np.ones_like(lm))
+        return SignedLogTensor(lm, _positive(lm.shape))
 
     def integral_matrix_vjp(self, store, adj):
         pass

@@ -99,9 +99,11 @@ def partition_function(model, want_tape=False):
     vectors (plain circuits) or integral matrices (squared circuits)
     substituted at every input layer.
 
-    Cached per parameter version; each fresh computation increments the
-    model's evaluation counter.  Raises DegenerateModelError when Z is not
-    strictly positive and NumericError when it is not finite.
+    An untaped result is cached per parameter version; a taped pass, which
+    carries scaled values that round differently, neither reads nor writes
+    the cache.  Each fresh computation increments the model's evaluation
+    counter.  Raises DegenerateModelError when Z is not strictly positive
+    and NumericError when it is not finite.
     """
     graph = _graph(model)
     store = graph.store
@@ -122,9 +124,9 @@ def partition_function(model, want_tape=False):
         )
     if not np.isfinite(z.log_magnitude):
         raise NumericError("partition function is not finite")
-    model._partition_cache = (store.version, z)
     if want_tape:
         return z, result
+    model._partition_cache = (store.version, z)
     return z
 
 

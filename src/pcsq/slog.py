@@ -258,6 +258,15 @@ class ScaledTensor:
         with np.errstate(divide="ignore"):
             return SignedLogTensor(np.log(np.abs(self.values)) + self.log_scale, np.sign(self.values))
 
+    def reshape(self, *shape):
+        """A one-row tensor as one block under its one scale: the (K,) or
+        (K, K) adjoint an integral VJP takes."""
+        return ScaledTensor(self.values.reshape(*shape), self.log_scale.reshape(()))
+
+    def to_linear(self):
+        with np.errstate(over="ignore"):
+            return self.values * np.exp(self.log_scale)
+
     def checked(self):
         """This tensor, after the guard of :func:`renormalized`."""
         _row_max(self.values, self.log_scale)

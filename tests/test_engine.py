@@ -219,7 +219,8 @@ def _taped_pass(c, squared, rng):
 def test_nan_in_weight_gradient_input_raises(rng, squared):
     # a NaN in the root sum layer's recorded input reaches only that
     # layer's weight gradient; backward must report it, not zero it, and a
-    # data pass's scaled tape must not rerun in signed log-space over it
+    # scaled tape (a data pass or the partition-function pass) must not
+    # rerun in signed log-space over it
     rg = build_binary_tree(4, 0)
     c = from_region_graph(rg, 2, "hadamard", lambda s, k: GaussianFamily(k))
     c.store.values[:] = rng.normal(size=c.store.values.size)
@@ -227,12 +228,9 @@ def test_nan_in_weight_gradient_input_raises(rng, squared):
     res, seed = _taped_pass(c, squared, rng)
     graph = res.tape.circuit
     u = res.tape.outputs[graph.layer(graph.output_layer).inputs[0]]
-    if squared:  # the partition-function pass is taped in signed log-space
-        assert u.sign[0, 1] != 0.0
-        u.log_magnitude[0, 1] = np.nan
-    else:
-        assert u.values[2, 1] != 0.0
-        u.values[2, 1] = np.nan
+    row = 0 if squared else 2  # a partition-function pass has one row
+    assert u.values[row, 1] != 0.0
+    u.values[row, 1] = np.nan
     with pytest.raises(NumericError, match="NaN in accumulated gradients"):
         engine.backward(res.tape, seed)
 
@@ -313,6 +311,82 @@ def test_a_backward_sweep_out_of_scaled_range_reruns_in_signed_log_space(rng, mo
     _, want = _one_taped_pass(c, x, None, seed)
     assert np.any(want != 0.0)
     np.testing.assert_array_equal(got, want)
+
+
+def _one_taped_z_pass(sq):
+    """log Z and store gradients of one taped partition-function pass of
+    the squared circuit ``sq``, seeded as a training step seeds it."""
+    sq.store.zero_grad()
+    z, res = partition_function(sq, want_tape=True)
+    engine.backward(res.tape, engine.log_grad_seed(res.root, np.array([-1.0])))
+    return z.log_magnitude, sq.store.gradients.copy()
+
+
+def test_a_partition_function_pass_out_of_scaled_range_reruns_in_signed_log_space(monkeypatch):
+    # the root weights of a squared 4-variable K = 2 Gaussian circuit times
+    # 1e-200: the root's W X W^T is about 1e-400 X, which underflows to 0 in
+    # the scaled pass, so its renormalization trips; in signed log-space
+    # log Z is -926.56, while a plain linear pass gives Z = 0
+    c = from_region_graph(build_binary_tree(4, 0), 2, "hadamard", lambda s, k: GaussianFamily(k))
+    sq = init_parameters(square(c), "uniform(0,1)", seed=1)
+    block = c.layer(c.output_layer).param_block
+    c.store.set_free(block, c.store.free(block) * 1e-200)
+    assert engine.forward(sq.circuit, None, range(4), space="linear").root[0] == 0.0
+    trips = []
+    scaled = engine._forward_scaled
+
+    def watched(*args):
+        try:
+            return scaled(*args)
+        except OutOfScaledRange:
+            trips.append(args)
+            raise
+
+    monkeypatch.setattr(engine, "_forward_scaled", watched)
+    log_z, got = _one_taped_z_pass(sq)
+    assert len(trips) == 1
+    assert log_z == pytest.approx(-926.56, abs=0.005)
+    monkeypatch.setattr(engine, "_forward_scaled", _signed_log_only)
+    want_log_z, want = _one_taped_z_pass(sq)
+    assert log_z == want_log_z
+    assert np.any(want != 0.0)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_a_partition_function_sweep_that_trips_reruns_the_z_pass(rng, monkeypatch):
+    # a guard that trips in the scaled sweep of a Z tape reruns the Z pass,
+    # with every variable marginalized, and its sweep in signed log-space
+    c = _CASES["gaussian-bt-hadamard"]()
+    c.store.values[:] = rng.normal(size=c.store.values.size) * 0.6 + 0.3
+    c.store.bump()
+    sq = square(c)
+    _, res = partition_function(sq, want_tape=True)
+    assert res.tape.evidence is not None  # the scaled forward pass held
+    monkeypatch.setattr(engine, "_backward_scaled", _signed_log_only)
+    sq.store.zero_grad()
+    engine.backward(res.tape, engine.log_grad_seed(res.root, np.array([-1.0])))
+    got = sq.store.gradients.copy()
+    monkeypatch.setattr(engine, "_forward_scaled", _signed_log_only)
+    _, want = _one_taped_z_pass(sq)
+    assert np.any(want != 0.0)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_an_empty_batch_gives_zero_gradients(rng):
+    # a taped data pass over no rows, and a Z pass seeded with a zero
+    # coefficient (a mixture component whose share is 0), both on the
+    # scaled path, leave every gradient 0
+    c = _CASES["gaussian-bt-hadamard"]()
+    c.store.values[:] = rng.normal(size=c.store.values.size) * 0.6 + 0.3
+    c.store.bump()
+    c.store.zero_grad()
+    res = engine.forward(c, np.zeros((0, c.variable_count)), want_tape=True)
+    assert res.root.shape == (0,) and res.tape.evidence is not None
+    engine.backward(res.tape, engine.log_grad_seed(res.root, np.zeros(0)))
+    _, zres = partition_function(square(c), want_tape=True)
+    assert zres.tape.evidence is not None
+    engine.backward(zres.tape, engine.log_grad_seed(zres.root, np.zeros(1)))
+    assert np.all(c.store.gradients == 0.0)
 
 
 def test_data_pass_of_a_squared_circuit_is_not_taped(rng):

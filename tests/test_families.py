@@ -21,7 +21,7 @@ from pcsq.families import (
     SplineFamily,
     family_from_dict,
 )
-from pcsq.slog import SignedLogTensor, signed_mul, signed_scale, signed_sum
+from pcsq.slog import ScaledTensor, SignedLogTensor, signed_mul, signed_scale, signed_sum
 from pcsq.splines import BSplineBasis
 
 
@@ -603,3 +603,100 @@ class TestLinearFamilyBand:
         store.zero_grad()
         fam.log_eval_vjp(store, zero, f, features)
         assert np.all(store.gradients == 0.0)
+
+
+_POSITIVE = {
+    "gaussian": (lambda: GaussianFamily(3), lambda rng, n: rng.normal(size=n)),
+    "rbf": (
+        lambda: RbfKernelFamily(np.array([[-0.8], [0.1], [1.3]]), bandwidth=0.6),
+        lambda rng, n: rng.normal(size=n),
+    ),
+    "binomial": (
+        lambda: BinomialFamily(3, trials=5),
+        lambda rng, n: rng.integers(0, 6, size=n).astype(float),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_POSITIVE))
+def test_positive_values_share_one_read_only_sign(kind, rng):
+    # Gaussian, RBF and Binomial values are all positive, so log_eval's
+    # sign, and the closed-form integral matrix's, is one +1 broadcast to
+    # the values' shape: it allocates nothing and refuses writes
+    make, draw = _POSITIVE[kind]
+    fam = make()
+    store = _make(fam)
+    f, _ = fam.log_eval(store, draw(rng, 9))
+    signs = [f.sign]
+    if kind != "binomial":  # a Binomial integral matrix is a table product
+        signs.append(fam.integral_matrix(store).sign)
+    for sign in signs:
+        assert np.all(sign == 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            sign[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kind", sorted(_POSITIVE))
+def test_a_broadcast_sign_moves_no_density_or_marginal_bit(kind, rng, monkeypatch):
+    # squared densities and marginals are bit-equal to passes whose input
+    # layers return a materialized sign (and C-ordered log-magnitudes)
+    from pcsq import inference
+    from pcsq.circuits import from_region_graph
+    from pcsq.learning import init_parameters
+    from pcsq.regions import build_binary_tree
+    from pcsq.squaring import square
+
+    make, draw = _POSITIVE[kind]
+    x = np.stack([draw(rng, 20) for _ in range(4)], axis=1)
+
+    def outputs():
+        c = from_region_graph(build_binary_tree(4, 2), 3, "hadamard", lambda s, k: make())
+        sq = init_parameters(square(c), "uniform(0,1)", seed=3)
+        marg = inference.marginal_batch(sq, x, {1, 2})
+        return inference.log_density(sq, x), marg.log_magnitude, marg.sign
+
+    got = outputs()
+    cls = type(make())
+    log_eval, integral_matrix = cls.log_eval, cls.integral_matrix
+
+    def materialized(t):
+        return SignedLogTensor(np.ascontiguousarray(t.log_magnitude), np.ones(t.shape))
+
+    def log_eval_materialized(self, store, values):
+        f, features = log_eval(self, store, values)
+        return materialized(f), features
+
+    monkeypatch.setattr(cls, "log_eval", log_eval_materialized)
+    monkeypatch.setattr(cls, "integral_matrix", lambda self, store: materialized(integral_matrix(self, store)))
+    for g, w in zip(got, outputs()):
+        np.testing.assert_array_equal(g, w)
+
+
+_INTEGRAL_FAMILIES = {
+    "gaussian": lambda: GaussianFamily(4),
+    "binomial": lambda: BinomialFamily(4, trials=5),
+    "spline": lambda: SplineFamily(4, BSplineBasis(2, [0.1, 0.25, 0.5, 0.55, 0.8], (0.0, 1.0))),
+    "categorical": lambda: CategoricalFamily(4, 5),
+    "embedding": lambda: EmbeddingFamily(4, 5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_INTEGRAL_FAMILIES))
+def test_scaled_integral_vjps_agree_with_the_signed_log_ones(kind, rng):
+    # a partition-function sweep hands an integral VJP one block under one
+    # log-scale; on a non-symmetric adjoint (a squared circuit's is
+    # symmetric) both slots of the matrix must still count
+    fam = _INTEGRAL_FAMILIES[kind]()
+    fam.reparam = "identity"  # a softmax row's integral has gradient 0
+    store = _make(fam, seed=int(rng.integers(1 << 30)))
+    for shape, vjp in (((4,), fam.integral_vector_vjp), ((4, 4), fam.integral_matrix_vjp)):
+        adj = SignedLogTensor(rng.uniform(-3.0, 3.0, size=shape), rng.choice([-1.0, 1.0], size=shape))
+        top = np.max(adj.log_magnitude)
+        block = ScaledTensor(adj.sign * np.exp(adj.log_magnitude - top), np.array(top))
+        store.zero_grad()
+        vjp(store, adj)
+        want = store.gradients.copy()
+        store.zero_grad()
+        vjp(store, block)
+        got = store.gradients
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want), initial=0.0)

@@ -20,7 +20,13 @@ import pytest
 from pcsq import engine, inference
 from pcsq.circuits import TensorizedCircuit, from_region_graph
 from pcsq.errors import ConfigError, NumericError
-from pcsq.families import CategoricalFamily, EmbeddingFamily, GaussianFamily, SplineFamily
+from pcsq.families import (
+    BinomialFamily,
+    CategoricalFamily,
+    EmbeddingFamily,
+    GaussianFamily,
+    SplineFamily,
+)
 from pcsq.learning import _accumulate_gradients, _stores, init_parameters
 from pcsq.mixtures import CircuitMixture
 from pcsq.regions import build_binary_tree, build_linear_tree
@@ -114,17 +120,20 @@ def _inputs(family, monotonic, rng, d=4, b=12):
         )
     if family == "gaussian":
         return lambda s, k: GaussianFamily(k), rng.normal(size=(b, d))
-    return lambda s, k: CategoricalFamily(k, 4), rng.integers(0, 4, size=(b, d)).astype(float)
+    if family == "binomial":
+        return lambda s, k: BinomialFamily(k, 5), rng.integers(0, 6, size=(b, d)).astype(float)
+    table = EmbeddingFamily if family == "embedding" else CategoricalFamily
+    return lambda s, k: table(k, 4), rng.integers(0, 4, size=(b, d)).astype(float)
 
 
-def _model(kind, family, rng, d=4):
+def _model(kind, family, rng, d=4, product="hadamard"):
     monotonic = kind.startswith("monotonic")
     factory, x = _inputs(family, monotonic, rng, d)
     comps = []
     for i in range(2 if kind.endswith("mixture") else 1):
         build = build_binary_tree if i == 0 else build_linear_tree
         c = from_region_graph(
-            build(d, 10 + i), 3, "hadamard", factory, sum_reparam="exp" if monotonic else "identity"
+            build(d, 10 + i), 3, product, factory, sum_reparam="exp" if monotonic else "identity"
         )
         init_parameters(c, "uniform(0,1)" if monotonic else "normal(0.3,0.5)", seed=20 + i)
         comps.append(c if monotonic else square(c))
@@ -159,23 +168,44 @@ def _signed_log_only(*args):
     raise OutOfScaledRange
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+def _taped_log_zs(model):
+    comps = model.components if isinstance(model, CircuitMixture) else [model]
+    return np.array([float(inference.partition_function(c, want_tape=True)[0].log_magnitude) for c in comps])
+
+
+@pytest.mark.parametrize(
+    "family,product",
+    [
+        pytest.param(f, p, id=f if p == "hadamard" else f"{f}-{p}")
+        for f, p in [(f, "hadamard") for f in FAMILIES]
+        + [("gaussian", "kronecker"), ("embedding", "hadamard"), ("embedding", "kronecker")]
+        + [("binomial", "hadamard"), ("binomial", "kronecker")]
+    ],
+)
 @pytest.mark.parametrize("kind", KINDS)
-def test_scaled_gradients_agree_with_the_signed_log_path(kind, family, rng, monkeypatch):
-    # taped data passes carry scaled values; forcing every one of them onto
-    # the signed log-space path moves each store's gradients by rounding only
-    model, x = _model(kind, family, rng)
+def test_scaled_gradients_agree_with_the_signed_log_path(kind, family, product, rng, monkeypatch):
+    # taped data and partition-function passes carry scaled values; forcing
+    # every one of them onto the signed log-space path moves each store's
+    # gradients, and log Z, by rounding only (a squared Kronecker layer's
+    # interleaved product and its adjoint included)
+    model, x = _model(kind, family, rng, product=product)
     got = _gradients(model, _accumulate_gradients, x)
+    got_log_zs = _taped_log_zs(model)
     monkeypatch.setattr(engine, "_forward_scaled", _signed_log_only)
     want = _gradients(model, _accumulate_gradients, x)
+    want_log_zs = _taped_log_zs(model)
     for g, w in zip(got, want):
+        assert np.any(w != 0.0)
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+    np.testing.assert_allclose(got_log_zs, want_log_zs, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", ["squared-mixture", "monotonic-mixture"])
 def test_mixture_weight_gradient_is_the_share_gap(kind):
     # the weights are exp(theta), so the free gradient is r - rho exactly,
-    # with no division by the weights and multiplication back
+    # with no division by the weights and multiplication back; r and rho
+    # come from taped passes, as in the routine, since a taped pass carries
+    # scaled values and may round differently from an untaped one
     for draw in range(10):
         rng = np.random.default_rng(draw)
         model, x = _model(kind, "gaussian", rng)
@@ -184,8 +214,7 @@ def test_mixture_weight_gradient_is_the_share_gap(kind):
             [inference.log_value(c, x, want_tape=True)[0] for c in model.components], axis=-1
         )
         resp = log_weighted_sum(lam, logs)[1]
-        log_zs = [float(inference.partition_function(c).log_magnitude) for c in model.components]
-        rho = log_weighted_sum(lam, np.array(log_zs))[1]
+        rho = log_weighted_sum(lam, _taped_log_zs(model))[1]
         _gradients(model, _accumulate_gradients, x)
         np.testing.assert_array_equal(model.store.grad_view(model.weight_block), resp.mean(0) - rho)
 

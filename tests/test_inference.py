@@ -113,6 +113,22 @@ class TestPartitionFunction:
         partition_function(sq)
         assert z_eval_count(sq) == before + 2
 
+    def test_a_taped_pass_leaves_the_cache_to_untaped_ones(self):
+        # a taped pass carries scaled values, which round differently here
+        # (log Z ...734 untaped, ...735 taped), so it neither fills nor
+        # reads the cache: an untaped read stays the signed log-space value
+        c = from_region_graph(
+            build_binary_tree(4, 10), 3, "hadamard", lambda s, k: GaussianFamily(k), sum_reparam="exp"
+        )
+        init_parameters(c, "uniform(0,1)", seed=20)
+        want = partition_function(c)
+        c.store.bump()
+        before = z_eval_count(c)
+        partition_function(c, want_tape=True)
+        got = partition_function(c)
+        assert z_eval_count(c) == before + 2
+        assert got.log_magnitude == want.log_magnitude and got.sign == want.sign
+
 
 class TestMarginalize:
     def test_all_variables_gives_z(self, rng):

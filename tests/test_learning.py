@@ -484,3 +484,37 @@ def test_training_steps_take_the_scaled_path(monkeypatch):
     report = train(model, ds, TrainConfig(batch_size=256, max_epochs=1, seed=5))
     assert np.isfinite(report.best_val_ll)
     assert signed_log_data_passes == []
+
+
+def test_a_training_step_takes_the_scaled_partition_function_path(monkeypatch):
+    # a training step's one-row Z pass over a squared K = 8 Gaussian circuit
+    # and its sweep carry scaled values too: no signed log-space pass with
+    # every variable marginalized runs, nor the signed log-space backward of
+    # a squared sum layer
+    from pcsq import engine
+
+    rng = np.random.default_rng(6)
+    c = from_region_graph(build_binary_tree(8, 6), 8, "hadamard", lambda s, k: GaussianFamily(k))
+    model = init_parameters(square(c), "uniform(0,1)", seed=6)
+    x = rng.normal(0.0, 1.5, size=(256, 8))
+    signed_log = []
+    forward_slog, backward_sum_squared = engine._forward_slog, engine._backward_sum_squared
+
+    def forward_watched(circuit, x, marginalized, batch, want_tape=False, keep_outputs=False):
+        if len(marginalized) == circuit.variable_count:
+            signed_log.append("forward")
+        return forward_slog(circuit, x, marginalized, batch, want_tape, keep_outputs)
+
+    def backward_squared(*args):
+        signed_log.append("backward")
+        return backward_sum_squared(*args)
+
+    monkeypatch.setattr(engine, "_forward_slog", forward_watched)
+    monkeypatch.setattr(engine, "_backward_sum_squared", backward_squared)
+    for _ in range(3):
+        c.store.zero_grad()
+        assert np.isfinite(_accumulate_gradients(model, x))
+        assert np.all(np.isfinite(c.store.gradients)) and np.any(c.store.gradients != 0.0)
+        c.store.values -= 1e-3 * c.store.gradients
+        c.store.bump()
+    assert signed_log == []
