@@ -4,13 +4,14 @@ path adjoints behind exact conditionals.
 A circuit is a binary tree of layers with the output last
 (:meth:`TensorizedCircuit.assert_valid`): every other layer has exactly
 one reader, and every product layer two factors.  The forward pass walks
-the layers in order, carrying either signed log-space tensors (the
-default, overflow-proof) or plain float64 arrays (the "linear" space,
-used by oracles and the overflow benchmark).
+the layers in order, carrying scaled-linear values (the default), signed
+log-space tensors (passes that keep their outputs, and the overflow-proof
+rerun where the scaled values leave their range) or plain float64 arrays
+(the "linear" space, used by oracles and the overflow benchmark).
 Input layers evaluate pointwise on evidence variables and substitute
 their integral vector (plain circuits) or integral matrix (squared
-circuits) on marginalized variables.  In signed log-space a layer whose
-whole scope is marginalized is constant across the batch, so it is
+circuits) on marginalized variables.  Outside the linear space a layer
+whose whole scope is marginalized is constant across the batch, so it is
 evaluated once, as one row; layers mixing one-row and batch inputs
 broadcast, and only the root is broadcast to the batch.
 
@@ -27,23 +28,26 @@ Only data passes of unsquared circuits and one-row
 partition-function passes are taped: a squared circuit trains through
 its source, as log c^2 = 2 log|c|, so the K^2-wide data pass of the
 squared graph is never differentiated.  Each layer has one reader, so an
-untaped signed log-space pass drops a layer's inputs once the layer has
-run, and :func:`backward` gives each input its one adjoint and then
-drops the input's recorded output; a pass holds a few layers at a time
-rather than all of them.
+untaped pass drops a layer's inputs once the layer has run, and
+:func:`backward` gives each input its one adjoint and then drops the
+input's recorded output; a pass holds a few layers at a time rather
+than all of them.
 
-Every taped pass, a data pass or a one-row partition-function pass, and
-its backward sweep carry scaled-linear values instead
-(:class:`pcsq.slog.ScaledTensor`): plain float64 rows with one log-scale
-per row, the layout of EinsumNetworks (Peharz et al., ICML 2020).
-Forward, an input layer exponentiates log f, or in a Z pass its cached
-integral vector or matrix, once against its row maximum; a Hadamard
-product multiplies values and adds scales, a Kronecker product takes
-outer products (interleaved, on squared layers) and adds scales; a sum
-layer is one GEMM, or on a squared layer's K x K row X the two of
+Every pass that does not keep its outputs (densities, marginals,
+validation, mixture component values, Z, taped or not) carries
+scaled-linear values (:class:`pcsq.slog.ScaledTensor`): plain float64
+rows with one log-scale per row, the layout of EinsumNetworks (Peharz et
+al., ICML 2020).  Forward, an input layer exponentiates log f, or its
+cached integral vector or matrix as one row, once against its row
+maximum, and a squared one takes the outer product of those values
+under twice the scale; a Hadamard product multiplies values and adds
+scales, a Kronecker product takes outer products (interleaved, on
+squared layers) and adds scales, one-row factors broadcasting; a sum
+layer is one GEMM, or on a squared layer's K x K rows X the two of
 W X W^T, and a renormalization of each row to largest |value| 1 (a zero
 row gets values 0 and scale -inf); the root becomes log|value| + scale,
-in signed log-space.  Backward, a sum layer's input adjoint is a GEMM
+in signed log-space.  A taped and an untaped pass share these rules, so
+they give the same bits.  Backward, a sum layer's input adjoint is a GEMM
 with W and a renormalization, and its weight gradient e^C (adj r)^T u,
 where r_b = exp(c_b - C) for c_b the adjoint's plus the input's row scale
 and C their maximum: M exponentials and one GEMM.  A squared sum with
@@ -61,10 +65,12 @@ sum's input adjoint, at a Hadamard adjoint that enters an input layer),
 or a batch sum with a live row weight below it, raises OutOfScaledRange.
 The pass and its backward sweep then rerun in signed log-space; the
 scaled sweep holds its gradients until it has passed every guard, so
-nothing of an abandoned attempt reaches the store.  A NaN never trips a
-guard; it ends in the NumericError of the per-layer or the gradient NaN
-check.  Untaped passes (densities, marginals, sampling conditionals,
-validation, the cached untaped Z) stay in signed log-space.
+nothing of an abandoned attempt reaches the store.  A live row that
+cancels to an exact 0 trips the guard too, so the rerun returns it as
+(-inf, 0).  A NaN never trips a guard; it ends in the NumericError of
+the per-layer or the gradient NaN check.  Passes that keep their
+outputs, the sampler's conditionals, run in signed log-space, where
+:func:`path_adjoint` reads them.
 
 :func:`path_adjoint` pushes the root's adjoint, by the same per-layer
 rules, along the one path from the root to the input layer of a chosen
@@ -165,14 +171,20 @@ def _broadcast(slog, batch):
     )
 
 
-def _forward_input(circuit, layer, x, marginalized, saved):
+def _whole_scope_marginalized(layer, marginalized):
+    """Whether the input layer's scope is marginalized; a layer only
+    partially marginalized raises UnsupportedStructureError."""
     scope = set(layer.scope)
     marg = scope & marginalized
     if marg and marg != scope:
         raise UnsupportedStructureError(
             f"input layer {layer.layer_id} is only partially marginalized"
         )
-    if marg:  # constant: the cached integral, one row for every batch row
+    return bool(marg)
+
+
+def _forward_input(circuit, layer, x, marginalized, saved):
+    if _whole_scope_marginalized(layer, marginalized):  # the cached integral, one row
         return _input_integral(circuit, layer, matrix=layer.squared).reshape(1, layer.output_width)
     values = _scope_values(x, layer.scope)
     f, features = layer.family.log_eval(circuit.store, values)
@@ -218,22 +230,22 @@ def forward(
 
     ``x`` is a (batch, variable_count) array of evidence (ignored columns
     for marginalized variables); it may be None when every variable is
-    marginalized.  ``space`` selects signed log-space or plain linear
-    float64 arithmetic.  In signed log-space a layer whose scope is
-    entirely marginalized is constant: it is evaluated once, as one row,
-    and only the root is broadcast to the batch.  Only data passes of
-    unsquared circuits (nothing marginalized) and one-row
+    marginalized.  ``space`` selects the log-scaled spaces or plain
+    linear float64 arithmetic.  Outside the linear space a layer whose
+    scope is entirely marginalized is constant: it is evaluated once, as
+    one row, and only the root is broadcast to the batch.  Only data
+    passes of unsquared circuits (nothing marginalized) and one-row
     partition-function passes (everything marginalized) can be taped;
     taping any other pass raises ConfigError, and so does marginalizing a
-    variable the circuit does not have.  A taped pass carries
-    scaled-linear values, or signed log-space ones where a guard trips
-    (see the module docstring); either way its root is in signed log-space.
+    variable the circuit does not have.  The pass carries scaled-linear
+    values, or signed log-space ones where a guard trips (see the module
+    docstring); either way its root is in signed log-space.
 
-    An untaped signed log-space pass sets each layer's entry of
-    ``outputs`` to None once its one reader has run, so only the root is
-    left; ``keep_outputs=True`` keeps every entry, for callers that read
-    intermediate outputs (:func:`path_adjoint`).  Taped passes and linear
-    passes always keep every output.
+    An untaped pass sets each layer's entry of ``outputs`` to None once
+    its one reader has run, so only the root is left.
+    ``keep_outputs=True`` keeps every entry, in signed log-space, for
+    callers that read intermediate outputs (:func:`path_adjoint`).
+    Taped passes and linear passes always keep every output.
     """
     marginalized = frozenset(marginalized)
     outside = sorted(v for v in marginalized if not 0 <= v < circuit.variable_count)
@@ -259,9 +271,9 @@ def forward(
         )
     if space == "linear":
         return _forward_linear(circuit, x, marginalized, batch)
-    if want_tape:
+    if not keep_outputs:
         try:
-            return _forward_scaled(circuit, x, marginalized)
+            return _forward_scaled(circuit, x, marginalized, batch, want_tape)
         except OutOfScaledRange:
             pass  # a guard tripped: the signed log-space pass below
     return _forward_slog(circuit, x, marginalized, batch, want_tape, keep_outputs)
@@ -291,14 +303,18 @@ def _forward_slog(circuit, x, marginalized, batch, want_tape=False, keep_outputs
     return EvalResult(outputs, circuit.output_layer, tape)
 
 
-def _forward_scaled(circuit, x, marginalized):
-    """A taped pass in scaled-linear values (:class:`ScaledTensor`): an
-    input layer exponentiates log f, or its cached integral in a Z pass,
-    once against its row maximum; a sum layer is one GEMM (two, W X W^T, on
-    a squared layer's rows) and a renormalization; a product multiplies
-    values and adds row scales.  The root is returned in signed log-space.
-    Raises OutOfScaledRange where a sum's renormalization trips."""
-    saved = {}
+def _forward_scaled(circuit, x, marginalized, batch, want_tape=False):
+    """A pass in scaled-linear values (:class:`ScaledTensor`): an input
+    layer exponentiates log f, or its cached integral as one row, once
+    against its row maximum (a squared one then takes the outer product of
+    those values, under twice the scale); a sum layer is one GEMM (two,
+    W X W^T, on a squared layer's rows) and a renormalization; a product
+    multiplies values and adds row scales, broadcasting one-row factors.
+    The root is returned in signed log-space, broadcast to the batch.  An
+    untaped pass saves nothing and releases each layer's inputs once the
+    layer has run.  Raises OutOfScaledRange where a sum's renormalization
+    trips."""
+    saved = {} if want_tape else None
     outputs = []
     for layer in circuit.layers:
         if layer.kind == INPUT:
@@ -306,10 +322,11 @@ def _forward_scaled(circuit, x, marginalized):
         elif layer.kind == SUM:
             u = outputs[layer.inputs[0]]
             weights = circuit.effective_weights(layer)
-            if layer.squared:  # V = W X is saved for the weight gradient
+            if layer.squared:
                 s, k = weights.shape
                 v = weights @ u.values.reshape(-1, k, k)
-                saved[layer.layer_id] = v
+                if saved is not None:  # V = W X, for the weight gradient
+                    saved[layer.layer_id] = v
                 raw = (v @ weights.T).reshape(-1, s * s)
             else:  # the GEMM's transpose, so its result is column-major
                 raw = (weights @ u.values.T).T
@@ -319,26 +336,35 @@ def _forward_scaled(circuit, x, marginalized):
             if layer.kind == HADAMARD:
                 values = a.values * b.values
             elif layer.squared:  # the interleaved order of _kron_squared
-                (ka, kb), n = _squared_widths(a, b), a.shape[0]
-                values = a.values.reshape(n, ka, 1, ka, 1) * b.values.reshape(n, 1, kb, 1, kb)
+                ka, kb = _squared_widths(a, b)
+                values = a.values.reshape(-1, ka, 1, ka, 1) * b.values.reshape(-1, 1, kb, 1, kb)
             else:
                 values = a.values[:, :, None] * b.values[:, None, :]
             out = ScaledTensor(values.reshape(-1, layer.output_width), a.log_scale + b.log_scale)
         if np.isnan(out.values).any() or np.isnan(out.log_scale).any():
             raise NumericError(f"NaN produced at layer {layer.layer_id} ({layer.kind})")
         outputs.append(out)
-    outputs[-1] = outputs[-1].to_slog()
-    tape = Tape(circuit, marginalized, outputs, saved, evidence=x)
+        if saved is None:  # the layer was its inputs' one reader
+            for j in layer.inputs:
+                outputs[j] = None
+    root = outputs[-1].to_slog()
+    outputs[-1] = root if root.shape[0] == batch else _broadcast(root, batch)
+    tape = Tape(circuit, marginalized, outputs, saved, evidence=x) if want_tape else None
     return EvalResult(outputs, circuit.output_layer, tape)
 
 
 def _scaled_input(circuit, layer, x, marginalized, saved):
-    if marginalized:  # a Z pass: the cached integral, which from_slog copies
+    if _whole_scope_marginalized(layer, marginalized):  # the cache is read-only
         integral = _input_integral(circuit, layer, matrix=layer.squared)
         return ScaledTensor.from_slog(integral.reshape(1, layer.output_width))
     f, features = layer.family.log_eval(circuit.store, _scope_values(x, layer.scope))
-    out = ScaledTensor.from_slog(f)
-    saved[layer.layer_id] = (out, features)
+    out = ScaledTensor.from_slog(f)  # exponentiated in f's own array where it can be
+    if saved is not None:
+        saved[layer.layer_id] = (out, features)
+    if layer.squared:  # f_i f_j: K exponentials per row rather than K^2
+        v = out.values
+        outer = (v[:, :, None] * v[:, None, :]).reshape(-1, layer.output_width)
+        out = ScaledTensor(outer, 2.0 * out.log_scale)
     return out
 
 

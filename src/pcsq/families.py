@@ -101,7 +101,8 @@ class InputFamily:
 
     def log_eval(self, store, x):
         """(f(x), features): the values in signed log-space and the state
-        ``log_eval_vjp`` needs besides them (taped passes keep both).  A
+        ``log_eval_vjp`` needs besides them (taped passes keep both).  The
+        log-magnitude array is the caller's, which may overwrite it.  A
         value of x outside the family's domain raises a DomainError."""
         raise NotImplementedError
 

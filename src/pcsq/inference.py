@@ -99,9 +99,9 @@ def partition_function(model, want_tape=False):
     vectors (plain circuits) or integral matrices (squared circuits)
     substituted at every input layer.
 
-    An untaped result is cached per parameter version; a taped pass, which
-    carries scaled values that round differently, neither reads nor writes
-    the cache.  Each fresh computation increments the model's evaluation
+    An untaped result is cached per parameter version; a taped pass
+    neither reads nor writes the cache, and gives the same bits as an
+    untaped one.  Each fresh computation increments the model's evaluation
     counter.  Raises DegenerateModelError when Z is not strictly positive
     and NumericError when it is not finite.
     """

@@ -231,10 +231,11 @@ class ScaledTensor:
     """Row b is values[b] * exp(log_scale[b]): a (rows, width) array and a
     (rows, 1) column.  A live row has a finite scale; a zero row has values
     0 and scale -inf.  Rules that sum renormalize each live row to largest
-    |value| 1; products of rows are left as they fall.  The rules keep
-    values column-major, where a per-row maximum is an elementwise
-    maximum across contiguous columns rather than a short reduction per
-    row (about 4x faster on 1024 x 64 values, 2-core x86 VM)."""
+    |value| 1; products of rows are left as they fall.  The rules of
+    unsquared layers keep values column-major, where a per-row maximum
+    is an elementwise maximum across contiguous columns rather than a
+    short reduction per row (about 4x faster on 1024 x 64 values, 2-core
+    x86 VM)."""
 
     values: np.ndarray
     log_scale: np.ndarray
@@ -245,8 +246,14 @@ class ScaledTensor:
 
     @classmethod
     def from_slog(cls, x: SignedLogTensor):
-        """Exponentiate each row once against its largest log-magnitude."""
-        t = x.log_magnitude.T.copy()  # (width, rows): t.T is column-major
+        """Exponentiate each row once against its largest log-magnitude.
+        The values are computed in x's log-magnitude array where it is
+        writeable and column-major (as Gaussian and value-table inputs
+        return it); a read-only array, such as a cached integral, is
+        copied and never written."""
+        t = x.log_magnitude.T  # (width, rows): t.T is column-major
+        if not (t.flags.c_contiguous and t.flags.writeable):
+            t = t.copy()
         top = np.max(t, axis=0, keepdims=True)  # -inf on a zero row
         with np.errstate(invalid="ignore"):
             t -= np.where(top == -np.inf, 0.0, top)

@@ -17,7 +17,13 @@ from pcsq.families import (
     GaussianFamily,
     SplineFamily,
 )
-from pcsq.inference import log_density, log_value, partition_function
+from pcsq.inference import (
+    log_density,
+    log_likelihood,
+    log_value,
+    marginal_batch,
+    partition_function,
+)
 from pcsq.learning import init_parameters
 from pcsq.regions import build_binary_tree, build_linear_tree, linear_tree_from_order
 from pcsq.slog import OutOfScaledRange
@@ -239,6 +245,23 @@ def _signed_log_only(*args):
     raise OutOfScaledRange
 
 
+def _watch_trips(monkeypatch, name):
+    """The calls of engine.<name> that raise OutOfScaledRange, as a list
+    that fills while the test runs."""
+    trips = []
+    scaled = getattr(engine, name)
+
+    def watched(*args):
+        try:
+            return scaled(*args)
+        except OutOfScaledRange:
+            trips.append(args)
+            raise
+
+    monkeypatch.setattr(engine, name, watched)
+    return trips
+
+
 def _one_taped_pass(c, x, coeff, seed=None):
     """Root log-values and store gradients of one taped data pass of ``c``,
     seeded with ``coeff`` or, if given, with ``seed``."""
@@ -261,17 +284,7 @@ def test_a_data_pass_out_of_scaled_range_reruns_in_signed_log_space(monkeypatch)
     c.store.set_free(second.family.blocks["mean"], [100.0, 0.0])
     c.store.set_free(c.layer(c.output_layer).param_block, [[0.5, 0.5]])
     x = np.zeros((1, 2))
-    trips = []
-    scaled = engine._forward_scaled
-
-    def watched(*args):
-        try:
-            return scaled(*args)
-        except OutOfScaledRange:
-            trips.append(args)
-            raise
-
-    monkeypatch.setattr(engine, "_forward_scaled", watched)
+    trips = _watch_trips(monkeypatch, "_forward_scaled")
     root, got = _one_taped_pass(c, x, np.array([2.0]))
     assert len(trips) == 1
     assert root[0] == pytest.approx(-5001.84, abs=0.005)
@@ -294,17 +307,7 @@ def test_a_backward_sweep_out_of_scaled_range_reruns_in_signed_log_space(rng, mo
     res = engine.forward(c, x, want_tape=True)
     assert res.tape.evidence is not None  # the scaled forward pass held
     seed = engine.log_grad_seed(res.root, np.array([1.0, 1e-305]))
-    trips = []
-    scaled = engine._backward_scaled
-
-    def watched(*args):
-        try:
-            return scaled(*args)
-        except OutOfScaledRange:
-            trips.append(args)
-            raise
-
-    monkeypatch.setattr(engine, "_backward_scaled", watched)
+    trips = _watch_trips(monkeypatch, "_backward_scaled")
     _, got = _one_taped_pass(c, x, None, seed)
     assert len(trips) == 1
     monkeypatch.setattr(engine, "_forward_scaled", _signed_log_only)
@@ -322,27 +325,23 @@ def _one_taped_z_pass(sq):
     return z.log_magnitude, sq.store.gradients.copy()
 
 
-def test_a_partition_function_pass_out_of_scaled_range_reruns_in_signed_log_space(monkeypatch):
-    # the root weights of a squared 4-variable K = 2 Gaussian circuit times
-    # 1e-200: the root's W X W^T is about 1e-400 X, which underflows to 0 in
-    # the scaled pass, so its renormalization trips; in signed log-space
-    # log Z is -926.56, while a plain linear pass gives Z = 0
+def _tiny_root_weights():
+    """A squared 4-variable K = 2 Gaussian circuit whose root weights are
+    scaled by 1e-200: the root's W X W^T is about 1e-400 X, which
+    underflows to 0 in the scaled pass, so its renormalization trips; in
+    signed log-space log Z is -926.56, while a plain linear pass gives
+    Z = 0."""
     c = from_region_graph(build_binary_tree(4, 0), 2, "hadamard", lambda s, k: GaussianFamily(k))
     sq = init_parameters(square(c), "uniform(0,1)", seed=1)
     block = c.layer(c.output_layer).param_block
     c.store.set_free(block, c.store.free(block) * 1e-200)
     assert engine.forward(sq.circuit, None, range(4), space="linear").root[0] == 0.0
-    trips = []
-    scaled = engine._forward_scaled
+    return sq
 
-    def watched(*args):
-        try:
-            return scaled(*args)
-        except OutOfScaledRange:
-            trips.append(args)
-            raise
 
-    monkeypatch.setattr(engine, "_forward_scaled", watched)
+def test_a_partition_function_pass_out_of_scaled_range_reruns_in_signed_log_space(monkeypatch):
+    sq = _tiny_root_weights()
+    trips = _watch_trips(monkeypatch, "_forward_scaled")
     log_z, got = _one_taped_z_pass(sq)
     assert len(trips) == 1
     assert log_z == pytest.approx(-926.56, abs=0.005)
@@ -351,6 +350,109 @@ def test_a_partition_function_pass_out_of_scaled_range_reruns_in_signed_log_spac
     assert log_z == want_log_z
     assert np.any(want != 0.0)
     np.testing.assert_array_equal(got, want)
+
+
+def test_untaped_passes_out_of_scaled_range_rerun_in_signed_log_space(monkeypatch):
+    # the untaped Z pass trips once and gives the signed log-space bits,
+    # which log_density then reads from the cache (its data pass, on the
+    # source, does not trip); a marginal of the squared circuit trips too
+    sq = _tiny_root_weights()
+    x = np.random.default_rng(0).normal(size=(5, 4))
+    trips = _watch_trips(monkeypatch, "_forward_scaled")
+    log_z = partition_function(sq)
+    assert len(trips) == 1
+    assert float(log_z.log_magnitude) == pytest.approx(-926.56, abs=0.005)
+    density = log_density(sq, x)
+    logs = log_value(sq, x)
+    assert len(trips) == 1
+    marginal = marginal_batch(sq, x, {1, 2})
+    assert len(trips) == 2
+    monkeypatch.setattr(engine, "_forward_scaled", _signed_log_only)
+    sq.store.bump()
+    want_z = partition_function(sq)
+    assert (log_z.log_magnitude, log_z.sign) == (want_z.log_magnitude, want_z.sign)
+    np.testing.assert_array_equal(density, logs - want_z.log_magnitude)
+    want = marginal_batch(sq, x, {1, 2})
+    np.testing.assert_array_equal(marginal.log_magnitude, want.log_magnitude)
+    np.testing.assert_array_equal(marginal.sign, want.sign)
+
+
+def test_a_marginal_row_that_cancels_exactly_is_an_exact_zero(monkeypatch):
+    # c = 0.5 f0(x0) g0(x1) - 0.5 f1(x0) g1(x1), f0 and f1 unit Gaussians
+    # with means -1 and 1, each g integrating to 1: with x1 marginalized the
+    # row x0 = 0 cancels exactly, which trips the scaled pass, and the
+    # signed log-space rerun returns it as (-inf, 0)
+    c = from_region_graph(linear_tree_from_order([0, 1]), 2, "hadamard", lambda s, k: GaussianFamily(k))
+    first = c.input_layers()[0]
+    assert first.scope == (0,)
+    c.store.set_free(first.family.blocks["mean"], [-1.0, 1.0])
+    c.store.set_free(c.layer(c.output_layer).param_block, [[0.5, -0.5]])
+    trips = _watch_trips(monkeypatch, "_forward_scaled")
+    got = marginal_batch(c, np.array([[0.0, 0.0], [0.5, 0.0]]), {1})
+    assert len(trips) == 1
+    assert (got.log_magnitude[0], got.sign[0]) == (-np.inf, 0.0)
+    assert np.isfinite(got.log_magnitude[1]) and got.sign[1] == -1.0
+
+
+@pytest.mark.parametrize("product", ["hadamard", "kronecker"])
+@pytest.mark.parametrize("family", ["gaussian", "categorical"])
+def test_taped_and_untaped_partition_functions_agree_bitwise(family, product):
+    if family == "gaussian":
+        factory = lambda s, k: GaussianFamily(k)
+    else:
+        factory = lambda s, k: CategoricalFamily(k, 3)
+    c = from_region_graph(build_binary_tree(4, 1), 3, product, factory)
+    sq = init_parameters(square(c), "normal(0,1)", seed=2)
+    taped, _ = partition_function(sq, want_tape=True)
+    untaped = partition_function(sq)  # a taped pass leaves the cache empty
+    assert (taped.log_magnitude, taped.sign) == (untaped.log_magnitude, untaped.sign)
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("query", ["validation", "marginal"])
+def test_an_untaped_scaled_pass_peaks_no_higher_than_a_signed_log_pass(monkeypatch, query):
+    # a 1024-row validation pass and a 256-row marginal of a d = 8, K = 16
+    # squared Gaussian circuit; input values are exponentiated in the
+    # arrays log_eval returned rather than in copies
+    c = from_region_graph(build_binary_tree(8, 3), 16, "hadamard", lambda s, k: GaussianFamily(k))
+    model = init_parameters(square(c), "uniform(0,1)", seed=3)
+    x = np.random.default_rng(3).normal(size=(1024, 8))
+    if query == "validation":
+        run = lambda: log_likelihood(model, x)
+    else:
+        run = lambda: marginal_batch(model, x[:256], {0, 3})
+    run()  # caches outside the measurements
+    scaled = _peak(run)
+    monkeypatch.setattr(engine, "_forward_scaled", _signed_log_only)
+    assert scaled <= _peak(run)
+
+
+def test_untaped_passes_leave_the_cached_integrals_unwritten(rng):
+    c = _CASES["gaussian-bt-hadamard"]()
+    c.store.values[:] = rng.normal(size=c.store.values.size) * 0.6 + 0.3
+    c.store.bump()
+    sq = square(c)
+    x = rng.normal(size=(3, c.variable_count))
+    everything = range(c.variable_count)
+    for graph in (c, sq.circuit):
+        engine.forward(graph, None, everything)  # fills the cache
+        cache = graph._integral_cache
+        before = {key: entry[1].copy() for key, entry in cache.items()}
+        engine.forward(graph, None, everything)
+        engine.forward(graph, x, {0, 2})
+        assert cache.keys() == before.keys()
+        for key, (_, value) in cache.items():
+            assert not value.log_magnitude.flags.writeable
+            np.testing.assert_array_equal(value.log_magnitude, before[key].log_magnitude)
+            np.testing.assert_array_equal(value.sign, before[key].sign)
 
 
 def test_a_partition_function_sweep_that_trips_reruns_the_z_pass(rng, monkeypatch):
@@ -508,14 +610,20 @@ def _non_root(result):
 
 @pytest.mark.parametrize("marginalized", [frozenset(), frozenset({1, 2})], ids=["data", "marg"])
 def test_untaped_pass_holds_only_the_root(rng, marginalized):
-    # each layer output is released once its one reader has run
+    # each layer output is released once its one reader has run; releasing
+    # changes no bit of the scaled pass, and the signed log-space pass that
+    # keeps its outputs for path_adjoint rounds differently
     graph = _random_model(rng, "kronecker", lambda s, k: GaussianFamily(k), True, 4)
     x = rng.normal(size=(6, 4))
     res = engine.forward(graph, x, marginalized=marginalized)
     assert all(out is None for out in _non_root(res))
+    scaled = engine._forward_scaled(graph, x, marginalized, 6, want_tape=True)
+    assert all(out is not None for out in scaled.outputs)
+    np.testing.assert_array_equal(res.root.log_magnitude, scaled.root.log_magnitude)
+    np.testing.assert_array_equal(res.root.sign, scaled.root.sign)
     kept = engine.forward(graph, x, marginalized=marginalized, keep_outputs=True)
     assert all(out is not None for out in kept.outputs)
-    np.testing.assert_array_equal(res.root.log_magnitude, kept.root.log_magnitude)
+    np.testing.assert_allclose(res.root.log_magnitude, kept.root.log_magnitude, rtol=1e-13)
     np.testing.assert_array_equal(res.root.sign, kept.root.sign)
 
 

@@ -240,7 +240,8 @@ def test_one_forward_pass_per_variable_per_chunk(monkeypatch, case):
     # 300 rows make two 256-row chunks for each continuous column, and 300
     # distinct prefixes two chunks for the discrete one; bisection and PMF
     # enumeration run no circuit pass.  With nothing before variable 0,
-    # its pass has only constant layers: one row each, and its root is Z.
+    # its pass has only constant layers: one row each, and its root is the
+    # root of a Z pass that keeps its outputs, bit for bit
     if case == "squared-spline-2d":
         sq = _squared_spline_pair()
     else:
@@ -262,10 +263,15 @@ def test_one_forward_pass_per_variable_per_chunk(monkeypatch, case):
     monkeypatch.setattr(engine, "forward", counted)
     sample(sq, 300, seed=4)
     assert [sorted(m) for m, _ in passes] == [[0, 1], [0, 1], [1], [1]]
+    kept_z = original(sq.circuit, None, range(sq.circuit.variable_count), keep_outputs=True).root
+    assert kept_z.shape == (1,)
     for _, result in passes[:2]:
         constant = [out for i, out in enumerate(result.outputs) if i != result.output_layer]
         assert all(out.shape[0] == 1 for out in constant)
-        np.testing.assert_array_equal(result.root.log_magnitude, z.log_magnitude)
+        np.testing.assert_array_equal(result.root.log_magnitude, kept_z.log_magnitude[0])
+        np.testing.assert_array_equal(result.root.sign, kept_z.sign[0])
+        # the cached Z comes from the scaled pass, which rounds on its own
+        np.testing.assert_allclose(result.root.log_magnitude, z.log_magnitude, rtol=1e-13)
 
 
 def test_sampling_determinism(rng):

@@ -225,3 +225,27 @@ def test_scaled_values_from_signed_log_rows():
     np.testing.assert_array_equal(t.log_scale, [[2.0], [-np.inf]])
     np.testing.assert_array_equal(t.values, [[np.exp(-2.0), -0.0, -1.0], [0.0] * 3])
     assert t.values.flags.f_contiguous
+
+
+def test_scaled_values_overwrite_only_a_writeable_column_major_array():
+    # a read-only array (a cached integral) is copied and left as it was;
+    # a writeable column-major one is exponentiated in place, and a
+    # row-major one is copied, so values stay column-major either way
+    log_mag = np.asfortranarray([[0.0, -1.0], [3.0, 1.0]])
+    log_mag.setflags(write=False)
+    x = SignedLogTensor(log_mag, np.ones((2, 2)))
+    t = ScaledTensor.from_slog(x)
+    assert not np.shares_memory(t.values, log_mag)
+    np.testing.assert_array_equal(log_mag, [[0.0, -1.0], [3.0, 1.0]])
+    owned = SignedLogTensor(log_mag.copy(order="F"), x.sign)
+    u = ScaledTensor.from_slog(owned)
+    assert np.shares_memory(u.values, owned.log_magnitude)
+    row_major = SignedLogTensor(log_mag.copy(order="C"), x.sign)
+    v = ScaledTensor.from_slog(row_major)
+    assert not np.shares_memory(v.values, row_major.log_magnitude)
+    np.testing.assert_array_equal(row_major.log_magnitude, log_mag)
+    for w in (t, u, v):
+        assert w.values.flags.f_contiguous
+    for w in (u, v):
+        np.testing.assert_array_equal(w.values, t.values)
+        np.testing.assert_array_equal(w.log_scale, t.log_scale)
