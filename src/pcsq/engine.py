@@ -3,80 +3,86 @@ path adjoints behind exact conditionals.
 
 A circuit is a binary tree of layers with the output last
 (:meth:`TensorizedCircuit.assert_valid`): every other layer has exactly
-one reader, and every product layer two factors.  The forward pass walks
-the layers in order, carrying scaled-linear values (the default), signed
-log-space tensors (passes that keep their outputs, and the overflow-proof
-rerun where the scaled values leave their range) or plain float64 arrays
-(the "linear" space, used by oracles and the overflow benchmark).
-Input layers evaluate pointwise on evidence variables and substitute
-their integral vector (plain circuits) or integral matrix (squared
-circuits) on marginalized variables.  Outside the linear space a layer
-whose whole scope is marginalized is constant across the batch, so it is
-evaluated once, as one row; layers mixing one-row and batch inputs
-broadcast, and only the root is broadcast to the batch.
+one reader, and every product layer two factors.  Input layers evaluate
+pointwise on evidence variables and substitute their integral vector
+(plain circuits) or integral matrix (squared circuits) on marginalized
+variables.  Outside the linear space a layer whose whole scope is
+marginalized is constant across the batch, so it is evaluated once, as
+one row; layers mixing one-row and batch inputs broadcast, and only the
+root is broadcast to the batch.
 
-With ``want_tape=True`` the pass records a tape; :func:`backward` then
-replays it in exact reverse order, propagating adjoints of the scalar
-objective w.r.t. each layer's linear-space output (the adjoints
-themselves are carried in the tape's space) and accumulating parameter
-gradients into the store.  A sum layer's input adjoint is its forward
-rule applied with W^T, so one function computes both.  The tape keeps
-each evaluated input layer's values and features (the band of live
-bases of each spline row, table states, Gaussian z-scores), so the input
-VJPs reuse them; a linear family's VJP touches only those live bases.
-Only data passes of unsquared circuits and one-row
-partition-function passes are taped: a squared circuit trains through
-its source, as log c^2 = 2 log|c|, so the K^2-wide data pass of the
-squared graph is never differentiated.  Each layer has one reader, so an
-untaped pass drops a layer's inputs once the layer has run, and
-:func:`backward` gives each input its one adjoint and then drops the
-input's recorded output; a pass holds a few layers at a time rather
-than all of them.
+One walk evaluates the layers in order, and one sweep replays a tape in
+exact reverse order.  Each carries one of two value types, and each layer
+rule (:func:`_input`, :func:`_sum`, :func:`_product` and the VJPs
+:func:`_sum_vjp`, :func:`_product_vjp`) dispatches on the type of the
+values it receives, as the families' VJPs do.  The rules receive their
+inputs as call arguments, so no local of the walk or the sweep holds a
+layer's output once it is released.
 
-Every pass that does not keep its outputs (densities, marginals,
-validation, mixture component values, Z, taped or not) carries
-scaled-linear values (:class:`pcsq.slog.ScaledTensor`): plain float64
-rows with one log-scale per row, the layout of EinsumNetworks (Peharz et
-al., ICML 2020).  Forward, an input layer exponentiates log f, or its
-cached integral vector or matrix as one row, once against its row
-maximum, and a squared one takes the outer product of those values
-under twice the scale; a Hadamard product multiplies values and adds
-scales, a Kronecker product takes outer products (interleaved, on
-squared layers) and adds scales, one-row factors broadcasting; a sum
-layer is one GEMM, or on a squared layer's K x K rows X the two of
-W X W^T, and a renormalization of each row to largest |value| 1 (a zero
-row gets values 0 and scale -inf); the root becomes log|value| + scale,
-in signed log-space.  A taped and an untaped pass share these rules, so
-they give the same bits.  Backward, a sum layer's input adjoint is a GEMM
-with W and a renormalization, and its weight gradient e^C (adj r)^T u,
-where r_b = exp(c_b - C) for c_b the adjoint's plus the input's row scale
-and C their maximum: M exponentials and one GEMM.  A squared sum with
-output adjoint A has input adjoint W^T A W and weight gradient
-e^C (A^T V + A W X^T), V = W X saved by the forward pass; that one
-K x K gradient is accumulated by ``slse_pair_accum`` in signed
-log-space, over the rows of A and A^T against those of V and W X^T.  A
-product adjoint multiplies values and adds scales (a Kronecker adjoint,
-after un-interleaving a squared one, contracts and renormalizes), and an
-input layer's VJP sums over the batch under the same row weights, or in
-a Z pass takes its integral's adjoint as one block under one scale.  The
-guard is ``slse_pair_accum``'s exp(-700) rule: a live row whose
+- Scaled-linear values (:class:`pcsq.slog.ScaledTensor`): plain float64
+  rows with one log-scale per row, the layout of EinsumNetworks (Peharz
+  et al., ICML 2020).  Every pass that does not keep its outputs
+  (densities, marginals, validation, mixture component values, Z, taped
+  or not) runs in them.  An input layer exponentiates log f, or its
+  cached integral as one row, once against its row maximum, and a
+  squared one takes the outer product of those values under twice the
+  scale; a Hadamard product multiplies values and adds scales, a
+  Kronecker product takes outer products (interleaved, on squared
+  layers) and adds scales; a sum layer is one GEMM, or on a squared
+  layer's K x K rows X the two of W X W^T, and a renormalization of each
+  row to largest |value| 1 (a zero row gets values 0 and scale -inf).
+  Backward, a sum layer's input adjoint is a GEMM with W and a
+  renormalization, and its weight gradient e^C (adj r)^T u, where
+  r_b = exp(c_b - C) for c_b the adjoint's plus the input's row scale and
+  C their maximum.  A squared sum with output adjoint A has input adjoint
+  W^T A W and weight gradient e^C (A^T V + A W X^T), V = W X saved by the
+  forward pass, accumulated by ``slse_pair_accum`` over the rows of A and
+  A^T against those of V and W X^T.  A product adjoint multiplies values
+  and adds scales (a Kronecker adjoint, after un-interleaving a squared
+  one, contracts and renormalizes), and an input layer's VJP sums over
+  the batch under the same row weights, or in a Z pass takes its
+  integral's adjoint as one block under one scale.
+- Signed log-space values (:class:`pcsq.slog.SignedLogTensor`), by the
+  same rules in (log|y|, sign y): passes that keep their outputs for
+  :func:`path_adjoint` (the sampler's conditionals), and the rerun of a
+  scaled pass whose guard trips.
+
+The guard is ``slse_pair_accum``'s exp(-700) rule: a live row whose
 renormalization maximum falls below it (at a forward sum, at a backward
 sum's input adjoint, at a Hadamard adjoint that enters an input layer),
-or a batch sum with a live row weight below it, raises OutOfScaledRange.
-The pass and its backward sweep then rerun in signed log-space; the
-scaled sweep holds its gradients until it has passed every guard, so
-nothing of an abandoned attempt reaches the store.  A live row that
-cancels to an exact 0 trips the guard too, so the rerun returns it as
-(-inf, 0).  A NaN never trips a guard; it ends in the NumericError of
-the per-layer or the gradient NaN check.  Passes that keep their
-outputs, the sampler's conditionals, run in signed log-space, where
-:func:`path_adjoint` reads them.
+or a batch sum with a live row weight below it, raises OutOfScaledRange,
+and the pass and its backward sweep rerun in signed log-space.  A live
+row that cancels to an exact 0 trips the guard too, so the rerun returns
+it as (-inf, 0).  A NaN never trips a guard; it ends in the NumericError
+of the per-layer or the gradient NaN check.  A pass's root is returned in
+signed log-space either way, and a taped and an untaped pass share the
+rules, so they give the same bits.
+
+With ``want_tape=True`` the pass records a tape; :func:`backward` then
+propagates adjoints of the scalar objective w.r.t. each layer's
+linear-space output (carried in the tape's value type) and accumulates
+parameter gradients.  The tape keeps each evaluated input layer's values
+and features (the band of live bases of each spline row, table states,
+Gaussian z-scores), so the input VJPs reuse them; a linear family's VJP
+touches only those live bases.  Only data passes of unsquared circuits
+and one-row partition-function passes are taped: a squared circuit
+trains through its source, as log c^2 = 2 log|c|, so the K^2-wide data
+pass of the squared graph is never differentiated.  An untaped pass drops
+a layer's inputs once the layer has run, and the sweep gives each input
+its one adjoint and then drops the input's recorded output, so a pass
+holds a few layers at a time rather than all of them.  Every sweep holds
+its gradients until it has finished, so one abandoned to a guard or a
+NumericError leaves the store as it was.
 
 :func:`path_adjoint` pushes the root's adjoint, by the same per-layer
 rules, along the one path from the root to the input layer of a chosen
 variable.  The root is linear in that layer's output, so the adjoint
 turns the layer's values, or its integrals up to a point, into the
 circuit's conditional values and CDFs without another circuit pass.
+
+The "linear" space, plain float64 arithmetic at full batch width, is the
+oracle of the other two: :func:`_forward_linear` walks the layers on its
+own and shares only the input layers' log f with them.
 """
 
 from __future__ import annotations
@@ -183,37 +189,6 @@ def _whole_scope_marginalized(layer, marginalized):
     return bool(marg)
 
 
-def _forward_input(circuit, layer, x, marginalized, saved):
-    if _whole_scope_marginalized(layer, marginalized):  # the cached integral, one row
-        return _input_integral(circuit, layer, matrix=layer.squared).reshape(1, layer.output_width)
-    values = _scope_values(x, layer.scope)
-    f, features = layer.family.log_eval(circuit.store, values)
-    if saved is not None:  # taped: keep f and its features so backward re-derives nothing
-        saved[layer.layer_id] = (f, features)
-    return signed_outer(f, f) if layer.squared else f
-
-
-def _sum(weights, x, squared, save_to=None, layer_id=None):
-    """A sum layer's rule W x, or W X W^T on the (k, k) blocks X of a
-    squared layer's rows.  Called with ``ascontiguousarray(W^T)`` on an
-    output adjoint, the same rule gives the input adjoint.  A squared
-    layer's first stage is saved under ``layer_id`` when ``save_to`` is
-    given."""
-    if not squared:
-        return signed_logsumexp(weights, x)
-    b = x.shape[0]
-    s, k = weights.shape
-    # stage 1: V[b, s, j] = sum_k W[s, k] X[b, k, j]
-    v_lm, v_sg = kernels.slse_batched_matmul(
-        weights, x.log_magnitude.reshape(b, k, k), x.sign.reshape(b, k, k)
-    )
-    if save_to is not None:
-        save_to[layer_id] = SignedLogTensor(v_lm, v_sg)
-    # stage 2: Y[b, s1, s2] = sum_j W[s2, j] V[b, s1, j]
-    y = signed_logsumexp(weights, SignedLogTensor(v_lm.reshape(b * s, k), v_sg.reshape(b * s, k)))
-    return SignedLogTensor(y.log_magnitude.reshape(b, s * s), y.sign.reshape(b, s * s))
-
-
 def _squared_widths(a, b):
     return math.isqrt(a.shape[-1]), math.isqrt(b.shape[-1])
 
@@ -230,16 +205,18 @@ def forward(
 
     ``x`` is a (batch, variable_count) array of evidence (ignored columns
     for marginalized variables); it may be None when every variable is
-    marginalized.  ``space`` selects the log-scaled spaces or plain
-    linear float64 arithmetic.  Outside the linear space a layer whose
-    scope is entirely marginalized is constant: it is evaluated once, as
-    one row, and only the root is broadcast to the batch.  Only data
-    passes of unsquared circuits (nothing marginalized) and one-row
-    partition-function passes (everything marginalized) can be taped;
-    taping any other pass raises ConfigError, and so does marginalizing a
-    variable the circuit does not have.  The pass carries scaled-linear
-    values, or signed log-space ones where a guard trips (see the module
-    docstring); either way its root is in signed log-space.
+    marginalized, and evidence of more than two dimensions raises
+    NumericError.  ``space`` is "slog", the log-scaled values of the
+    module docstring, or "linear", plain float64 arithmetic at full batch
+    width; any other value raises ConfigError.  Outside the linear space
+    a layer whose scope is entirely marginalized is constant: it is
+    evaluated once, as one row, and only the root is broadcast to the
+    batch.  Only data passes of unsquared circuits (nothing marginalized)
+    and one-row partition-function passes (everything marginalized) can
+    be taped, never in the linear space; taping any other pass raises
+    ConfigError, and so does marginalizing a variable the circuit does not
+    have.  The pass carries scaled-linear values, or signed log-space ones
+    where a guard trips; either way its root is in signed log-space.
 
     An untaped pass sets each layer's entry of ``outputs`` to None once
     its one reader has run, so only the root is left.
@@ -247,6 +224,10 @@ def forward(
     callers that read intermediate outputs (:func:`path_adjoint`).
     Taped passes and linear passes always keep every output.
     """
+    if space not in ("slog", "linear"):
+        raise ConfigError(f"unknown space {space!r}: expected 'slog' or 'linear'")
+    if want_tape and space == "linear":
+        raise ConfigError("a linear pass cannot be taped")
     marginalized = frozenset(marginalized)
     outside = sorted(v for v in marginalized if not 0 <= v < circuit.variable_count)
     if outside:
@@ -257,6 +238,10 @@ def forward(
     if x is None:
         x = np.zeros((1, circuit.variable_count))
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.ndim != 2:
+        raise NumericError(
+            f"evidence has shape {x.shape}; expected (rows, {circuit.variable_count})"
+        )
     if x.shape[1] != circuit.variable_count:
         raise NumericError(
             f"evidence has {x.shape[1]} columns, circuit has {circuit.variable_count} variables"
@@ -279,102 +264,118 @@ def forward(
     return _forward_slog(circuit, x, marginalized, batch, want_tape, keep_outputs)
 
 
+def _forward_scaled(circuit, x, marginalized, batch, want_tape=False):
+    return _walk(circuit, x, marginalized, batch, want_tape, want_tape, scaled=True)
+
+
 def _forward_slog(circuit, x, marginalized, batch, want_tape=False, keep_outputs=False):
-    saved = {} if want_tape else None
     keep = want_tape or keep_outputs
+    return _walk(circuit, x, marginalized, batch, want_tape, keep, scaled=False)
+
+
+def _walk(circuit, x, marginalized, batch, want_tape, keep, scaled):
+    """Evaluate every layer in scaled-linear values (``scaled``) or in
+    signed log-space, releasing each layer's inputs once it has run unless
+    the pass keeps its outputs.  Raises OutOfScaledRange where a scaled
+    rule's guard trips."""
+    saved = {} if want_tape else None
     outputs = []
     for layer in circuit.layers:
         if layer.kind == INPUT:
-            out = _forward_input(circuit, layer, x, marginalized, saved)
-        elif layer.kind == SUM:  # no local holds the input, so its release frees it
+            out = _input(circuit, layer, x, marginalized, saved, scaled)
+        elif layer.kind == SUM:
             weights = circuit.effective_weights(layer)
             out = _sum(weights, outputs[layer.inputs[0]], layer.squared, saved, layer.layer_id)
         else:
-            out = signed_product([outputs[j] for j in layer.inputs], layer.kind, layer.squared)
-        if np.isnan(out.log_magnitude).any() or np.isnan(out.sign).any():
+            i, j = layer.inputs
+            out = _product(layer, outputs[i], outputs[j])
+        first, second = vars(out).values()  # values and scales, or log|y| and signs
+        if np.isnan(first).any() or np.isnan(second).any():
             raise NumericError(f"NaN produced at layer {layer.layer_id} ({layer.kind})")
         outputs.append(out)
         if not keep:  # the layer was its inputs' one reader
             for j in layer.inputs:
                 outputs[j] = None
-    if outputs[circuit.output_layer].shape[0] != batch:
-        outputs[circuit.output_layer] = _broadcast(outputs[circuit.output_layer], batch)
-    tape = Tape(circuit, marginalized, outputs, saved) if want_tape else None
-    return EvalResult(outputs, circuit.output_layer, tape)
-
-
-def _forward_scaled(circuit, x, marginalized, batch, want_tape=False):
-    """A pass in scaled-linear values (:class:`ScaledTensor`): an input
-    layer exponentiates log f, or its cached integral as one row, once
-    against its row maximum (a squared one then takes the outer product of
-    those values, under twice the scale); a sum layer is one GEMM (two,
-    W X W^T, on a squared layer's rows) and a renormalization; a product
-    multiplies values and adds row scales, broadcasting one-row factors.
-    The root is returned in signed log-space, broadcast to the batch.  An
-    untaped pass saves nothing and releases each layer's inputs once the
-    layer has run.  Raises OutOfScaledRange where a sum's renormalization
-    trips."""
-    saved = {} if want_tape else None
-    outputs = []
-    for layer in circuit.layers:
-        if layer.kind == INPUT:
-            out = _scaled_input(circuit, layer, x, marginalized, saved)
-        elif layer.kind == SUM:
-            u = outputs[layer.inputs[0]]
-            weights = circuit.effective_weights(layer)
-            if layer.squared:
-                s, k = weights.shape
-                v = weights @ u.values.reshape(-1, k, k)
-                if saved is not None:  # V = W X, for the weight gradient
-                    saved[layer.layer_id] = v
-                raw = (v @ weights.T).reshape(-1, s * s)
-            else:  # the GEMM's transpose, so its result is column-major
-                raw = (weights @ u.values.T).T
-            out = renormalized(raw, u.log_scale)
-        else:
-            a, b = (outputs[j] for j in layer.inputs)
-            if layer.kind == HADAMARD:
-                values = a.values * b.values
-            elif layer.squared:  # the interleaved order of _kron_squared
-                ka, kb = _squared_widths(a, b)
-                values = a.values.reshape(-1, ka, 1, ka, 1) * b.values.reshape(-1, 1, kb, 1, kb)
-            else:
-                values = a.values[:, :, None] * b.values[:, None, :]
-            out = ScaledTensor(values.reshape(-1, layer.output_width), a.log_scale + b.log_scale)
-        if np.isnan(out.values).any() or np.isnan(out.log_scale).any():
-            raise NumericError(f"NaN produced at layer {layer.layer_id} ({layer.kind})")
-        outputs.append(out)
-        if saved is None:  # the layer was its inputs' one reader
-            for j in layer.inputs:
-                outputs[j] = None
-    root = outputs[-1].to_slog()
+    root = outputs[-1].to_slog() if scaled else outputs[-1]
     outputs[-1] = root if root.shape[0] == batch else _broadcast(root, batch)
-    tape = Tape(circuit, marginalized, outputs, saved, evidence=x) if want_tape else None
+    tape = Tape(circuit, marginalized, outputs, saved, x if scaled else None) if want_tape else None
     return EvalResult(outputs, circuit.output_layer, tape)
 
 
-def _scaled_input(circuit, layer, x, marginalized, saved):
+def _input(circuit, layer, x, marginalized, saved, scaled):
+    """An input layer's log f on the evidence, or its cached integral as
+    one row where its scope is marginalized; a scaled pass exponentiates
+    each row once against its maximum.  A squared layer returns the outer
+    product f f^T.  A taped pass saves f and its features, so backward
+    re-derives nothing."""
     if _whole_scope_marginalized(layer, marginalized):  # the cache is read-only
-        integral = _input_integral(circuit, layer, matrix=layer.squared)
-        return ScaledTensor.from_slog(integral.reshape(1, layer.output_width))
+        f = _input_integral(circuit, layer, matrix=layer.squared).reshape(1, layer.output_width)
+        return ScaledTensor.from_slog(f) if scaled else f
     f, features = layer.family.log_eval(circuit.store, _scope_values(x, layer.scope))
-    out = ScaledTensor.from_slog(f)  # exponentiated in f's own array where it can be
+    if scaled:  # exponentiated in f's own array where it can be
+        f = ScaledTensor.from_slog(f)
     if saved is not None:
-        saved[layer.layer_id] = (out, features)
-    if layer.squared:  # f_i f_j: K exponentials per row rather than K^2
-        v = out.values
-        outer = (v[:, :, None] * v[:, None, :]).reshape(-1, layer.output_width)
-        out = ScaledTensor(outer, 2.0 * out.log_scale)
-    return out
+        saved[layer.layer_id] = (f, features)
+    if not layer.squared:
+        return f
+    if not scaled:
+        return signed_outer(f, f)
+    v = f.values  # f_i f_j: K exponentials per row rather than K^2
+    outer = (v[:, :, None] * v[:, None, :]).reshape(-1, layer.output_width)
+    return ScaledTensor(outer, 2.0 * f.log_scale)
+
+
+def _sum(weights, x, squared, save_to=None, layer_id=None):
+    """A sum layer's rule W x, or W X W^T on the (k, k) blocks X of a
+    squared layer's rows; scaled rows are then renormalized.  Called with
+    W^T on an output adjoint, the same rule gives the input adjoint (of a
+    squared layer, only in signed log-space).  A squared layer's first
+    stage V = W X is saved under ``layer_id`` when ``save_to`` is given."""
+    s, k = weights.shape
+    if isinstance(x, ScaledTensor):
+        if not squared:  # the GEMM's transpose, so its result is column-major
+            return renormalized((weights @ x.values.T).T, x.log_scale)
+        v = weights @ x.values.reshape(-1, k, k)
+        if save_to is not None:
+            save_to[layer_id] = v
+        return renormalized((v @ weights.T).reshape(-1, s * s), x.log_scale)
+    if not squared:
+        return signed_logsumexp(weights, x)
+    b = x.shape[0]
+    # stage 1: V[b, s, j] = sum_k W[s, k] X[b, k, j]
+    v_lm, v_sg = kernels.slse_batched_matmul(
+        weights, x.log_magnitude.reshape(b, k, k), x.sign.reshape(b, k, k)
+    )
+    if save_to is not None:
+        save_to[layer_id] = SignedLogTensor(v_lm, v_sg)
+    # stage 2: Y[b, s1, s2] = sum_j W[s2, j] V[b, s1, j]
+    y = signed_logsumexp(weights, SignedLogTensor(v_lm.reshape(b * s, k), v_sg.reshape(b * s, k)))
+    return SignedLogTensor(y.log_magnitude.reshape(b, s * s), y.sign.reshape(b, s * s))
+
+
+def _product(layer, a, b):
+    """A product layer's rule on its factors a and b, one-row factors
+    broadcasting: scaled values multiply and their row scales add."""
+    if not isinstance(a, ScaledTensor):
+        return signed_product([a, b], layer.kind, layer.squared)
+    if layer.kind == HADAMARD:
+        values = a.values * b.values
+    elif layer.squared:  # the interleaved order of slog's _kron_squared
+        ka, kb = _squared_widths(a, b)
+        values = a.values.reshape(-1, ka, 1, ka, 1) * b.values.reshape(-1, 1, kb, 1, kb)
+    else:
+        values = a.values[:, :, None] * b.values[:, None, :]
+    return ScaledTensor(values.reshape(-1, layer.output_width), a.log_scale + b.log_scale)
 
 
 def _forward_linear(circuit, x, marginalized, batch):
     """Plain float64 evaluation at full batch width: the oracle of the
-    signed log-space pass, sharing none of its arithmetic."""
+    other two spaces.  It keeps its own walk, so that it shares none of
+    their layer arithmetic."""
     outputs = []
     for layer in circuit.layers:
         if layer.kind == INPUT:
-            out = _forward_input(circuit, layer, x, marginalized, None).to_linear()
+            out = _input(circuit, layer, x, marginalized, None, scaled=False).to_linear()
             out = np.broadcast_to(out, (batch, layer.output_width))
         elif layer.kind == SUM:
             u = outputs[layer.inputs[0]]
@@ -442,22 +443,17 @@ def backward(tape: Tape, seed_output: SignedLogTensor):
         raise NumericError("NaN in accumulated gradients")
 
 
+def _backward_scaled(tape, seed):
+    _sweep(tape, ScaledTensor(seed.sign, seed.log_magnitude))
+
+
 def _backward_slog(tape, seed):
-    circuit = tape.circuit
-    adjoints = {circuit.output_layer: seed}
-    for layer in reversed(circuit.layers):
-        adj = adjoints.pop(layer.layer_id)
-        if layer.kind == INPUT:
-            _backward_input(circuit.store, layer, tape, adj)
-        else:  # the VJP's locals end with its frame, so releases free
-            adjoints.update(zip(layer.inputs, _backward_inner(circuit, layer, tape, adj)))
-        for j in layer.inputs:  # the layer was their one reader
-            tape.outputs[j] = None
+    _sweep(tape, seed)
 
 
 class _HeldGradients:
-    """The store as a scaled sweep's VJPs see it: parameters are read from
-    the store, and gradients wait until the sweep has passed every guard."""
+    """The store as a sweep's VJPs see it: parameters are read from the
+    store, and gradients wait until the sweep has finished."""
 
     def __init__(self, store):
         self.store = store
@@ -474,100 +470,107 @@ class _HeldGradients:
             self.store.accumulate_effective_grad(name, grad)
 
 
-def _backward_scaled(tape, seed):
-    """The reverse sweep of a scaled tape, with adjoints carried as
-    ScaledTensors by the forward rules: a sum layer's input adjoint is a
-    GEMM with W and a renormalization, its weight gradient e^C (adj r)^T u
-    for the row weights r of adjoint scale plus input scale, and a product
-    multiplies values and adds scales.  A squared sum with output adjoint A
-    and input X has input adjoint W^T A W and weight gradient
-    e^C (A^T V + A W X^T), V = W X saved by the forward pass, accumulated
-    by ``slse_pair_accum``.  Raises
-    OutOfScaledRange where a guard trips; gradients reach the store only
-    after the whole sweep."""
+def _sweep(tape, root_adjoint):
+    """The reverse sweep of a tape, carrying adjoints in the type of
+    ``root_adjoint``.  Raises OutOfScaledRange where a scaled guard trips;
+    gradients reach the store only after the whole sweep."""
     circuit = tape.circuit
     store = _HeldGradients(circuit.store)
-    adjoints = {circuit.output_layer: ScaledTensor(seed.sign, seed.log_magnitude)}
+    adjoints = {circuit.output_layer: root_adjoint}
     for layer in reversed(circuit.layers):
         adj = adjoints.pop(layer.layer_id)
         if layer.kind == INPUT:
             _backward_input(store, layer, tape, adj)
         elif layer.kind == SUM:
-            u = tape.outputs[layer.inputs[0]]
-            weights = circuit.effective_weights(layer)
-            scale, r = row_weights(adj.log_scale + u.log_scale)
-            if layer.squared:  # a Z pass: its one row is the K x K block X
-                s, k = weights.shape
-                a = adj.values.reshape(s, s)
-                aw = a @ weights
-                # A^T V + A W X^T pairs the rows of A with those of V and
-                # the rows of A^T with those of W X^T: one signed-log
-                # accumulation.  Two plain GEMMs would be faster, but
-                # perfbench's train-gauss-k64 smoke test expects this
-                # kernel to run (ROADMAP item 1)
-                v = tape.saved.pop(layer.layer_id).reshape(s, k)
-                wxt = weights @ u.values.reshape(k, k).T
-                pa = SignedLogTensor.from_linear(np.concatenate([a, a.T]))
-                pb = SignedLogTensor.from_linear(np.concatenate([v, wxt]))
-                lm, sg = kernels.slse_pair_accum(
-                    pa.log_magnitude, pa.sign, pb.log_magnitude, pb.sign
-                )
-                grad = SignedLogTensor(lm, sg).to_linear() * r[0, 0]
-                raw = (weights.T @ aw).reshape(1, k * k)
-            else:
-                grad = (adj.values * r).T @ u.values
-                raw = (weights.T @ adj.values.T).T
-            grad *= scale
+            grad, adjoints[layer.inputs[0]] = _sum_vjp(
+                circuit.effective_weights(layer),
+                tape.outputs[layer.inputs[0]],
+                adj,
+                layer.squared,
+                tape.saved.pop(layer.layer_id, None),  # a squared layer's V = W X
+            )
             store.accumulate_effective_grad(layer.param_block, grad)
-            adjoints[layer.inputs[0]] = renormalized(raw, adj.log_scale)
         else:
-            a, b = (tape.outputs[j] for j in layer.inputs)
-            adjoints.update(zip(layer.inputs, _scaled_product_adjoints(circuit, layer, adj, a, b)))
+            i, j = layer.inputs
+            adjoints[i], adjoints[j] = _product_vjp(
+                circuit, layer, adj, tape.outputs[i], tape.outputs[j]
+            )
         for j in layer.inputs:  # the layer was their one reader
             tape.outputs[j] = None
     store.release()
 
 
-def _scaled_product_adjoints(circuit, layer, adj, a, b):
-    """Adjoints of a product layer's factors a and b on a scaled tape.  A
-    Hadamard adjoint is checked against the exp(-700) row bound where it
-    enters an input layer; a Kronecker adjoint sums, so it renormalizes."""
-    if layer.kind == HADAMARD:
-        adjoints = [
-            ScaledTensor(adj.values * other.values, adj.log_scale + other.log_scale)
-            for other in (b, a)
-        ]
-        return [
-            t.checked() if circuit.layer(j).kind == INPUT else t
-            for j, t in zip(layer.inputs, adjoints)
-        ]
-    values = adj.values
-    if layer.squared:  # un-interleave (a1, b1, a2, b2) into (a1, a2) x (b1, b2)
-        (ka, kb), n = _squared_widths(a, b), adj.shape[0]
-        values = values.reshape(n, ka, kb, ka, kb).transpose(0, 1, 3, 2, 4)
-    adj3 = values.reshape(adj.shape[0], a.shape[1], b.shape[1])
-    return [
-        renormalized(np.einsum("bij,bj->bi", adj3, b.values), adj.log_scale + b.log_scale),
-        renormalized(np.einsum("bij,bi->bj", adj3, a.values), adj.log_scale + a.log_scale),
-    ]
-
-
-def _backward_inner(circuit, layer, tape, adj):
-    """Adjoints of a sum or product layer's inputs; a sum layer's weight
-    gradient goes into the store."""
-    if layer.kind != SUM:
-        outs = [tape.outputs[j] for j in layer.inputs]
-        return _product_input_adjoints(layer, outs, adj, (0, 1))
-    u = tape.outputs[layer.inputs[0]]
-    weights = circuit.effective_weights(layer)
-    if layer.squared:
-        grad_eff, adj_in = _backward_sum_squared(weights, u, adj, tape.saved.pop(layer.layer_id))
-    else:
+def _sum_vjp(weights, u, adj, squared, v):
+    """(weight gradient, input adjoint) of a sum layer with input u and
+    output adjoint adj; ``v`` is a squared layer's saved V = W X."""
+    if not isinstance(adj, ScaledTensor):
+        if squared:
+            return _backward_sum_squared(weights, u, adj, v)
         lm, sg = kernels.slse_pair_accum(adj.log_magnitude, adj.sign, u.log_magnitude, u.sign)
-        grad_eff = SignedLogTensor(lm, sg).to_linear()
-        adj_in = _sum(np.ascontiguousarray(weights.T), adj, squared=False)
-    circuit.store.accumulate_effective_grad(layer.param_block, grad_eff)
-    return [adj_in]
+        adj_in = _sum(np.ascontiguousarray(weights.T), adj, False)
+        return SignedLogTensor(lm, sg).to_linear(), adj_in
+    scale, r = row_weights(adj.log_scale + u.log_scale)
+    if not squared:
+        grad = (adj.values * r).T @ u.values
+        grad *= scale
+        return grad, _sum(weights.T, adj, False)
+    # a Z pass: its one row is the K x K block X.  A^T V + A W X^T pairs the
+    # rows of A with those of V and the rows of A^T with those of W X^T: one
+    # signed-log accumulation.  Two plain GEMMs would be faster, but
+    # perfbench's train-gauss-k64 smoke test expects this kernel to run
+    # (ROADMAP item 1)
+    s, k = weights.shape
+    a = adj.values.reshape(s, s)
+    wxt = weights @ u.values.reshape(k, k).T
+    pa = SignedLogTensor.from_linear(np.concatenate([a, a.T]))
+    pb = SignedLogTensor.from_linear(np.concatenate([v.reshape(s, k), wxt]))
+    lm, sg = kernels.slse_pair_accum(pa.log_magnitude, pa.sign, pb.log_magnitude, pb.sign)
+    grad = SignedLogTensor(lm, sg).to_linear() * r[0, 0]
+    grad *= scale
+    return grad, renormalized((weights.T @ (a @ weights)).reshape(1, k * k), adj.log_scale)
+
+
+def _product_vjp(circuit, layer, adj, a, b, positions=(0, 1)):
+    """Adjoints of the factors at ``positions`` of a product layer with
+    factors a and b, given the adjoint of its output.  A scaled Hadamard
+    adjoint is checked against the exp(-700) row bound where it enters an
+    input layer; a Kronecker adjoint sums, so a scaled one renormalizes."""
+    scaled = isinstance(adj, ScaledTensor)
+    others = (b, a)
+    if layer.kind == HADAMARD:
+        if not scaled:
+            return [signed_mul(adj, others[i]) for i in positions]
+        adjoints = []
+        for i in positions:
+            t = ScaledTensor(adj.values * others[i].values, adj.log_scale + others[i].log_scale)
+            adjoints.append(t.checked() if circuit.layer(layer.inputs[i]).kind == INPUT else t)
+        return adjoints
+    if layer.squared:  # un-interleave (a1, b1, a2, b2) into (a1, a2) x (b1, b2)
+        ka, kb = _squared_widths(a, b)
+        shape, blocks = adj.shape, (adj.shape[0], ka, kb, ka, kb)
+
+        def perm(t):
+            return t.reshape(blocks).transpose(0, 1, 3, 2, 4).reshape(shape)
+
+        if scaled:
+            adj = ScaledTensor(perm(adj.values), adj.log_scale)
+        else:
+            adj = SignedLogTensor(perm(adj.log_magnitude), perm(adj.sign))
+    if scaled:
+        adj3 = adj.values.reshape(adj.shape[0], a.shape[1], b.shape[1])
+        specs = ("bij,bj->bi", "bij,bi->bj")
+        return [
+            renormalized(
+                np.einsum(specs[i], adj3, others[i].values), adj.log_scale + others[i].log_scale
+            )
+            for i in positions
+        ]
+    adj3 = adj.reshape(adj.shape[0], a.shape[-1], b.shape[-1])
+    others = (
+        SignedLogTensor(b.log_magnitude[:, None, :], b.sign[:, None, :]),
+        SignedLogTensor(a.log_magnitude[:, :, None], a.sign[:, :, None]),
+    )
+    return [signed_sum(signed_mul(adj3, others[i]), axis=-1 - i) for i in positions]
 
 
 def path_adjoint(circuit: TensorizedCircuit, outputs, variable):
@@ -592,38 +595,10 @@ def path_adjoint(circuit: TensorizedCircuit, outputs, variable):
             weights = circuit.effective_weights(layer)
             adj = _sum(np.ascontiguousarray(weights.T), adj, layer.squared)
         else:
-            outs = [outputs[j] for j in layer.inputs]
-            (adj,) = _product_input_adjoints(layer, outs, adj, [i])
+            factors = (outputs[j] for j in layer.inputs)
+            (adj,) = _product_vjp(circuit, layer, adj, *factors, positions=[i])
         layer = circuit.layer(layer.inputs[i])
     return layer, adj
-
-
-def _product_input_adjoints(layer, outs, adj, positions):
-    """Adjoints of the factors at ``positions`` of a product layer, given
-    its factors' forward outputs ``outs`` and the adjoint of its output."""
-    if layer.kind == HADAMARD:
-        return [signed_mul(adj, outs[1 - i]) for i in positions]
-    if layer.squared:  # un-interleave (a1, b1, a2, b2) into (a1, a2) x (b1, b2)
-        ka, kb = _squared_widths(*outs)
-        blocks = (adj.shape[0], ka, kb, ka, kb)
-        adj = SignedLogTensor(
-            *(
-                t.reshape(blocks).transpose(0, 1, 3, 2, 4).reshape(adj.shape)
-                for t in (adj.log_magnitude, adj.sign)
-            )
-        )
-    return _kron_vjp(adj, *outs, positions)
-
-
-def _kron_vjp(adj, a, b, positions):
-    """Adjoints of the factors at ``positions`` of the row-wise Kronecker
-    product a (x) b, given the product's adjoint ``adj`` (batch, ka * kb)."""
-    adj3 = adj.reshape(adj.shape[0], a.shape[-1], b.shape[-1])
-    others = (
-        SignedLogTensor(b.log_magnitude[:, None, :], b.sign[:, None, :]),
-        SignedLogTensor(a.log_magnitude[:, :, None], a.sign[:, :, None]),
-    )
-    return [signed_sum(signed_mul(adj3, others[i]), axis=-1 - i) for i in positions]
 
 
 def _backward_sum_squared(weights, u, adj, v):

@@ -2,13 +2,15 @@
 numeric-error policy, and the tape contract."""
 
 import platform
+import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from pcsq import engine
-from pcsq.circuits import from_region_graph
+from pcsq.circuits import SUM, from_region_graph
 from pcsq.errors import ConfigError, NumericError
 from pcsq.families import (
     BinomialFamily,
@@ -474,6 +476,25 @@ def test_a_partition_function_sweep_that_trips_reruns_the_z_pass(rng, monkeypatc
     np.testing.assert_array_equal(got, want)
 
 
+def test_a_sweep_that_fails_partway_leaves_the_store_unchanged(rng, monkeypatch):
+    # a NaN in one recorded factor of the root's product reaches the other
+    # factor's adjoint, so the signed log-space sum layer below raises after
+    # the root's weight gradient was computed; none of it may reach the store
+    monkeypatch.setattr(engine, "_forward_scaled", _signed_log_only)
+    c = from_region_graph(build_binary_tree(4, 0), 2, "hadamard", lambda s, k: GaussianFamily(k))
+    c.store.values[:] = rng.normal(size=c.store.values.size)
+    c.store.bump()
+    c.store.zero_grad()
+    res = engine.forward(c, rng.normal(size=(3, 4)), want_tape=True)
+    assert res.tape.evidence is None  # a signed log-space tape
+    first, second = c.layer(c.layer(c.output_layer).inputs[0]).inputs
+    assert c.layer(second).kind == SUM
+    res.tape.outputs[first].log_magnitude[0, 1] = np.nan
+    with pytest.raises(NumericError):
+        engine.backward(res.tape, engine.log_grad_seed(res.root, np.ones(3)))
+    assert np.all(c.store.gradients == 0.0)
+
+
 def test_an_empty_batch_gives_zero_gradients(rng):
     # a taped data pass over no rows, and a Z pass seeded with a zero
     # coefficient (a mixture component whose share is 0), both on the
@@ -498,6 +519,26 @@ def test_data_pass_of_a_squared_circuit_is_not_taped(rng):
     x = rng.normal(size=(5, c.variable_count))
     with pytest.raises(ConfigError, match="unsquared"):
         engine.forward(square(c).circuit, x, want_tape=True)
+
+
+def test_an_unknown_space_is_refused(rng):
+    c = _CASES["gaussian-bt-hadamard"]()
+    with pytest.raises(ConfigError, match="bogus"):
+        engine.forward(c, rng.normal(size=(2, c.variable_count)), space="bogus")
+
+
+def test_a_linear_pass_is_not_taped(rng):
+    c = _CASES["gaussian-bt-hadamard"]()
+    with pytest.raises(ConfigError, match="linear"):
+        engine.forward(c, rng.normal(size=(2, c.variable_count)), space="linear", want_tape=True)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 4), (2, 4, 4)])
+def test_evidence_of_more_than_two_dimensions_is_refused(rng, shape):
+    c = from_region_graph(build_binary_tree(4, 0), 2, "hadamard", lambda s, k: GaussianFamily(k))
+    model = init_parameters(square(c), "uniform(0,1)", seed=0)
+    with pytest.raises(NumericError, match=re.escape(str(shape))):
+        log_density(model, rng.normal(size=shape))
 
 
 def test_linear_and_slog_spaces_agree(rng):
@@ -643,6 +684,37 @@ def test_untaped_pass_peak_is_below_its_layer_outputs():
     finally:
         tracemalloc.stop()
     assert peak < total / 2, (peak, total)
+
+
+def _memory(array):
+    """The array that owns ``array``'s memory."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("marginalized", [frozenset(), frozenset({0})], ids=["data", "marg"])
+def test_an_untaped_scaled_pass_frees_outputs_once_read(monkeypatch, marginalized):
+    # a weak reference to the memory of each sum layer's output: when a later
+    # sum layer renormalizes, nothing may hold an output whose reader has run
+    c = from_region_graph(build_binary_tree(4, 0), 2, "kronecker", lambda s, k: GaussianFamily(k))
+    graph = init_parameters(square(c), "uniform(0,1)", seed=0).circuit
+    sums = [layer for layer in graph.layers if layer.kind == SUM]
+    reader = {j: layer.layer_id for layer in graph.layers for j in layer.inputs}
+    refs, freed = {}, []
+    renormalized = engine.renormalized
+
+    def watched(raw, log_scale):
+        layer = sums[len(refs)]
+        freed.extend(ref() is None for j, ref in refs.items() if reader[j] < layer.layer_id)
+        out = renormalized(raw, log_scale)
+        refs[layer.layer_id] = weakref.ref(_memory(out.values))
+        return out
+
+    monkeypatch.setattr(engine, "renormalized", watched)
+    engine.forward(graph, np.random.default_rng(0).normal(size=(8, 4)), marginalized)
+    assert len(refs) == len(sums)  # every sum layer ran on the scaled path
+    assert freed and all(freed)
 
 
 @pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
