@@ -352,6 +352,9 @@ def _grid_bounds(cfg, model):
     first = model.components[0] if isinstance(model, CircuitMixture) else model
     bounds = []
     for v, key in ((0, "x1"), (1, "x2")):
+        for bound in (f"grid.{key}_lo", f"grid.{key}_hi"):
+            if np.isinf(cfg[bound]):
+                raise ConfigError(f"{bound} must be finite, or nan to derive it, got {cfg[bound]}")
         lo = cfg[f"grid.{key}_lo"]
         hi = cfg[f"grid.{key}_hi"]
         if np.isnan(lo) or np.isnan(hi):

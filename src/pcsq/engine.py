@@ -214,9 +214,10 @@ def forward(
     batch.  Only data passes of unsquared circuits (nothing marginalized)
     and one-row partition-function passes (everything marginalized) can
     be taped, never in the linear space; taping any other pass raises
-    ConfigError, and so does marginalizing a variable the circuit does not
-    have.  The pass carries scaled-linear values, or signed log-space ones
-    where a guard trips; either way its root is in signed log-space.
+    ConfigError, and so does marginalizing a non-integer or a variable the
+    circuit does not have.  The pass carries scaled-linear values, or
+    signed log-space ones where a guard trips; either way its root is in
+    signed log-space.
 
     An untaped pass sets each layer's entry of ``outputs`` to None once
     its one reader has run, so only the root is left.
@@ -229,6 +230,9 @@ def forward(
     if want_tape and space == "linear":
         raise ConfigError("a linear pass cannot be taped")
     marginalized = frozenset(marginalized)
+    odd = [v for v in marginalized if not isinstance(v, (int, np.integer))]
+    if odd:
+        raise ConfigError(f"marginalized variables must be integers, got {odd}")
     outside = sorted(v for v in marginalized if not 0 <= v < circuit.variable_count)
     if outside:
         raise ConfigError(
@@ -602,35 +606,25 @@ def path_adjoint(circuit: TensorizedCircuit, outputs, variable):
 
 
 def _backward_sum_squared(weights, u, adj, v):
+    """The signed-log form of the scaled squared branch of :func:`_sum_vjp`:
+    input adjoint W^T A W, and weight gradient sum_b A_b^T V_b + A_b W X_b^T
+    as one accumulation over the rows of every A_b and A_b^T against those
+    of V_b and W X_b^T."""
     b = u.shape[0]
     s, k = weights.shape
-    g_lm = adj.log_magnitude.reshape(b, s, s)
-    g_sg = adj.sign.reshape(b, s, s)
-    wt = np.ascontiguousarray(weights.T)
-    adj_in = _sum(wt, adj, squared=True)
-
-    # weight gradient: sum_b G A U^T + G^T A U; the first term pairs the
-    # columns of G A and of U, so it reads (G A)^T straight from the batched
-    # kernel, while U's columns still need one transposed copy
-    ga_lm, ga_sg = kernels.slse_batched_matmul(
-        wt, g_lm.transpose(0, 2, 1), g_sg.transpose(0, 2, 1)
-    )  # (b, k2, s1)
-    u_lm = u.log_magnitude.reshape(b, k, k).transpose(0, 2, 1)
-    u_sg = u.sign.reshape(b, k, k).transpose(0, 2, 1)
-    lm1, sg1 = kernels.slse_pair_accum(
-        ga_lm.reshape(b * k, s),
-        ga_sg.reshape(b * k, s),
-        np.ascontiguousarray(u_lm).reshape(b * k, k),
-        np.ascontiguousarray(u_sg).reshape(b * k, k),
+    adj_in = _sum(np.ascontiguousarray(weights.T), adj, squared=True)
+    a_lm = adj.log_magnitude.reshape(b, s, s)
+    a_sg = adj.sign.reshape(b, s, s)
+    xwt = signed_logsumexp(weights, u.reshape(b * k, k))  # rows of X_b W^T
+    wxt_lm = xwt.log_magnitude.reshape(b, k, s).transpose(0, 2, 1)
+    wxt_sg = xwt.sign.reshape(b, k, s).transpose(0, 2, 1)
+    lm, sg = kernels.slse_pair_accum(
+        np.concatenate([a_lm, a_lm.transpose(0, 2, 1)]).reshape(2 * b * s, s),
+        np.concatenate([a_sg, a_sg.transpose(0, 2, 1)]).reshape(2 * b * s, s),
+        np.concatenate([v.log_magnitude, wxt_lm]).reshape(2 * b * s, k),
+        np.concatenate([v.sign, wxt_sg]).reshape(2 * b * s, k),
     )
-    lm2, sg2 = kernels.slse_pair_accum(
-        np.ascontiguousarray(g_lm.reshape(b * s, s)),
-        np.ascontiguousarray(g_sg.reshape(b * s, s)),
-        np.ascontiguousarray(v.log_magnitude.reshape(b * s, k)),
-        np.ascontiguousarray(v.sign.reshape(b * s, k)),
-    )
-    grad_eff = SignedLogTensor(lm1, sg1).to_linear() + SignedLogTensor(lm2, sg2).to_linear()
-    return grad_eff, adj_in
+    return SignedLogTensor(lm, sg).to_linear(), adj_in
 
 
 def _backward_input(store, layer, tape, adj):

@@ -52,19 +52,17 @@ def _positive(shape):
 
 def _weighted_batch_sum(adj, f, *factors):
     """For each plain (B, K) array g in ``factors``, sum_b adj * f * g as
-    plain (K,) floats, in one pass over the batch.  On a scaled tape that
-    is one ``einsum`` per factor under the row weights of adj's and f's
-    scales (``slog.row_weights``); in signed log-space,
-    ``kernels.slse_weighted_colsum``."""
+    plain (K,) floats.  On a scaled tape that is one ``einsum`` per factor
+    under the row weights of adj's and f's scales (``slog.row_weights``);
+    in signed log-space, one ``signed_sum`` down the columns per factor,
+    each column under its own shift."""
     if isinstance(adj, ScaledTensor):
         scale, r = row_weights(adj.log_scale + f.log_scale)
         terms = adj.values * f.values
         terms *= r
         return [scale * np.einsum("bk,bk->k", terms, g) for g in factors]
-    sums = kernels.slse_weighted_colsum(
-        adj.log_magnitude, adj.sign, f.log_magnitude, f.sign, factors
-    )
-    return [SignedLogTensor(lm, sg).to_linear() for lm, sg in sums]
+    t = signed_mul(adj, f)
+    return [signed_sum(signed_scale(t, g), axis=0).to_linear() for g in factors]
 
 
 class InputFamily:
@@ -196,11 +194,13 @@ class GaussianFamily(_GaussianShaped, InputFamily):
         mean, std = self._params(store)
         # in place, in the order of -0.5 * z * z - log(std) - 0.5 log(2 pi),
         # on (K, rows) arrays: their transposes are column-major, as a
-        # ScaledTensor keeps its values
-        z = np.subtract(x[None, :], mean[:, None])
-        z /= std[:, None]
-        lm = np.multiply(z, -0.5)
-        lm *= z
+        # ScaledTensor keeps its values.  Far-tail evidence overflows z * z,
+        # and log f is then -inf
+        with np.errstate(over="ignore"):
+            z = np.subtract(x[None, :], mean[:, None])
+            z /= std[:, None]
+            lm = np.multiply(z, -0.5)
+            lm *= z
         lm -= np.log(std)[:, None]
         lm -= 0.5 * _LOG_2PI
         return SignedLogTensor(lm.T, _positive(lm.T.shape)), z.T
@@ -347,9 +347,12 @@ class _LinearFamily(InputFamily):
         if isinstance(adj, ScaledTensor):  # one bincount under the adjoint's row weights
             scale, r = row_weights(adj.log_scale)
             grad = scale * kernels.band_accum(adj.values * r, first, band, width)
-        else:
-            lm, sg = kernels.slse_band_accum(adj.log_magnitude, adj.sign, first, band, width)
-            grad = SignedLogTensor(lm, sg).to_linear()
+        else:  # one pair accumulation against the dense phi
+            phi = np.zeros((adj.shape[0], width))
+            np.put_along_axis(phi, first[:, None] + np.arange(band.shape[1]), band, axis=1)
+            phi = SignedLogTensor.from_linear(phi)
+            grad = kernels.slse_pair_accum(adj.log_magnitude, adj.sign, phi.log_magnitude, phi.sign)
+            grad = SignedLogTensor(*grad).to_linear()
         self._accumulate(store, grad)
 
     def integral_vector(self, store):
@@ -549,7 +552,8 @@ class RbfKernelFamily(_GaussianShaped, InputFamily):
         if x.ndim == 1:
             x = x[:, None]
         diff = x[:, None, :] - self.anchors[None, :, :]
-        lm = -np.sum(diff * diff, axis=2) / (2.0 * self.bandwidth**2)
+        with np.errstate(over="ignore"):  # far-tail evidence: log k = -inf
+            lm = -np.sum(diff * diff, axis=2) / (2.0 * self.bandwidth**2)
         return SignedLogTensor(lm, _positive(lm.shape)), None
 
     def log_eval_vjp(self, store, adj, f, features):

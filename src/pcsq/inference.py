@@ -34,6 +34,9 @@ class Query:
     def check(self, variable_count):
         ev = set(self.evidence)
         marg = set(self.marginalized)
+        bad = [v for v in ev | marg if not isinstance(v, (int, np.integer))]
+        if bad:
+            raise ConfigError(f"query variables must be integers, got {bad}")
         if ev & marg:
             raise ConfigError(f"evidence and marginalized overlap: {sorted(ev & marg)}")
         allvars = set(range(variable_count))
@@ -212,6 +215,15 @@ _CDF_TOL = 1e-9
 _BISECTION_STEPS = 80
 
 
+def _draw_count(n):
+    """``n`` as a number of draws: a non-negative integer, else ConfigError."""
+    if not isinstance(n, (int, np.integer)):
+        raise ConfigError(f"the number of samples must be an integer, got {n!r}")
+    if n < 0:
+        raise ConfigError(f"cannot draw a negative number of samples ({n})")
+    return n
+
+
 def sample(model, n, seed=0):
     """Draw ``n`` exact samples autoregressively (natural variable order).
 
@@ -225,14 +237,13 @@ def sample(model, n, seed=0):
     exact conditional CDF sum_ij A_ij P_ij(t), with P the family's
     closed-form integrals up to t, to 1e-9 of the conditional mass; no
     circuit pass runs per step.  A mixture draws through
-    ``CircuitMixture.sample``.  Raises ConfigError for n < 0 and
-    UnsupportedStructureError where v shares an input layer with another
-    variable.
+    ``CircuitMixture.sample``.  Raises ConfigError unless n is a
+    non-negative integer, and UnsupportedStructureError where v shares an
+    input layer with another variable.
     """
+    n = _draw_count(n)
     if _is_mixture(model):
         return model.sample(n, seed=seed)
-    if n < 0:
-        raise ConfigError(f"cannot draw a negative number of samples ({n})")
     graph = _graph(model)
     d = graph.variable_count
     partition_function(model)  # fail fast on degenerate models

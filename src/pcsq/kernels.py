@@ -8,29 +8,24 @@ The operations below dominate circuit evaluation and backprop:
   matrices, which squared sum layers use on their (K, K) blocks instead
   of transposed copies.
 * ``slse_pair_accum`` -- sign-aware accumulation of outer products over a
-  shared leading axis, used for weight gradients.
-* ``slse_band_accum`` -- the same accumulation against a banded basis
-  matrix given by its nonzero band, used for linear input families'
-  coefficient gradients; ``band_accum`` is its plain-valued scatter,
-  which scaled-linear backward sweeps call directly.
-* ``slse_weighted_colsum`` -- sign-aware column sums of an elementwise
-  product against plain weights, used for input-family gradients.
+  shared leading axis, used for weight gradients and, against a dense
+  basis matrix, for linear input families' coefficient gradients.
+* ``band_accum`` -- the plain-valued accumulation against a banded basis
+  matrix given by its nonzero band, which scaled-linear backward sweeps
+  call for those coefficient gradients.
 
-All scale each input row by its largest magnitude, exponentiate once per
-input entry and hand the sum to one dense BLAS matmul (in
-``slse_weighted_colsum``, which scales columns, one ``einsum`` per weight
-array; in ``slse_band_accum``, one ``bincount`` over the band).
-``slse_matmul`` sums one row at a time, so its row maximum is the shift.
-``slse_pair_accum`` sums across rows, so it also factors out one global
-shift G, the largest row-pair maximum; this is the log-einsum-exp trick
-of EinsumNetworks (Peharz et al., ICML 2020).  Its scaled terms are at
-most 1 in magnitude, and a guard checks in O(M (S + K)) that the
-smallest live one is at least exp(-700), so every term is a normal
-float.  ``slse_band_accum``, whose band values are at most 1, shifts by
-the largest live adjoint alone and keeps the guard.  Inputs that span a
-wider exponent range than that take the per-entry kernel, which factors
-a separate maximum out of each output entry.  Either way exact zeros stay zero, exact cancellations give sign 0
-and log-magnitude -inf, and no term overflows.
+The signed kernels scale each input row by its largest magnitude,
+exponentiate once per input entry and hand the sum to one dense BLAS
+matmul.  ``slse_matmul`` sums one row at a time, so its row maximum is
+the shift.  ``slse_pair_accum`` sums across rows, so it also factors out
+one global shift G, the largest row-pair maximum; this is the
+log-einsum-exp trick of EinsumNetworks (Peharz et al., ICML 2020).  Its
+scaled terms are at most 1 in magnitude, and a guard checks in
+O(M (S + K)) that the smallest live one is at least exp(-700), so every
+term is a normal float.  Inputs that span a wider exponent range than
+that take the per-entry kernel, which factors a separate maximum out of
+each output entry.  Either way exact zeros stay zero, exact
+cancellations give sign 0 and log-magnitude -inf, and no term overflows.
 
 The kernels rely on the slog invariant (sign == 0 exactly where the
 log-magnitude is -inf; see :mod:`pcsq.slog`) instead of masking zeros:
@@ -107,16 +102,13 @@ def available_backends():
     return ["numpy"]
 
 
-def _scale_rows(log_mag, sign, axis=-1, out=None):
-    """Return each row's shift alpha (its maximum over ``axis``, 0 for a
-    row with no live entry) and the terms sign * exp(log_mag - alpha) in
-    ``out``, by default a new C-contiguous array, so the inputs may be
-    strided views."""
-    alpha = np.max(log_mag, axis=axis, keepdims=True)
+def _scale_rows(log_mag, sign):
+    """Return each row's shift alpha (its maximum, 0 for a row with no live
+    entry) and the terms sign * exp(log_mag - alpha) in a new C-contiguous
+    array, so the inputs may be strided views."""
+    alpha = np.max(log_mag, axis=-1, keepdims=True)
     alpha[alpha == -np.inf] = 0.0
-    if out is None:
-        out = np.empty(log_mag.shape)
-    scaled = np.subtract(log_mag, alpha, out=out)
+    scaled = np.subtract(log_mag, alpha, out=np.empty(log_mag.shape))
     np.exp(scaled, out=scaled)
     scaled *= sign
     return alpha, scaled
@@ -221,45 +213,10 @@ def slse_pair_accum(a_log, a_sign, b_log, b_sign):
         return _restore_shift(raw, g, raw)
 
 
-def slse_band_accum(a_log, a_sign, first, band, width):
-    """``slse_pair_accum`` against a banded non-negative matrix phi that is
-    given by its nonzero band: row m of phi is 0 except phi[m, first[m] + r]
-    = band[m, r].  Used for the coefficient gradients of a linear input
-    family, whose basis values at a point are a band of at most 1 each
-    (B-spline values, or the 1 of a one-hot state).
-
-    out[s, j] = sum_m a[m, s] * phi[m, j] takes one shift G, the largest
-    live a_log, and scatters the terms sign_a * exp(a_log - G) * band, each
-    at most 1 in magnitude, into their columns with one ``np.bincount``:
-    M S exponentials and M S R products, where the dense form takes
-    M (S + width) exponentials and a GEMM over every column.  The guard of
-    ``slse_pair_accum`` applies: when the smallest live term would fall
-    below exp(-700), the call runs the per-entry kernel on the dense phi.
-    Takes (M, S) arrays, M integers and an (M, R) array; returns two
-    (S, width) arrays.
-    """
-    m, s = a_log.shape
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        g = np.max(a_log, initial=-np.inf)
-        if g == -np.inf:  # every term is zero
-            return np.full((s, width), -np.inf), np.zeros((s, width))
-        # a NaN or infinite input fails this test and takes the exact kernel
-        a_min = np.min(a_log, where=a_sign != 0.0, initial=np.inf)
-        b_min = np.min(band, where=band > 0.0, initial=np.inf)
-        if not a_min + np.log(b_min) - g >= _MIN_SCALED_EXPONENT:
-            phi = np.zeros((m, width))
-            np.put_along_axis(phi, first[:, None] + np.arange(band.shape[1]), band, axis=1)
-            return _slse_pair_accum_exact(a_log, a_sign, np.log(phi), np.sign(phi))
-        a_hat = np.subtract(a_log.T, g, out=np.empty((s, m)))
-        np.exp(a_hat, out=a_hat)
-        a_hat *= a_sign.T
-        raw = band_accum(a_hat.T, first, band, width)
-        return _restore_shift(raw, g, raw)
-
-
 def band_accum(a, first, band, width):
     """out[s, j] = sum_m a[m, s] * phi[m, j] for a plain (M, S) array ``a``
-    and the banded phi of ``slse_band_accum``, by one ``np.bincount``."""
+    and the (M, width) phi whose row m is 0 except phi[m, first[m] + r] =
+    band[m, r], by one ``np.bincount``: the dense phi is never built."""
     r = band.shape[1]
     s = a.shape[1]
     # rows run along the last axis of every (R, S, M) array below
@@ -271,40 +228,12 @@ def band_accum(a, first, band, width):
     return raw.reshape(s, width)
 
 
-def slse_weighted_colsum(a_log, a_sign, b_log, b_sign, weights):
-    """Sign-aware column sums against plain weights.
-
-    For each plain (B, K) array w in ``weights``, out[k] = sum_b a[b, k] *
-    b[b, k] * w[b, k], with a and b given as (log|.|, sign(.)) pairs of
-    (B, K) arrays.  Used to sum input-family gradients over a batch.
-
-    Column k of a * b is shifted once by its live maximum and exponentiated
-    once; each weight array then takes a plain sum down the columns, and
-    the shift is restored on the (K,) results: the log-einsum-exp trick of
-    ``slse_pair_accum`` with one shift per output entry.  It needs no
-    range guard: a term more than 708 nats below its column's largest
-    |a b| turns subnormal and one more than 745 nats below turns 0, an
-    absolute error below exp(-708) times that largest |a b|.  Returns one
-    (log|out|, sign(out)) pair of (K,) arrays per weight array.
-    """
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        lm = np.add(a_log, b_log)
-        alpha, scaled = _scale_rows(lm, a_sign, axis=0, out=lm)
-        scaled *= b_sign
-        alpha = alpha[0]
-        out = []
-        for w in weights:
-            raw = np.einsum("bk,bk->k", scaled, w)
-            out.append(_restore_shift(raw, alpha, raw))
-        return out
-
-
 def _slse_pair_accum_exact(a_log, a_sign, b_log, b_sign, chunk=4096):
     """Per-entry form of ``slse_pair_accum``: every output entry factors out
     the largest magnitude among its own terms, accumulating chunks of rows
     under a running maximum.  Accurate over any exponent range, but costs
-    M S K exponentials; ``slse_pair_accum`` and ``slse_band_accum`` fall
-    back to it, and the tests use it as the oracle.
+    M S K exponentials; ``slse_pair_accum`` falls back to it, and the
+    tests use it as the oracle.
     """
     s, k = a_log.shape[1], b_log.shape[1]
     alpha = np.full((s, k), -np.inf)

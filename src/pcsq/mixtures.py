@@ -90,8 +90,7 @@ class CircuitMixture:
         return inference.log_likelihood(self, x)
 
     def sample(self, n, seed=0):
-        if n < 0:
-            raise ConfigError(f"cannot draw a negative number of samples ({n})")
+        n = inference._draw_count(n)
         rng = np.random.default_rng(seed)
         _, w = self._normalizer()
         counts = rng.multinomial(n, w)

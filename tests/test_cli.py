@@ -605,3 +605,66 @@ class TestExitCodes:
         assert main(["eval", "--config", eval_cfg, "--out", str(out)]) == 3
         assert "'width' must hold integers, got 2.0" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
+
+
+# --- every config key against hostile values ---------------------------------
+
+_HOSTILE = {
+    int: ["-1", "0", "1.5", str(-(2**31) - 1)],
+    float: ["nan", "inf", "-inf", "-1", "0"],
+    str: ["", "bogus"],
+    cli._int_list: ["0", "-1", "", "1,x"],
+    cli._bool: ["", "bogus"],
+}
+
+# tiny configs on which each command runs to completion; the model-reading
+# commands append model.path, of a 1-d model for sample (a 2-d kernel
+# unit cannot be conditioned on one of its variables)
+_SWEEP_BASE = {
+    "train": "seed = 3\ndataset.n_train = 40\ndataset.n_val = 10\ndataset.n_test = 10\n"
+    "model.k = 2\nmodel.knots = 4\ntrain.batch_size = 20\ntrain.max_epochs = 1\n",
+    "eval": "dataset.n_train = 20\ndataset.n_val = 10\ndataset.n_test = 10\n",
+    "sample": "sample.n = 5\n",
+    "grid": "grid.resolution = 4\n",
+    "reduce-psd": "psd.anchor_count = 2\npsd.check_points = 5\n",
+    "reduce-mps": "mps.d = 2\nmps.check_points = 8\n",
+    "udisj": "udisj.matching = 1\n",
+    "bench": "bench.k = 2\nbench.batch_sizes = 4\nbench.variables = 2\nbench.steps = 1\n"
+    "bench.overflow_variables = 2\nbench.overflow_k = 2\n",
+}
+
+_SWEEP = [
+    (command, key, value)
+    for command, schema in cli._SCHEMAS.items()
+    for key, (coerce, _) in schema.items()
+    for value in _HOSTILE[coerce]
+]
+
+
+@pytest.fixture(scope="module")
+def sweep_models(tmp_path_factory):
+    return {dim: _psd_model(tmp_path_factory.mktemp(f"sweep{dim}"), dim) for dim in (1, 2)}
+
+
+@pytest.mark.parametrize("command,key,value", _SWEEP)
+def test_hostile_config_value_exits_with_a_documented_code(
+    tmp_path, sweep_models, command, key, value
+):
+    # one key at a time on a tiny config: the command finishes or refuses
+    # with its documented code, and no exception or RuntimeWarning escapes
+    text = _SWEEP_BASE[command]
+    if "model.path" in cli._SCHEMAS[command]:
+        text += f"model.path = {sweep_models[1 if command == 'sample' else 2]}\n"
+    cfg = _write_config(tmp_path, "c.cfg", text)
+    argv = [command, "--config", cfg, "--set", f"{key}={value}", "--out", str(tmp_path / "o")]
+    assert main(argv) in (0, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("key", ["grid.x1_lo", "grid.x1_hi", "grid.x2_lo", "grid.x2_hi"])
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+def test_infinite_grid_bound_is_config_error(tmp_path, capsys, sweep_models, key, value):
+    cfg = _write_config(tmp_path, "g.cfg", f"model.path = {sweep_models[2]}\ngrid.resolution = 4\n")
+    out = tmp_path / "out"
+    assert main(["grid", "--config", cfg, "--set", f"{key}={value}", "--out", str(out)]) == 2
+    assert f"config error: {key} must be finite" in capsys.readouterr().err
+    assert not out.exists()

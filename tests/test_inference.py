@@ -22,6 +22,7 @@ from pcsq.inference import (
     z_eval_count,
 )
 from pcsq.learning import init_parameters
+from pcsq.reductions import PsdModel, psd_to_circuit
 from pcsq.regions import build_binary_tree, build_linear_tree, linear_tree_from_order
 from pcsq.splines import BSplineBasis
 from pcsq.squaring import square
@@ -191,6 +192,32 @@ class TestMarginalize:
         with pytest.raises(ConfigError):
             marginalize(sq, Query(marginalized=set(range(d + 5))))
 
+    @pytest.mark.parametrize(
+        "query",
+        [Query(evidence={0.0: 1.0}), Query(evidence={0: 1.0}, marginalized={1.0})],
+        ids=["float-evidence-key", "float-marginalized"],
+    )
+    def test_non_integer_variables_are_config_errors(self, query):
+        # 0.0 == 0 passes the range check; x[0, 0.0] raised IndexError, and
+        # a marginalized 1.0 was taken for variable 1
+        rg = linear_tree_from_order([0, 1])
+        c = from_region_graph(rg, 1, "hadamard", lambda s, k: CategoricalFamily(k, 2))
+        with pytest.raises(ConfigError, match="query variables must be integers"):
+            marginalize(c, query)
+
+    def test_non_integer_marginalized_batch_variable_is_config_error(self, rng):
+        # 1.5 matched no input layer's scope, so it was silently ignored
+        c, d = random_discrete_circuit(rng)
+        with pytest.raises(ConfigError, match=re.escape("must be integers, got [1.5]")):
+            marginal_batch(square(c), np.zeros((2, d)), {1.5})
+
+    def test_numpy_integer_variables_are_accepted(self, rng):
+        c, d = random_discrete_circuit(rng)
+        query = Query(evidence={np.int64(0): 1.0}, marginalized=set(np.arange(1, d)))
+        want = marginalize(c, Query(evidence={0: 1.0}, marginalized=set(range(1, d))))
+        got = marginalize(c, query)
+        assert (got.log_magnitude, got.sign) == (want.log_magnitude, want.sign)
+
     @pytest.mark.parametrize("marg", [{99}, {-1}, {0, 99, -1}])
     def test_batch_rejects_variables_outside_the_model(self, rng, marg):
         c, d = random_discrete_circuit(rng)
@@ -328,3 +355,27 @@ class TestLogLikelihood:
         c.store.set_free(c.layer(c.output_layer).param_block, [[1.0, -0.5]])
         with pytest.raises(NumericError, match="negative at row 1"):
             log_likelihood(c, np.array([[1.0], [0.0]]))
+
+
+@pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
+def test_far_tail_gaussian_evidence_gives_minus_inf(squared):
+    # 1e200 is finite, so it passes the domain check; its z * z overflows,
+    # and under the suite's warning filter the overflow raised
+    rg = build_binary_tree(2, 0)
+    c = from_region_graph(rg, 2, "hadamard", lambda s, k: GaussianFamily(k))
+    init_parameters(c, "uniform(0,1)", 0)
+    model = square(c) if squared else c
+    x = np.array([[1e200, 0.0], [0.3, -0.2]])
+    logs = inference.log_value(model, x)
+    assert logs[0] == -np.inf
+    assert logs[1] == inference.log_value(model, x[1:])[0]
+
+
+def test_far_tail_rbf_evidence_gives_minus_inf():
+    rng = np.random.default_rng(0)
+    psd = PsdModel(rng.normal(size=(3, 2)), 1.0, np.eye(3))
+    mixture = psd_to_circuit(psd)
+    x = np.array([[1e200, 0.0], [0.1, 0.2]])
+    logs = mixture.log_value(x)
+    assert logs[0] == -np.inf and np.isfinite(logs[1])
+    assert inference.log_value(mixture.components[0], x)[0] == -np.inf

@@ -122,20 +122,6 @@ def test_pair_accum_exact_cancellation_is_signed_zero():
     assert np.isneginf(out_lm).all() and (out_sg == 0.0).all()
 
 
-def test_weighted_colsum_matches_linear_oracle(rng):
-    m, k = 50, 6
-    a_lm, a_sg = _random_signed(rng, (m, k), zero_fraction=0.3)
-    b_lm, b_sg = _random_signed(rng, (m, k))
-    a_lm[:, 4], a_sg[:, 4] = -np.inf, 0.0  # a column with no live term
-    a, b = _linear(a_lm, a_sg), _linear(b_lm, b_sg)
-    weights = [rng.normal(size=(m, k)), rng.uniform(-2, 2, size=(m, k))]
-    outs = kernels.slse_weighted_colsum(a_lm, a_sg, b_lm, b_sg, weights)
-    assert len(outs) == len(weights)
-    for out, w in zip(outs, weights):
-        _assert_matches_oracle(out, (a * b * w).sum(axis=0), np.abs(a * b * w).sum(axis=0))
-        assert np.isneginf(out[0][4]) and out[1][4] == 0.0
-
-
 def test_all_zero_rows_stay_zero():
     w = np.ones((3, 4))
     lm = np.full((2, 4), -np.inf)
@@ -146,26 +132,6 @@ def test_all_zero_rows_stay_zero():
     out_lm, out_sg = kernels.slse_pair_accum(lm, sg, np.zeros((2, 3)), np.ones((2, 3)))
     assert out_lm.shape == (4, 3)
     assert np.all(np.isneginf(out_lm)) and np.all(out_sg == 0.0)
-
-
-def test_band_accum_nan_adjoint_spoils_only_its_entries(rng):
-    # a NaN fails the guard, so the exact kernel runs on the dense matrix; it
-    # reaches only the entries of its unit at the columns live in its row
-    m, s, width = 9, 3, 6
-    a_lm, a_sg = _random_signed(rng, (m, s), zero_fraction=0.0)
-    first = rng.integers(0, width - 1, size=m)
-    band = rng.uniform(0.1, 1.0, size=(m, 2))
-    phi = np.zeros((m, width))
-    np.put_along_axis(phi, first[:, None] + np.arange(2), band, axis=1)
-    a = _linear(a_lm, a_sg)
-    a_lm[4, 1] = np.nan
-    out_lm, out_sg = kernels.slse_band_accum(a_lm, a_sg, first, band, width)
-    spoiled = np.zeros((s, width), dtype=bool)
-    spoiled[1, first[4] : first[4] + 2] = True
-    assert np.isnan(out_lm[spoiled]).all() and not np.isnan(out_lm[~spoiled]).any()
-    _assert_matches_oracle(
-        (out_lm[~spoiled], out_sg[~spoiled]), (a.T @ phi)[~spoiled], (np.abs(a).T @ phi)[~spoiled]
-    )
 
 
 class _Libc:

@@ -6,6 +6,7 @@ from scipy import integrate, stats
 
 from pcsq import engine
 from pcsq.circuits import from_region_graph
+from pcsq.errors import ConfigError
 from pcsq.families import (
     BinomialFamily,
     CategoricalFamily,
@@ -14,6 +15,7 @@ from pcsq.families import (
     SplineFamily,
 )
 from pcsq.inference import log_density, marginal_batch, partition_function, sample
+from pcsq.learning import init_parameters
 from pcsq.reductions import PsdModel, psd_to_circuit
 from pcsq.regions import build_linear_tree, linear_tree_from_order
 from pcsq.splines import BSplineBasis
@@ -284,3 +286,20 @@ def test_sampling_determinism(rng):
     b = sample(sq, 200, seed=9)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, sample(sq, 200, seed=10))
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "3"])
+def test_non_integer_draw_count_is_config_error(n):
+    rg = linear_tree_from_order([0])
+    c = square(from_region_graph(rg, 1, "hadamard", lambda s, k: CategoricalFamily(k, 2)))
+    mixture = psd_to_circuit(PsdModel(np.zeros((1, 1)), 1.0, np.eye(1)))
+    for model in (c, mixture):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            sample(model, n)
+
+
+def test_numpy_integer_draw_count_is_accepted():
+    rg = linear_tree_from_order([0])
+    c = square(from_region_graph(rg, 1, "hadamard", lambda s, k: CategoricalFamily(k, 2)))
+    init_parameters(c, "uniform(0,1)", 0)
+    np.testing.assert_array_equal(sample(c, np.int64(4), seed=1), sample(c, 4, seed=1))

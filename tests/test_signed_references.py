@@ -130,8 +130,6 @@ def _ref_backward_sum_squared(weights, u, adj, v):
     s, k = weights.shape
     g_lm = adj.log_magnitude.reshape(b, s, s)
     g_sg = adj.sign.reshape(b, s, s)
-    u_lm = u.log_magnitude.reshape(b, k, k)
-    u_sg = u.sign.reshape(b, k, k)
     wt = np.ascontiguousarray(weights.T)
     rows = SignedLogTensor(
         np.ascontiguousarray(g_lm.transpose(0, 2, 1)).reshape(b * s, s),
@@ -144,22 +142,22 @@ def _ref_backward_sum_squared(weights, u, adj, v):
     )
     du = _ref_logsumexp(wt, t1)
     adj_in = SignedLogTensor(du.log_magnitude.reshape(b, k * k), du.sign.reshape(b, k * k))
-    ga = _ref_logsumexp(wt, SignedLogTensor(g_lm.reshape(b * s, s), g_sg.reshape(b * s, s)))
-    ga_lm = ga.log_magnitude.reshape(b, s, k)
-    ga_sg = ga.sign.reshape(b, s, k)
-    lm1, sg1 = _ref_slse_pair_accum(
-        np.ascontiguousarray(ga_lm.transpose(0, 2, 1)).reshape(b * k, s),
-        np.ascontiguousarray(ga_sg.transpose(0, 2, 1)).reshape(b * k, s),
-        np.ascontiguousarray(u_lm.transpose(0, 2, 1)).reshape(b * k, k),
-        np.ascontiguousarray(u_sg.transpose(0, 2, 1)).reshape(b * k, k),
+    # weight gradient: the rows of every A_b and A_b^T against those of V_b
+    # and W X_b^T, in one pair accumulation
+    xwt = _ref_logsumexp(
+        weights, SignedLogTensor(u.log_magnitude.reshape(b * k, k), u.sign.reshape(b * k, k))
     )
-    lm2, sg2 = _ref_slse_pair_accum(
-        np.ascontiguousarray(g_lm.reshape(b * s, s)),
-        np.ascontiguousarray(g_sg.reshape(b * s, s)),
-        np.ascontiguousarray(v.log_magnitude.reshape(b * s, k)),
-        np.ascontiguousarray(v.sign.reshape(b * s, k)),
+    wxt_lm = np.ascontiguousarray(xwt.log_magnitude.reshape(b, k, s).transpose(0, 2, 1))
+    wxt_sg = np.ascontiguousarray(xwt.sign.reshape(b, k, s).transpose(0, 2, 1))
+    gt_lm = np.ascontiguousarray(g_lm.transpose(0, 2, 1))
+    gt_sg = np.ascontiguousarray(g_sg.transpose(0, 2, 1))
+    lm, sg = _ref_slse_pair_accum(
+        np.concatenate([g_lm.reshape(b * s, s), gt_lm.reshape(b * s, s)]),
+        np.concatenate([g_sg.reshape(b * s, s), gt_sg.reshape(b * s, s)]),
+        np.concatenate([v.log_magnitude.reshape(b * s, k), wxt_lm.reshape(b * s, k)]),
+        np.concatenate([v.sign.reshape(b * s, k), wxt_sg.reshape(b * s, k)]),
     )
-    grad_eff = _ref_to_linear(SignedLogTensor(lm1, sg1)) + _ref_to_linear(SignedLogTensor(lm2, sg2))
+    grad_eff = _ref_to_linear(SignedLogTensor(lm, sg))
     return grad_eff, adj_in
 
 
