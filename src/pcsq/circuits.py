@@ -287,6 +287,104 @@ class TensorizedCircuit:
 
 
 # ---------------------------------------------------------------------------
+# stacks of circuits that share one layer tree
+
+
+class StackedStore:
+    """The stores of C circuits whose layers pair up, seen as one store of
+    the first circuit's block names.  ``names`` maps each of those names to
+    the paired block of every circuit; ``effective`` stacks the C blocks'
+    effective values along a leading axis, and ``accumulate_effective_grad``
+    hands slice c of a (C, ...) gradient to circuit c's store under its own
+    name."""
+
+    def __init__(self, stores, names):
+        self.stores = stores
+        self.names = names
+        self._stacked = {}  # name -> (version, read-only stacked values)
+
+    @property
+    def version(self):
+        return tuple(s.version for s in self.stores)
+
+    @property
+    def gradients(self):
+        return np.concatenate([s.gradients for s in self.stores])
+
+    def effective(self, name):
+        """The C blocks' effective values stacked, rebuilt only after one of
+        the stores changes: a step reads each block several times."""
+        version = self.version
+        entry = self._stacked.get(name)
+        if entry is None or entry[0] != version:
+            value = np.stack([s.effective(n) for s, n in zip(self.stores, self.names[name])])
+            value.setflags(write=False)
+            entry = self._stacked[name] = (version, value)
+        return entry[1]
+
+    def accumulate_effective_grad(self, name, grad_effective):
+        for s, n, g in zip(self.stores, self.names[name], grad_effective):
+            s.accumulate_effective_grad(n, g)
+
+
+@dataclass
+class StackedCircuit(TensorizedCircuit):
+    """C circuits as one: the first one's layers over a :class:`StackedStore`,
+    with a leading component axis on every value a pass carries (see
+    :mod:`pcsq.engine`).  ``components`` are the C models whose circuits
+    these are, whose partition-function counters a stacked Z pass raises."""
+
+    components: list = field(default_factory=list)
+
+
+def _pairing(circuit, layer):
+    """What a layer shares with its partner in a stackable circuit: kind,
+    scope, width and squaring; its inputs' (kind, scope), in order except
+    under a Hadamard product, which commutes; the shapes and reparams of its
+    blocks; and an input layer's family kind, units and hyperparameters,
+    for a family with stacked methods."""
+    inputs = [(circuit.layer(j).kind, circuit.layer(j).scope) for j in layer.inputs]
+    blocks = {"weight": layer.param_block} if layer.kind == SUM else {}
+    family = None
+    if layer.kind == INPUT:
+        if not layer.family.stackable:
+            return None
+        blocks = layer.family.blocks
+        family = (layer.family.kind, layer.family.units, layer.family.hyper_dict())
+    store = circuit.store
+    specs = {k: (store.blocks[n].shape, store.blocks[n].reparam) for k, n in blocks.items()}
+    order = sorted(inputs) if layer.kind == HADAMARD else inputs
+    return layer.kind, layer.scope, layer.output_width, layer.squared, order, specs, family
+
+
+def stack_stores(circuits):
+    """The :class:`StackedStore` of circuits whose layers pair up one to one
+    by (kind, scope), which names one layer of a tree circuit, with equal
+    :func:`_pairing`; None for any other circuits."""
+    first = circuits[0]
+    indexes = []
+    for c in circuits:
+        index = {(l.kind, l.scope): l for l in c.layers}
+        if len(index) != len(c.layers) or len(c.layers) != len(first.layers):
+            return None
+        indexes.append(index)
+    names = {}
+    for layer in first.layers:
+        partners = [index.get((layer.kind, layer.scope)) for index in indexes]
+        if None in partners:
+            return None
+        shared = _pairing(first, layer)
+        if shared is None or any(_pairing(c, p) != shared for c, p in zip(circuits, partners)):
+            return None
+        if layer.kind == SUM:
+            names[layer.param_block] = [p.param_block for p in partners]
+        elif layer.kind == INPUT:
+            for key, name in layer.family.blocks.items():
+                names[name] = [p.family.blocks[key] for p in partners]
+    return StackedStore([c.store for c in circuits], names)
+
+
+# ---------------------------------------------------------------------------
 # construction from a region graph
 
 

@@ -80,6 +80,15 @@ variable.  The root is linear in that layer's output, so the adjoint
 turns the layer's values, or its integrals up to a point, into the
 circuit's conditional values and CDFs without another circuit pass.
 
+A :class:`pcsq.circuits.StackedCircuit` of C circuits runs the same walk
+and sweep with a leading component axis on every scaled value: (C, rows,
+K) values and (C, rows, 1) scales, (C, S, K) sum weights through one
+batched GEMM, batch sums and row weights per component, and families
+reading (C, ...) parameters from the stacked store, whose VJPs hand each
+component its own slice.  Signed log-space stays per circuit: a guard
+that trips in a stacked pass raises OutOfScaledRange to the caller, which
+reruns the circuits one by one (:mod:`pcsq.learning`).
+
 The "linear" space, plain float64 arithmetic at full batch width, is the
 oracle of the other two: :func:`_forward_linear` walks the layers on its
 own and shares only the input layers' log f with them.
@@ -93,7 +102,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pcsq import kernels
-from pcsq.circuits import HADAMARD, INPUT, SUM, TensorizedCircuit
+from pcsq.circuits import HADAMARD, INPUT, SUM, StackedCircuit, TensorizedCircuit
 from pcsq.errors import ConfigError, NumericError, UnsupportedStructureError
 from pcsq.slog import (
     OutOfScaledRange,
@@ -171,7 +180,7 @@ def _input_integral(circuit, layer, matrix):
 
 
 def _broadcast(slog, batch):
-    shape = (batch,) + slog.shape[1:]
+    shape = slog.shape[:-2] + (batch,) + slog.shape[-1:]
     return SignedLogTensor(
         np.broadcast_to(slog.log_magnitude, shape).copy(), np.broadcast_to(slog.sign, shape).copy()
     )
@@ -264,7 +273,9 @@ def forward(
         try:
             return _forward_scaled(circuit, x, marginalized, batch, want_tape)
         except OutOfScaledRange:
-            pass  # a guard tripped: the signed log-space pass below
+            if isinstance(circuit, StackedCircuit):
+                raise  # signed log-space passes are per circuit: the caller unstacks
+            # a guard tripped: the signed log-space pass below
     return _forward_slog(circuit, x, marginalized, batch, want_tape, keep_outputs)
 
 
@@ -301,7 +312,7 @@ def _walk(circuit, x, marginalized, batch, want_tape, keep, scaled):
             for j in layer.inputs:
                 outputs[j] = None
     root = outputs[-1].to_slog() if scaled else outputs[-1]
-    outputs[-1] = root if root.shape[0] == batch else _broadcast(root, batch)
+    outputs[-1] = root if root.shape[-2] == batch else _broadcast(root, batch)
     tape = Tape(circuit, marginalized, outputs, saved, x if scaled else None) if want_tape else None
     return EvalResult(outputs, circuit.output_layer, tape)
 
@@ -313,7 +324,9 @@ def _input(circuit, layer, x, marginalized, saved, scaled):
     product f f^T.  A taped pass saves f and its features, so backward
     re-derives nothing."""
     if _whole_scope_marginalized(layer, marginalized):  # the cache is read-only
-        f = _input_integral(circuit, layer, matrix=layer.squared).reshape(1, layer.output_width)
+        f = _input_integral(circuit, layer, matrix=layer.squared)
+        lead = f.shape[: len(f.shape) - (2 if layer.squared else 1)]
+        f = f.reshape(*lead, 1, layer.output_width)
         return ScaledTensor.from_slog(f) if scaled else f
     f, features = layer.family.log_eval(circuit.store, _scope_values(x, layer.scope))
     if scaled:  # exponentiated in f's own array where it can be
@@ -325,7 +338,7 @@ def _input(circuit, layer, x, marginalized, saved, scaled):
     if not scaled:
         return signed_outer(f, f)
     v = f.values  # f_i f_j: K exponentials per row rather than K^2
-    outer = (v[:, :, None] * v[:, None, :]).reshape(-1, layer.output_width)
+    outer = (v[..., :, None] * v[..., None, :]).reshape(*v.shape[:-1], layer.output_width)
     return ScaledTensor(outer, 2.0 * f.log_scale)
 
 
@@ -335,14 +348,16 @@ def _sum(weights, x, squared, save_to=None, layer_id=None):
     W^T on an output adjoint, the same rule gives the input adjoint (of a
     squared layer, only in signed log-space).  A squared layer's first
     stage V = W X is saved under ``layer_id`` when ``save_to`` is given."""
-    s, k = weights.shape
+    s, k = weights.shape[-2:]
     if isinstance(x, ScaledTensor):
         if not squared:  # the GEMM's transpose, so its result is column-major
-            return renormalized((weights @ x.values.T).T, x.log_scale)
-        v = weights @ x.values.reshape(-1, k, k)
+            raw = weights @ x.values.swapaxes(-1, -2)
+            return renormalized(raw.swapaxes(-1, -2), x.log_scale)
+        w = weights[..., None, :, :]  # broadcast over the rows
+        v = w @ x.values.reshape(*x.shape[:-1], k, k)
         if save_to is not None:
             save_to[layer_id] = v
-        return renormalized((v @ weights.T).reshape(-1, s * s), x.log_scale)
+        return renormalized((v @ w.swapaxes(-1, -2)).reshape(*x.shape[:-1], s * s), x.log_scale)
     if not squared:
         return signed_logsumexp(weights, x)
     b = x.shape[0]
@@ -363,13 +378,16 @@ def _product(layer, a, b):
     if not isinstance(a, ScaledTensor):
         return signed_product([a, b], layer.kind, layer.squared)
     if layer.kind == HADAMARD:
-        values = a.values * b.values
-    elif layer.squared:  # the interleaved order of slog's _kron_squared
+        return ScaledTensor(a.values * b.values, a.log_scale + b.log_scale)
+    if layer.squared:  # the interleaved order of slog's _kron_squared
         ka, kb = _squared_widths(a, b)
-        values = a.values.reshape(-1, ka, 1, ka, 1) * b.values.reshape(-1, 1, kb, 1, kb)
+        values = a.values.reshape(*a.shape[:-1], ka, 1, ka, 1)
+        values = values * b.values.reshape(*b.shape[:-1], 1, kb, 1, kb)
+        rows = values.shape[:-4]
     else:
-        values = a.values[:, :, None] * b.values[:, None, :]
-    return ScaledTensor(values.reshape(-1, layer.output_width), a.log_scale + b.log_scale)
+        values = a.values[..., :, None] * b.values[..., None, :]
+        rows = values.shape[:-2]
+    return ScaledTensor(values.reshape(*rows, layer.output_width), a.log_scale + b.log_scale)
 
 
 def _forward_linear(circuit, x, marginalized, batch):
@@ -412,9 +430,8 @@ def log_grad_seed(root: SignedLogTensor, coeff) -> SignedLogTensor:
     coeff = np.asarray(coeff, dtype=np.float64)
     dead = (root.sign == 0.0) & (coeff != 0.0)
     if dead.any():
-        raise NumericError(
-            f"gradient of log|c(x)| requested where c(x) = 0 exactly (row {int(np.argmax(dead))})"
-        )
+        row = int(np.argwhere(dead)[0][-1])  # with a component axis, in the first such component
+        raise NumericError(f"gradient of log|c(x)| requested where c(x) = 0 exactly (row {row})")
     with np.errstate(divide="ignore", invalid="ignore"):
         lm = np.where(coeff != 0.0, np.log(np.abs(coeff)) - root.log_magnitude, -np.inf)
     sg = np.sign(coeff) * root.sign
@@ -430,14 +447,16 @@ def backward(tape: Tape, seed_output: SignedLogTensor):
     reader has run, and each saved entry once its layer has."""
     circuit = tape.circuit
     seed = seed_output
-    if seed.log_magnitude.ndim == 1:
-        seed = seed.reshape(-1, 1)
+    if seed.log_magnitude.ndim < tape.outputs[-1].log_magnitude.ndim:
+        seed = seed.reshape(*seed.shape, 1)
     if tape.evidence is None:
         _backward_slog(tape, seed)
     else:
         try:
             _backward_scaled(tape, seed)
         except OutOfScaledRange:  # nothing reached the store: rerun in signed log-space
+            if isinstance(circuit, StackedCircuit):
+                raise  # signed log-space passes are per circuit: the caller unstacks
             tape.outputs[: circuit.output_layer] = [None] * circuit.output_layer
             tape.saved.clear()
             batch = tape.evidence.shape[0]
@@ -514,24 +533,38 @@ def _sum_vjp(weights, u, adj, squared, v):
         adj_in = _sum(np.ascontiguousarray(weights.T), adj, False)
         return SignedLogTensor(lm, sg).to_linear(), adj_in
     scale, r = row_weights(adj.log_scale + u.log_scale)
+    wt = weights.swapaxes(-1, -2)
     if not squared:
-        grad = (adj.values * r).T @ u.values
+        grad = (adj.values * r).swapaxes(-1, -2) @ u.values
         grad *= scale
-        return grad, _sum(weights.T, adj, False)
+        return grad, _sum(wt, adj, False)
     # a Z pass: its one row is the K x K block X.  A^T V + A W X^T pairs the
     # rows of A with those of V and the rows of A^T with those of W X^T: one
-    # signed-log accumulation.  Two plain GEMMs would be faster, but
-    # perfbench's train-gauss-k64 smoke test expects this kernel to run
+    # signed-log accumulation per circuit.  Two plain GEMMs would be faster,
+    # but perfbench's train-gauss-k64 smoke test expects this kernel to run
     # (ROADMAP item 1)
-    s, k = weights.shape
-    a = adj.values.reshape(s, s)
-    wxt = weights @ u.values.reshape(k, k).T
-    pa = SignedLogTensor.from_linear(np.concatenate([a, a.T]))
-    pb = SignedLogTensor.from_linear(np.concatenate([v.reshape(s, k), wxt]))
-    lm, sg = kernels.slse_pair_accum(pa.log_magnitude, pa.sign, pb.log_magnitude, pb.sign)
-    grad = SignedLogTensor(lm, sg).to_linear() * r[0, 0]
+    s, k = weights.shape[-2:]
+    lead = adj.shape[:-2]
+    a = adj.values.reshape(*lead, s, s)
+    wxt = weights @ u.values.reshape(*lead, k, k).swapaxes(-1, -2)
+    pa = np.concatenate([a, a.swapaxes(-1, -2)], axis=-2)
+    pb = np.concatenate([v.reshape(*lead, s, k), wxt], axis=-2)
+    grad = _pair_accum(pa, pb) * r
     grad *= scale
-    return grad, renormalized((weights.T @ (a @ weights)).reshape(1, k * k), adj.log_scale)
+    return grad, renormalized((wt @ (a @ weights)).reshape(*lead, 1, k * k), adj.log_scale)
+
+
+def _pair_accum(a, b):
+    """``kernels.slse_pair_accum`` of plain (M, S) and (M, K) arrays as a
+    plain (S, K) sum; of (C, M, S) and (C, M, K) stacks, one call per
+    slice, giving (C, S, K)."""
+    pa, pb = SignedLogTensor.from_linear(a), SignedLogTensor.from_linear(b)
+    args = (pa.log_magnitude, pa.sign, pb.log_magnitude, pb.sign)
+    if a.ndim == 2:
+        lm, sg = kernels.slse_pair_accum(*args)
+    else:
+        lm, sg = (np.stack(t) for t in zip(*map(kernels.slse_pair_accum, *args)))
+    return SignedLogTensor(lm, sg).to_linear()
 
 
 def _product_vjp(circuit, layer, adj, a, b, positions=(0, 1)):
@@ -551,18 +584,18 @@ def _product_vjp(circuit, layer, adj, a, b, positions=(0, 1)):
         return adjoints
     if layer.squared:  # un-interleave (a1, b1, a2, b2) into (a1, a2) x (b1, b2)
         ka, kb = _squared_widths(a, b)
-        shape, blocks = adj.shape, (adj.shape[0], ka, kb, ka, kb)
+        shape, blocks = adj.shape, adj.shape[:-1] + (ka, kb, ka, kb)
 
         def perm(t):
-            return t.reshape(blocks).transpose(0, 1, 3, 2, 4).reshape(shape)
+            return t.reshape(blocks).swapaxes(-3, -2).reshape(shape)
 
         if scaled:
             adj = ScaledTensor(perm(adj.values), adj.log_scale)
         else:
             adj = SignedLogTensor(perm(adj.log_magnitude), perm(adj.sign))
     if scaled:
-        adj3 = adj.values.reshape(adj.shape[0], a.shape[1], b.shape[1])
-        specs = ("bij,bj->bi", "bij,bi->bj")
+        adj3 = adj.values.reshape(*adj.shape[:-1], a.shape[-1], b.shape[-1])
+        specs = ("...ij,...j->...i", "...ij,...i->...j")
         return [
             renormalized(
                 np.einsum(specs[i], adj3, others[i].values), adj.log_scale + others[i].log_scale
@@ -629,11 +662,11 @@ def _backward_sum_squared(weights, u, adj, v):
 
 def _backward_input(store, layer, tape, adj):
     if tape.marginalized:  # a one-row partition-function pass
+        lead, k = adj.shape[:-2], layer.family.units
         if layer.squared:
-            k = layer.family.units
-            layer.family.integral_matrix_vjp(store, adj.reshape(k, k))
+            layer.family.integral_matrix_vjp(store, adj.reshape(*lead, k, k))
         else:
-            layer.family.integral_vector_vjp(store, adj.reshape(-1))
+            layer.family.integral_vector_vjp(store, adj.reshape(*lead, k))
         return
     f, features = tape.saved.pop(layer.layer_id)
     layer.family.log_eval_vjp(store, adj, f, features)

@@ -67,6 +67,10 @@ def _weighted_batch_sum(adj, f, *factors):
 
 class InputFamily:
     kind = "abstract"
+    # whether the methods of a pass (log_eval, the integrals and their VJPs)
+    # also take the (C, ...) parameters of a circuits.StackedStore and
+    # return (C, ...) values and features
+    stackable = False
 
     def __init__(self, units):
         if units < 1:
@@ -182,6 +186,7 @@ class GaussianFamily(_GaussianShaped, InputFamily):
     """K Gaussian densities; std kept positive through exp reparameterization."""
 
     kind = "gaussian"
+    stackable = True
 
     def block_specs(self):
         return {"mean": ((self.units,), "identity"), "std": ((self.units,), "exp")}
@@ -193,17 +198,18 @@ class GaussianFamily(_GaussianShaped, InputFamily):
         x = DomainError.check(x, np.isfinite, "is not finite")
         mean, std = self._params(store)
         # in place, in the order of -0.5 * z * z - log(std) - 0.5 log(2 pi),
-        # on (K, rows) arrays: their transposes are column-major, as a
+        # on (..., K, rows) arrays: their transposes are column-major, as a
         # ScaledTensor keeps its values.  Far-tail evidence overflows z * z,
         # and log f is then -inf
         with np.errstate(over="ignore"):
-            z = np.subtract(x[None, :], mean[:, None])
-            z /= std[:, None]
+            z = np.subtract(x, mean[..., None])
+            z /= std[..., None]
             lm = np.multiply(z, -0.5)
             lm *= z
-        lm -= np.log(std)[:, None]
+        lm -= np.log(std)[..., None]
         lm -= 0.5 * _LOG_2PI
-        return SignedLogTensor(lm.T, _positive(lm.T.shape)), z.T
+        lm = lm.swapaxes(-1, -2)
+        return SignedLogTensor(lm, _positive(lm.shape)), z.swapaxes(-1, -2)
 
     def log_eval_vjp(self, store, adj, f, z):
         std = store.effective(self.blocks["std"])
@@ -211,29 +217,29 @@ class GaussianFamily(_GaussianShaped, InputFamily):
             d_mean, d_std = _weighted_batch_sum(adj, f, z / std, (z * z - 1.0) / std)
         else:  # column sums of t, t z and t z^2 for t = adj f under the row weights
             scale, r = row_weights(adj.log_scale + f.log_scale)
-            t = adj.values.T * f.values.T  # (K, rows), contiguous
-            zt = z.T
+            t = adj.values.swapaxes(-1, -2) * f.values.swapaxes(-1, -2)  # (..., K, rows)
+            zt = z.swapaxes(-1, -2)
             s0 = t @ r
             t *= zt
             s1 = t @ r
             t *= zt
             s2 = t @ r
-            d_mean = scale * s1[:, 0] / std
-            d_std = scale * (s2 - s0)[:, 0] / std
+            d_mean = (scale * s1)[..., 0] / std
+            d_std = (scale * (s2 - s0))[..., 0] / std
         store.accumulate_effective_grad(self.blocks["mean"], d_mean)
         store.accumulate_effective_grad(self.blocks["std"], d_std)
 
     def integral_vector(self, store):
-        lm = np.zeros(self.units)
-        return SignedLogTensor(lm, np.ones(self.units))
+        shape = np.shape(store.effective(self.blocks["mean"]))  # (K,), or (C, K) stacked
+        return SignedLogTensor(np.zeros(shape), np.ones(shape))
 
     def integral_vector_vjp(self, store, adj):
         pass  # densities integrate to one regardless of parameters
 
     def _pair_stats(self, store):
         mean, std = self._params(store)
-        d = mean[:, None] - mean[None, :]
-        s = (std * std)[:, None] + (std * std)[None, :]
+        d = mean[..., :, None] - mean[..., None, :]
+        s = (std * std)[..., :, None] + (std * std)[..., None, :]
         return mean, std, d, s
 
     def _log_integral_matrix(self, d, s):
@@ -254,9 +260,9 @@ class GaussianFamily(_GaussianShaped, InputFamily):
             # M and g are symmetric and f_mu antisymmetric, so each pair of
             # row and column sums is one row sum of (A + A^T) M
             a = adj.to_linear()
-            t = (a + a.T) * np.exp(self._log_integral_matrix(d, s))
-            grad_mean = np.sum(t * f_mu, axis=1)
-            grad_std = 2.0 * std * np.sum(t * g, axis=1)
+            t = (a + a.swapaxes(-1, -2)) * np.exp(self._log_integral_matrix(d, s))
+            grad_mean = np.sum(t * f_mu, axis=-1)
+            grad_std = 2.0 * std * np.sum(t * g, axis=-1)
         else:
             t = signed_mul(adj, self.integral_matrix(store))
             tm = signed_scale(t, f_mu)
@@ -295,7 +301,7 @@ class _OneHotBasis:
 
     def evaluate(self, coeffs, x):
         xi = _check_states(x, self.num_bases)
-        return coeffs[:, xi].T, xi
+        return coeffs[..., xi].swapaxes(-1, -2), xi
 
     def live_band(self, xi):
         return xi, np.ones((xi.size, 1))
@@ -304,7 +310,7 @@ class _OneHotBasis:
         return np.ones(self.num_bases)
 
     def integrate(self, coeffs):
-        return coeffs.sum(axis=1)
+        return coeffs.sum(axis=-1)
 
     def gram_times(self, coeffs):
         return coeffs
@@ -323,6 +329,7 @@ class _LinearFamily(InputFamily):
 
     block_name = "coeffs"
     reparam = "identity"
+    stackable = True
 
     def __init__(self, units, basis):
         super().__init__(units)
@@ -359,11 +366,11 @@ class _LinearFamily(InputFamily):
         return SignedLogTensor.from_linear(self.basis.integrate(self._coeffs(store)))
 
     def integral_vector_vjp(self, store, adj):
-        self._accumulate(store, adj.to_linear()[:, None] * self.basis.basis_integrals()[None, :])
+        self._accumulate(store, adj.to_linear()[..., :, None] * self.basis.basis_integrals())
 
     def integral_matrix(self, store):
         c = self._coeffs(store)
-        return SignedLogTensor.from_linear(self.basis.gram_times(c) @ c.T)
+        return SignedLogTensor.from_linear(self.basis.gram_times(c) @ c.swapaxes(-1, -2))
 
     def integral_matrix_vjp(self, store, adj):
         # dM[i,j]/dC[a,:] contributes through both slots: (A + A^T) C G, on
@@ -372,7 +379,7 @@ class _LinearFamily(InputFamily):
         cg = self.basis.gram_times(self._coeffs(store))  # (units, bases)
         if isinstance(adj, ScaledTensor):
             a = adj.to_linear()
-            grad = (a + a.T) @ cg
+            grad = (a + a.swapaxes(-1, -2)) @ cg
         else:
             both = SignedLogTensor(
                 np.concatenate([adj.log_magnitude, adj.log_magnitude.T]),

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pcsq import engine
-from pcsq.circuits import TensorizedCircuit
+from pcsq.circuits import StackedCircuit, TensorizedCircuit
 from pcsq.errors import ConfigError, DegenerateModelError, NumericError, UnsupportedStructureError
 from pcsq.slog import SignedLogTensor, log_weighted_sum, signed_logsumexp, signed_mul, signed_sum
 from pcsq.squaring import SquaredCircuit
@@ -80,7 +80,8 @@ def log_value(model, x, want_tape=False):
     if squared:
         logs = 2.0 * root.log_magnitude
     elif np.any(root.sign < 0.0):
-        raise NumericError(f"model value negative at row {int(np.argmax(root.sign < 0.0))}")
+        row = int(np.argwhere(root.sign < 0.0)[0][-1])  # of a stack, its first such component's
+        raise NumericError(f"model value negative at row {row}")
     else:
         logs = root.log_magnitude
     if want_tape:
@@ -93,7 +94,9 @@ def _scalar(slog: SignedLogTensor) -> SignedLogTensor:
 
 
 def z_eval_count(model) -> int:
-    """Number of partition-function computations performed on this model."""
+    """Number of partition-function computations performed on this model;
+    a Z pass of a stack of circuits (:class:`pcsq.circuits.StackedCircuit`)
+    counts once for each of its components, too."""
     return getattr(model, "_z_evals", 0)
 
 
@@ -106,7 +109,8 @@ def partition_function(model, want_tape=False):
     neither reads nor writes the cache, and gives the same bits as an
     untaped one.  Each fresh computation increments the model's evaluation
     counter.  Raises DegenerateModelError when Z is not strictly positive
-    and NumericError when it is not finite.
+    and NumericError when it is not finite.  A stack of C circuits has C
+    such Z, the (C,) entries of one signed log-space value.
     """
     graph = _graph(model)
     store = graph.store
@@ -119,13 +123,17 @@ def partition_function(model, want_tape=False):
         marginalized=frozenset(range(graph.variable_count)),
         want_tape=want_tape,
     )
-    model._z_evals = getattr(model, "_z_evals", 0) + 1
-    z = _scalar(result.root)
-    if float(z.sign) <= 0.0:
+    model._z_evals = z_eval_count(model) + 1
+    if isinstance(graph, StackedCircuit):
+        for component in graph.components:
+            component._z_evals = z_eval_count(component) + 1
+    root = result.root
+    z = SignedLogTensor(root.log_magnitude[..., 0], root.sign[..., 0])
+    if (z.sign <= 0.0).any():
         raise DegenerateModelError(
             "partition function is zero or negative; the model cannot be normalized"
         )
-    if not np.isfinite(z.log_magnitude):
+    if not np.isfinite(z.log_magnitude).all():
         raise NumericError("partition function is not finite")
     if want_tape:
         return z, result

@@ -58,6 +58,7 @@ the policy does nothing.
 from __future__ import annotations
 
 import ctypes
+import math
 import sys
 
 import numpy as np
@@ -216,16 +217,20 @@ def slse_pair_accum(a_log, a_sign, b_log, b_sign):
 def band_accum(a, first, band, width):
     """out[s, j] = sum_m a[m, s] * phi[m, j] for a plain (M, S) array ``a``
     and the (M, width) phi whose row m is 0 except phi[m, first[m] + r] =
-    band[m, r], by one ``np.bincount``: the dense phi is never built."""
+    band[m, r], by one ``np.bincount``: the dense phi is never built.  A
+    (..., M, S) stack of arrays gives the (..., S, width) stack of sums
+    against the one phi."""
     r = band.shape[1]
-    s = a.shape[1]
-    # rows run along the last axis of every (R, S, M) array below
-    terms = np.ascontiguousarray(band.T)[:, None, :] * a.T
-    # term (r, s, m) adds to out[s, first[m] + r]; bincount sums each
-    # output entry's terms in order
-    offsets = np.arange(r)[:, None, None] + (np.arange(s) * width)[:, None]
-    raw = np.bincount((first + offsets).reshape(-1), terms.reshape(-1), minlength=s * width)
-    return raw.reshape(s, width)
+    lead, s = a.shape[:-2], a.shape[-1]
+    n = math.prod(lead) * s  # output rows, over every slice
+    # rows run along the last axis of every (..., R, S, M) array below
+    terms = np.ascontiguousarray(band.T)[:, None, :] * a.swapaxes(-1, -2)[..., None, :, :]
+    # term (..., r, s, m) adds to out[..., s, first[m] + r]; bincount sums
+    # each output entry's terms in order
+    rows = (np.arange(n) * width).reshape(lead + (1, s, 1))
+    offsets = np.arange(r)[:, None, None] + rows
+    raw = np.bincount((first + offsets).reshape(-1), terms.reshape(-1), minlength=n * width)
+    return raw.reshape(lead + (s, width))
 
 
 def _slse_pair_accum_exact(a_log, a_sign, b_log, b_sign, chunk=4096):

@@ -10,6 +10,18 @@ cost is amortized over the batch).  ``slog.log_weighted_sum`` turns the
 passes' log-values into the responsibilities and Z shares that seed their
 backward passes.  Early stopping watches validation likelihood; the
 best-validation parameters are restored at the end.
+
+A mixture whose components share one layer tree
+(:func:`pcsq.circuits.stack_stores`) runs those passes once for all of
+them, on a :class:`pcsq.circuits.StackedCircuit` whose values carry a
+leading component axis: one data pass and one Z pass per step instead of
+one of each per component, with the same results to rounding (the same
+bits, where the batched GEMMs round as the 2-d ones do).  The stack is
+built when a mixture first trains and kept on it, never saved.  A guard
+that trips anywhere in the stacked step abandons it with nothing in any
+store and reruns it per component, where a guard reruns only its own
+pass in signed log-space.  Other mixtures always take the per-component
+loop; no option chooses between the two.
 """
 
 from __future__ import annotations
@@ -22,11 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pcsq import engine, inference
-from pcsq.circuits import TensorizedCircuit
+from pcsq.circuits import StackedCircuit, TensorizedCircuit, stack_stores
 from pcsq.data import write_csv
 from pcsq.errors import ConfigError, NumericError
 from pcsq.mixtures import CircuitMixture
-from pcsq.slog import log_weighted_sum
+from pcsq.slog import OutOfScaledRange, log_weighted_sum
 from pcsq.squaring import SquaredCircuit
 
 
@@ -169,34 +181,87 @@ def _accumulate_gradients(model, x):
     return the batch's summed log-likelihood.
 
     A circuit trains as a one-component mixture with weight 1, whose
-    responsibilities are then exactly 1.  Each component runs one taped data
-    pass and one taped Z pass; the data pass's log-values set the
-    responsibilities and its tape carries them back.
+    responsibilities are then exactly 1.  A mixture whose components stack
+    (:func:`_stacked`) runs one taped data pass and one taped Z pass of the
+    stack; any other model, or a stacked step that leaves the scaled range,
+    runs one of each per component.
     """
-    mixture = isinstance(model, CircuitMixture)
-    comps = model.components if mixture else [model]
-    lam = model.weights() if mixture else np.ones(1)
+    stack = _stacked(model) if isinstance(model, CircuitMixture) else None
+    if stack is not None:
+        stores = [c.store for c in model.components]
+        held = [s.gradients.copy() for s in stores]
+        z_counts = [inference.z_eval_count(c) for c in model.components]
+        try:
+            return _step(model, [stack], x)
+        except OutOfScaledRange:  # signed log-space runs per component: undo the attempt
+            for s, grads in zip(stores, held):
+                s.gradients[:] = grads
+            for c, count in zip(model.components, z_counts):
+                c._z_evals = count
+    return _step(model, model.components if isinstance(model, CircuitMixture) else [model], x)
+
+
+def _step(model, parts, x):
+    """The step of :func:`_accumulate_gradients` over ``parts``: the
+    mixture's components in order, or one stack of them all.  Each part runs
+    one taped data pass and one taped Z pass; the data passes' log-values
+    set the responsibilities and their tapes carry them back."""
+    lam = model.weights() if isinstance(model, CircuitMixture) else np.ones(1)
     b = x.shape[0]
-    data = [inference.log_value(c, x, want_tape=True) for c in comps]
-    zs = [inference.partition_function(c, want_tape=True) for c in comps]
-    log_values, resp = log_weighted_sum(lam, np.stack([logs for logs, _ in data], axis=-1))
+    data = [inference.log_value(p, x, want_tape=True) for p in parts]
+    zs = [inference.partition_function(p, want_tape=True) for p in parts]
+    logs = np.concatenate([np.reshape(logs, (-1, b)) for logs, _ in data])  # (components, b)
+    log_values, resp = log_weighted_sum(lam, np.ascontiguousarray(logs.T))
+    del logs  # a step's memory peak is its data sweep's: no batch-sized array outlives its use
     dead = log_values == -np.inf
     if dead.any():
         raise NumericError(f"model value is 0 exactly at batch row {int(np.argmax(dead))}")
-    log_z, rho = log_weighted_sum(lam, np.array([float(z.log_magnitude) for z, _ in zs]))
+    log_z, rho = log_weighted_sum(lam, np.concatenate([np.ravel(z.log_magnitude) for z, _ in zs]))
     # log sum_i lam_i c_i(x) - log sum_i lam_i Z_i, summed over the batch
     batch_ll = float(np.sum(log_values) - b * log_z)
 
-    scale = 2.0 if isinstance(comps[0], SquaredCircuit) else 1.0  # log c^2 = 2 log|c|
-    for i, ((_, res), (_, zres)) in enumerate(zip(data, zs)):
-        engine.backward(res.tape, engine.log_grad_seed(res.root, scale * resp[:, i] / b))
-        engine.backward(zres.tape, engine.log_grad_seed(zres.root, np.array([-rho[i]])))
-    if mixture and model.store.blocks[model.weight_block].trainable:
+    scale = 2.0 if isinstance(parts[0], SquaredCircuit) else 1.0  # log c^2 = 2 log|c|
+    first = 0
+    for (_, res), (_, zres) in zip(data, zs):
+        part = slice(first, first + zres.root.log_magnitude.size)  # the part's components
+        seed = engine.log_grad_seed(res.root, (scale * resp[:, part] / b).T.reshape(res.root.shape))
+        engine.backward(res.tape, seed)
+        seed = engine.log_grad_seed(zres.root, -rho[part].reshape(zres.root.shape))
+        engine.backward(zres.tape, seed)
+        first = part.stop
+    if isinstance(model, CircuitMixture) and model.store.blocks[model.weight_block].trainable:
         # lam = exp(theta), so d/dtheta of the batch mean is r - rho itself; a
         # fixed block trains nothing and gets no gradient
         grad = model.store.grad_view(model.weight_block)
         grad += resp.mean(axis=0) - rho
     return batch_ll
+
+
+def _stacked(mixture):
+    """The stack of a mixture's components when there are at least two and
+    their circuits' layers pair up (:func:`pcsq.circuits.stack_stores`): a
+    StackedCircuit over the stacked store, within a SquaredCircuit for
+    squared components.  None for any other mixture.  It is built once per
+    list of components and never saved."""
+    comps = list(mixture.components)
+    cached = getattr(mixture, "_stack", None)
+    if cached is None or list(map(id, cached[0])) != list(map(id, comps)):
+        cached = mixture._stack = (comps, _build_stack(comps))
+    return cached[1]
+
+
+def _build_stack(comps):
+    if len(comps) < 2:
+        return None
+    squared = isinstance(comps[0], SquaredCircuit)
+    sources = [c.source for c in comps] if squared else comps
+    store = stack_stores(sources)
+    if store is None:
+        return None
+    source = StackedCircuit(sources[0].layers, store, comps)
+    if not squared:
+        return source
+    return SquaredCircuit(StackedCircuit(comps[0].circuit.layers, store, comps), source)
 
 
 def _model_z_count(model):

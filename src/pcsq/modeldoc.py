@@ -81,6 +81,11 @@ def _store_from_parts(blocks, values_doc):
     values = _decode_values(values_doc)
     for rec in blocks:
         size = int(np.prod(rec["shape"])) if rec["shape"] else 1
+        if rec["offset"] != store.values.size:  # blocks lie end to end, in offset order
+            raise ConfigError(
+                f"parameter block {rec['name']!r} has offset {rec['offset']}; "
+                f"the blocks before it end at {store.values.size}"
+            )
         store.add_block(
             rec["name"],
             tuple(rec["shape"]),

@@ -229,13 +229,15 @@ class OutOfScaledRange(ArithmeticError):
 @dataclass
 class ScaledTensor:
     """Row b is values[b] * exp(log_scale[b]): a (rows, width) array and a
-    (rows, 1) column.  A live row has a finite scale; a zero row has values
-    0 and scale -inf.  Rules that sum renormalize each live row to largest
-    |value| 1; products of rows are left as they fall.  The rules of
-    unsquared layers keep values column-major, where a per-row maximum
-    is an elementwise maximum across contiguous columns rather than a
-    short reduction per row (about 4x faster on 1024 x 64 values, 2-core
-    x86 VM)."""
+    (rows, 1) column, or a stack of them along leading axes, (C, rows,
+    width) and (C, rows, 1) for a stacked circuit's C components
+    (:mod:`pcsq.engine`).  A live row has a finite scale; a zero row has
+    values 0 and scale -inf.  Rules that sum renormalize each live row to
+    largest |value| 1; products of rows are left as they fall.  The rules
+    of unsquared layers keep each slice's values column-major, where a
+    per-row maximum is an elementwise maximum across contiguous columns
+    rather than a short reduction per row (about 4x faster on 1024 x 64
+    values, 2-core x86 VM)."""
 
     values: np.ndarray
     log_scale: np.ndarray
@@ -251,24 +253,27 @@ class ScaledTensor:
         writeable and column-major (as Gaussian and value-table inputs
         return it); a read-only array, such as a cached integral, is
         copied and never written."""
-        t = x.log_magnitude.T  # (width, rows): t.T is column-major
+        t = x.log_magnitude.swapaxes(-1, -2)  # (..., width, rows): rows column-major
         if not (t.flags.c_contiguous and t.flags.writeable):
             t = t.copy()
-        top = np.max(t, axis=0, keepdims=True)  # -inf on a zero row
+        top = np.max(t, axis=-2, keepdims=True)  # -inf on a zero row
         with np.errstate(invalid="ignore"):
             t -= np.where(top == -np.inf, 0.0, top)
         np.exp(t, out=t)
-        t *= x.sign.T
-        return cls(t.T, top.T)
+        t *= x.sign.swapaxes(-1, -2)
+        return cls(t.swapaxes(-1, -2), top.swapaxes(-1, -2))
 
     def to_slog(self) -> SignedLogTensor:
         with np.errstate(divide="ignore"):
             return SignedLogTensor(np.log(np.abs(self.values)) + self.log_scale, np.sign(self.values))
 
     def reshape(self, *shape):
-        """A one-row tensor as one block under its one scale: the (K,) or
-        (K, K) adjoint an integral VJP takes."""
-        return ScaledTensor(self.values.reshape(*shape), self.log_scale.reshape(()))
+        """A one-row tensor as one block under its one scale: the (..., K)
+        or (..., K, K) adjoint an integral VJP takes, whose scale keeps the
+        leading axes and broadcasts over the block."""
+        values = self.values.reshape(*shape)
+        lead = self.log_scale.shape[:-2]
+        return ScaledTensor(values, self.log_scale.reshape(lead + (1,) * (values.ndim - len(lead))))
 
     def to_linear(self):
         with np.errstate(over="ignore"):
@@ -300,14 +305,15 @@ def renormalized(raw, log_scale) -> ScaledTensor:
 
 
 def row_weights(log_scale):
-    """(e^C, r) for the largest live row scale C and the row weights r =
-    exp(log_scale - C), so that a batch sum of rows t_b exp(log_scale_b)
-    is e^C sum_b r_b t_b.  Raises OutOfScaledRange where a live row's
-    weight is below exp(-700)."""
-    top = np.max(log_scale, initial=-np.inf)
-    if top == -np.inf:  # no live row
-        return 0.0, np.zeros_like(log_scale)
-    shift = log_scale - top
+    """(e^C, r) for the largest live row scale C of the (..., rows, 1)
+    ``log_scale`` and the row weights r = exp(log_scale - C), so that a
+    batch sum of rows t_b exp(log_scale_b) is e^C sum_b r_b t_b; with
+    leading axes, each (rows, 1) slice has its own C, and e^C is
+    (..., 1, 1).  A slice with no live row gets e^C = 0 and r = 0.
+    Raises OutOfScaledRange where a live row's weight is below
+    exp(-700)."""
+    top = np.max(log_scale, axis=-2, keepdims=True, initial=-np.inf)
+    shift = log_scale - np.where(top == -np.inf, 0.0, top)
     if np.any((shift < _MIN_LOG_SCALE) & (log_scale > -np.inf)):
         raise OutOfScaledRange
     with np.errstate(over="ignore"):

@@ -129,10 +129,11 @@ class BSplineBasis:
     def evaluate(self, coeffs, x):
         """(phi(x) C^T, (first, band)): the values of the units with
         coefficient rows C, a gather of C's band columns, and the band of
-        :meth:`band`, which their VJP reuses."""
+        :meth:`band`, which their VJP reuses.  A (..., K, bases) stack of
+        coefficients gives (..., len(x), K) values over one band."""
         first, band = self.band(x)
-        live = np.take(coeffs.T, first + np.arange(self.order + 1)[:, None], axis=0)
-        return np.einsum("rn,rnk->nk", band.T, live), (first, band)
+        live = np.take(coeffs.swapaxes(-1, -2), first + np.arange(self.order + 1)[:, None], axis=-2)
+        return np.einsum("rn,...rnk->...nk", band.T, live), (first, band)
 
     def live_band(self, feature):
         return feature

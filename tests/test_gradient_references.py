@@ -11,20 +11,24 @@ log-values from its taped data passes, whose scaled values round
 differently from an untaped pass, and its weights' free gradient is
 r - rho.  Mixture gradients, which no other test checks, are also held
 against central finite differences (acceptance criterion 8's method),
-and the scaled taped passes against the signed log-space ones.
+and the scaled taped passes against the signed log-space ones.  The
+mixtures above mix a binary and a linear tree, so they take the
+per-component loop; a mixture whose components share one layer tree
+runs one stacked pass instead, and its step is held against the loop's.
 """
 
 import numpy as np
 import pytest
 
-from pcsq import engine, inference
-from pcsq.circuits import TensorizedCircuit, from_region_graph
+from pcsq import engine, inference, learning
+from pcsq.circuits import StackedCircuit, TensorizedCircuit, from_region_graph
 from pcsq.errors import ConfigError, NumericError
 from pcsq.families import (
     BinomialFamily,
     CategoricalFamily,
     EmbeddingFamily,
     GaussianFamily,
+    RbfKernelFamily,
     SplineFamily,
 )
 from pcsq.learning import _accumulate_gradients, _stores, init_parameters
@@ -236,6 +240,181 @@ def test_one_data_pass_and_one_fresh_z_per_component(rng, monkeypatch):
     _gradients(model, _accumulate_gradients, x)
     assert passes == {"data": 2, "z": 2}
     assert [inference.z_eval_count(c) - n for c, n in zip(model.components, before)] == [1, 1]
+
+
+# --- mixtures whose components share one layer tree --------------------------
+
+
+def _matching_mixture(kind, family, rng, seeds, d=4, build=build_binary_tree, product="hadamard"):
+    """A mixture of one component per region-graph seed, each drawn with its
+    own parameters; with equal seeds, or seeds that only reorder factors,
+    the components' layers pair up."""
+    monotonic = kind == "monotonic"
+    factory, x = _inputs(family, monotonic, rng, d)
+    comps = []
+    for i, seed in enumerate(seeds):
+        c = from_region_graph(
+            build(d, seed), 3, product, factory, sum_reparam="exp" if monotonic else "identity"
+        )
+        init_parameters(c, "uniform(0,1)" if monotonic else "normal(0.3,0.5)", seed=20 + i)
+        comps.append(c if monotonic else square(c))
+    mix = CircuitMixture.from_components(comps, learnable=True)
+    mix.store.set_free(mix.weight_block, rng.normal(size=len(comps)))
+    return mix, x
+
+
+def _per_component(monkeypatch):
+    """Make every mixture take the per-component loop."""
+    monkeypatch.setattr(learning, "_stacked", lambda mixture: None)
+
+
+def _step(model, x):
+    for s in _stores(model):
+        s.zero_grad()
+    ll = _accumulate_gradients(model, x)
+    return ll, [s.gradients.copy() for s in _stores(model)]
+
+
+# (region-graph builder, variables, component seeds): equal binary trees, and
+# 2-variable linear trees whose Hadamard factors come in the other order for
+# seeds 3 and 4 than for seed 2
+STACKED_TREES = {
+    "bt-C2": (build_binary_tree, 4, [10, 10]),
+    "bt-C3": (build_binary_tree, 4, [10, 10, 10]),
+    "lt-swapped-C2": (build_linear_tree, 2, [2, 3]),
+    "lt-swapped-C3": (build_linear_tree, 2, [2, 3, 4]),
+}
+
+
+@pytest.mark.parametrize(
+    "tree,product",
+    [(t, "hadamard") for t in STACKED_TREES] + [("bt-C2", "kronecker"), ("bt-C3", "kronecker")],
+)
+@pytest.mark.parametrize("kind", ["squared", "monotonic"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_stacked_step_agrees_with_the_per_component_step(family, kind, tree, product, monkeypatch):
+    build, d, seeds = STACKED_TREES[tree]
+    model, x = _matching_mixture(kind, family, np.random.default_rng(7), seeds, d, build, product)
+    assert learning._stacked(model) is not None
+    ll, got = _step(model, x)
+    _per_component(monkeypatch)
+    want_ll, want = _step(model, x)
+    assert ll == pytest.approx(want_ll, rel=1e-13, abs=0.0)
+    assert len(got) == len(seeds) + 1  # the mixture weights, then each component
+    for g, w in zip(got, want):
+        assert np.any(w != 0.0)
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_a_stacked_step_runs_one_data_pass_and_one_z_pass(rng, monkeypatch):
+    model, x = _matching_mixture("squared", "gaussian", rng, [10, 10, 10])
+    passes = {"data": 0, "z": 0}
+    original = engine.forward
+
+    def counted(circuit, x=None, marginalized=frozenset(), **kwargs):
+        assert isinstance(circuit, StackedCircuit)
+        passes["z" if marginalized else "data"] += 1
+        return original(circuit, x, marginalized, **kwargs)
+
+    monkeypatch.setattr(engine, "forward", counted)
+    before = [inference.z_eval_count(c) for c in model.components]
+    _step(model, x)
+    assert passes == {"data": 1, "z": 1}
+    assert [inference.z_eval_count(c) - n for c, n in zip(model.components, before)] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("tiny", [[0], [0, 1]], ids=["one-tiny-component", "two-tiny-components"])
+def test_a_stacked_step_out_of_scaled_range_reruns_per_component(tiny, monkeypatch):
+    # a component whose root weights are scaled by 1e-200 has a squared Z
+    # pass that underflows in scaled values: the stacked attempt is
+    # abandoned, and the loop reruns that component's Z pass in signed
+    # log-space.  Next to a component of ordinary size, a tiny one has
+    # responsibilities and Z share 0, so neither it nor the weights get a
+    # gradient
+    comps = []
+    for seed in (1, 2):
+        c = from_region_graph(build_binary_tree(4, 0), 2, "hadamard", lambda s, k: GaussianFamily(k))
+        comps.append(init_parameters(square(c), "uniform(0,1)", seed=seed))
+    for i in tiny:
+        source = comps[i].source
+        block = source.layer(source.output_layer).param_block
+        source.store.set_free(block, source.store.free(block) * 1e-200)
+    model = CircuitMixture.from_components(comps, learnable=True)
+    x = np.random.default_rng(0).normal(size=(8, 4))
+    abandoned = []
+    scaled = engine._forward_scaled
+
+    def watched(circuit, *args):
+        try:
+            return scaled(circuit, *args)
+        except OutOfScaledRange:
+            abandoned.append(isinstance(circuit, StackedCircuit))
+            raise
+
+    monkeypatch.setattr(engine, "_forward_scaled", watched)
+    before = [inference.z_eval_count(c) for c in comps]
+    ll, got = _step(model, x)
+    assert abandoned == [True] + [False] * len(tiny)  # the stack's Z pass, then each tiny one's
+    assert [inference.z_eval_count(c) - n for c, n in zip(comps, before)] == [1, 1]
+    _per_component(monkeypatch)
+    want_ll, want = _step(model, x)
+    assert ll == want_ll
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert np.any(w != 0.0) == (len(tiny) == 2 or (i > 0 and i - 1 not in tiny))
+        np.testing.assert_array_equal(g, w)
+
+
+def _family_mixture(factories, seeds=(10, 10), build=build_binary_tree, product="hadamard", k=3):
+    comps = [
+        from_region_graph(build(4, seed), k, product, factory)
+        for seed, factory in zip(seeds, factories)
+    ]
+    return CircuitMixture.from_components([square(c) for c in comps])
+
+
+def _spline(knots):
+    return lambda s, k: SplineFamily(k, BSplineBasis.uniform(2, knots, (-3.0, 3.0)))
+
+
+def _gaussian(s, k):
+    return GaussianFamily(k)
+
+
+@pytest.mark.parametrize(
+    "path,model",
+    [
+        ("stack", lambda: _family_mixture([_gaussian] * 2)),
+        ("stack", lambda: _family_mixture([_gaussian] * 2, product="kronecker")),
+        ("stack", lambda: _family_mixture([_spline(6)] * 3, seeds=(4, 4, 4))),
+        ("stack", lambda: _family_mixture([_gaussian] * 2, seeds=(2, 3), build=build_linear_tree)),
+        ("loop", lambda: _family_mixture([_gaussian], seeds=(10,))),
+        ("loop", lambda: _family_mixture([_gaussian] * 2, seeds=(10, 11))),
+        ("loop", lambda: _family_mixture([_gaussian] * 2, seeds=(2, 3), build=build_linear_tree, product="kronecker")),
+        ("loop", lambda: _family_mixture([_spline(6), _spline(7)])),
+        ("loop", lambda: _family_mixture([_gaussian, lambda s, k: CategoricalFamily(k, 4)])),
+        ("loop", lambda: _family_mixture([lambda s, k: BinomialFamily(k, 5)] * 2)),
+        ("loop", lambda: _family_mixture([lambda s, k: RbfKernelFamily([[0.0], [1.0], [2.0]], 1.0)] * 2, k=3)),
+    ],
+    ids=[
+        "equal-trees",
+        "equal-kronecker-trees",
+        "three-spline-components",
+        "swapped-hadamard-factors",
+        "one-component",
+        "different-trees",
+        "swapped-kronecker-factors",
+        "different-knots",
+        "different-families",
+        "binomial-without-stacked-methods",
+        "rbf-without-stacked-methods",
+    ],
+)
+def test_each_mixture_takes_the_stack_or_the_loop(path, model):
+    mixture = model()
+    stack = learning._stacked(mixture)
+    assert (stack is not None) == (path == "stack")
+    if stack is not None:
+        assert stack.circuit.components == mixture.components
 
 
 @pytest.mark.parametrize("kind", ["squared-mixture", "monotonic-mixture"])

@@ -2,6 +2,7 @@
 amortized partition-function counter, early stopping, the epoch's running
 train_ll and its memory."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -518,3 +519,38 @@ def test_a_training_step_takes_the_scaled_partition_function_path(monkeypatch):
         c.store.values -= 1e-3 * c.store.gradients
         c.store.bump()
     assert signed_log == []
+
+
+def test_a_stacked_rings_mixture_trains_as_its_loop_and_reloads_bit_identically(tmp_path, monkeypatch):
+    # rg seeds 2 and 3 give the two components the same linear tree with
+    # their Hadamard factors in the other order, so training stacks them;
+    # the stack is built while training and is no part of the document
+    from pcsq import cli
+    from pcsq.modeldoc import load_model, model_to_dict, save_model
+
+    settings = {
+        "seed": "2", "dataset.kind": "synthetic", "dataset.name": "rings",
+        "dataset.n_train": "600", "dataset.n_val": "100", "dataset.n_test": "100",
+        "model.rg": "lt", "model.k": "4", "model.family": "spline", "model.knots": "8",
+        "model.spline_order": "2", "model.mode": "squared-nonmonotonic",
+        "model.product": "hadamard", "model.mixture": "2",
+    }  # fmt: skip
+    cfg = cli.resolve_config("train", settings)
+    ds = cli.load_dataset(cfg)
+    config = TrainConfig(batch_size=128, max_epochs=2, patience=2, seed=2)
+    models = []
+    for stacked in (True, False):
+        if not stacked:
+            monkeypatch.setattr(learning, "_stacked", lambda mixture: None)
+        model = init_parameters(cli.build_model(cfg, ds), "uniform(0,1)", seed=2)
+        assert (learning._stacked(model) is not None) == stacked
+        train(model, ds, config)
+        models.append(model)
+    for got, want in zip(learning._stores(models[0]), learning._stores(models[1])):
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-15)
+    path = tmp_path / "model.json"
+    save_model(models[0], path)
+    again = load_model(path)
+    assert path.read_text(encoding="utf-8") == json.dumps(model_to_dict(again)) + "\n"
+    x = ds.split("test")
+    np.testing.assert_array_equal(log_likelihood(again, x), log_likelihood(models[0], x))

@@ -177,6 +177,25 @@ def test_document_without_layers_is_refused(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("block, offset, end", [(1, 0, 2), (2, 1, 4)])
+def test_block_offsets_that_do_not_tile_the_values_are_refused(tmp_path, block, offset, end):
+    # the sizes still add up, so only the offsets show that the blocks
+    # would read overlapping slices of the value vector
+    c = from_region_graph(build_binary_tree(3, seed=0), 2, "hadamard", lambda s, k: GaussianFamily(k))
+    path = tmp_path / "model.json"
+    save_model(c, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    rec = doc["parameter_blocks"][block]
+    assert rec["offset"] == end
+    rec["offset"] = offset
+    message = f"parameter block '{rec['name']}' has offset {offset}; the blocks before it end at {end}"
+    with pytest.raises(ConfigError, match=message):
+        model_from_dict(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        load_model(path)
+
+
 @pytest.mark.parametrize(
     "defect", ["missing file", "undecodable json", "missing key", "mistyped key"]
 )
