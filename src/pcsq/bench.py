@@ -1,10 +1,15 @@
 """Micro-benchmarks: training-step timing, partition-function amortization
-counts, and the log-space vs linear-space overflow sweep.
+counts, marginal throughput, and the log-space vs linear-space overflow
+sweep.
 
 A step-timing row also counts the minor page faults of its timed steps
 (``resource.getrusage``'s ``ru_minflt``), which shows whether passes reuse
 freed heap pages (see :mod:`pcsq.kernels`); the column is empty where the
 ``resource`` module is missing.
+
+A marginal-timing row gives the rows/s of ``marginal_batch`` on the
+step-timing model of the same width and batch size, with the variables
+``marginalized`` ({0}, the first half, all but the last) joined by ``;``.
 
 Writes one flat CSV; rows belong to a ``section`` and leave unrelated
 columns empty.  The overflow sweep records the smallest variable count at
@@ -41,6 +46,8 @@ _COLUMNS = [
     "seconds_per_step",
     "minor_faults_per_step",
     "peak_mb",
+    "marginalized",
+    "rows_per_s",
     "variables",
     "log_z_logspace",
     "linear_z_finite",
@@ -83,6 +90,23 @@ def _timed_steps(model, batch, steps, seed):
     return elapsed / steps, faults_per_step, peak / 1e6, z_per_step
 
 
+def _marginal_rates(model, batch, steps, seed):
+    """(marginalized, rows/s) of ``marginal_batch`` over {0}, the first
+    half of the variables and all but the last (each distinct subset
+    once), from ``steps`` timed calls after one outside the clock."""
+    d = model.variable_count
+    x = np.random.default_rng(seed).normal(size=(batch, d))
+    subsets = dict.fromkeys(tuple(range(n)) for n in (1, max(1, d // 2), max(1, d - 1)))
+    rates = []
+    for marginalized in subsets:
+        inference.marginal_batch(model, x, marginalized)
+        t0 = time.perf_counter()
+        for _ in range(steps):
+            inference.marginal_batch(model, x, marginalized)
+        rates.append((marginalized, batch * steps / (time.perf_counter() - t0)))
+    return rates
+
+
 def _minor_faults():
     if resource is None:
         return None
@@ -119,6 +143,18 @@ def run_benchmarks(
                     "variables": variables,
                 }
             )
+            for marginalized, rate in _marginal_rates(model, batch, steps, seed):
+                rows.append(
+                    {
+                        "section": "marginal_timing",
+                        "k": width,
+                        "batch_size": batch,
+                        "steps": steps,
+                        "marginalized": ";".join(map(str, marginalized)),
+                        "rows_per_s": rate,
+                        "variables": variables,
+                    }
+                )
     crossover = None
     for v in overflow_variables:
         model = _gaussian_squared_model(v, overflow_k, seed, init=overflow_init)

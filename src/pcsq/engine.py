@@ -11,6 +11,20 @@ marginalized is constant across the batch, so it is evaluated once, as
 one row; layers mixing one-row and batch inputs broadcast, and only the
 root is broadcast to the batch.
 
+A squared layer whose whole scope is evidence holds s s^T, for s the
+output of the source layer it squares: f f^T at an input, (W s)(W s)^T at
+a sum, (a * b)(a * b)^T at a Hadamard product, and the interleaved order
+of (a (x) b)(a (x) b)^T at a Kronecker one.  So in a squared pass that
+marginalizes some variables but not all (a marginal, or a sampler's
+conditional), such a layer runs its source layer's rule at width K
+rather than K^2 (squared layer i squares source layer i), and a squared
+product whose scope is partly marginalized widens such a factor to
+s s^T, under twice its scale or by ``signed_outer``, where it reads it.
+A value's width tells the two apart, so a one-unit layer, whose square
+is as wide, stays squared.  Full-evidence passes and Z passes keep K^2
+at every layer; so does every taped pass, which is one of the two or
+runs an unsquared circuit.
+
 One walk evaluates the layers in order, and one sweep replays a tape in
 exact reverse order.  Each carries one of two value types, and each layer
 rule (:func:`_input`, :func:`_sum`, :func:`_product` and the VJPs
@@ -78,7 +92,10 @@ NumericError leaves the store as it was.
 rules, along the one path from the root to the input layer of a chosen
 variable.  The root is linear in that layer's output, so the adjoint
 turns the layer's values, or its integrals up to a point, into the
-circuit's conditional values and CDFs without another circuit pass.
+circuit's conditional values and CDFs without another circuit pass.  A
+sampler's conditional marginalizes the variable, so the path's layers
+are K^2 wide, and a product on it widens a width-K factor as the walk
+does before its VJP.
 
 A :class:`pcsq.circuits.StackedCircuit` of C circuits runs the same walk
 and sweep with a leading component axis on every scaled value: (C, rows,
@@ -97,7 +114,7 @@ own and shares only the input layers' log f with them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -231,8 +248,10 @@ def forward(
     An untaped pass sets each layer's entry of ``outputs`` to None once
     its one reader has run, so only the root is left.
     ``keep_outputs=True`` keeps every entry, in signed log-space, for
-    callers that read intermediate outputs (:func:`path_adjoint`).
-    Taped passes and linear passes always keep every output.
+    callers that read intermediate outputs (:func:`path_adjoint`); in a
+    squared pass with marginalized and evidence variables, an evidence-only
+    layer's entry is its width-K source value (module docstring).  Taped
+    passes and linear passes always keep every output.
     """
     if space not in ("slog", "linear"):
         raise ConfigError(f"unknown space {space!r}: expected 'slog' or 'linear'")
@@ -291,16 +310,26 @@ def _forward_slog(circuit, x, marginalized, batch, want_tape=False, keep_outputs
 def _walk(circuit, x, marginalized, batch, want_tape, keep, scaled):
     """Evaluate every layer in scaled-linear values (``scaled``) or in
     signed log-space, releasing each layer's inputs once it has run unless
-    the pass keeps its outputs.  Raises OutOfScaledRange where a scaled
-    rule's guard trips."""
+    the pass keeps its outputs.  In a squared pass with marginalized and
+    evidence variables, a layer of more than one unit whose scope is all
+    evidence runs its source layer's rule at width K, and a squared
+    product widens such a factor (:func:`_factors`).  Raises
+    OutOfScaledRange where a scaled rule's guard trips."""
     saved = {} if want_tape else None
     outputs = []
+    sources = None
+    if 0 < len(marginalized) < circuit.variable_count and circuit.layers[-1].squared:
+        sources = _source_layers(circuit)
     for layer in circuit.layers:
+        if sources and layer.output_width > 1 and marginalized.isdisjoint(layer.scope):
+            layer = sources[layer.layer_id]  # s, where the squared layer holds s s^T
         if layer.kind == INPUT:
             out = _input(circuit, layer, x, marginalized, saved, scaled)
         elif layer.kind == SUM:
             weights = circuit.effective_weights(layer)
             out = _sum(weights, outputs[layer.inputs[0]], layer.squared, saved, layer.layer_id)
+        elif sources:  # a factor may be narrow; other passes skip the width tests
+            out = _product(layer, *_factors(circuit, layer, outputs))
         else:
             i, j = layer.inputs
             out = _product(layer, outputs[i], outputs[j])
@@ -333,13 +362,44 @@ def _input(circuit, layer, x, marginalized, saved, scaled):
         f = ScaledTensor.from_slog(f)
     if saved is not None:
         saved[layer.layer_id] = (f, features)
-    if not layer.squared:
-        return f
-    if not scaled:
-        return signed_outer(f, f)
-    v = f.values  # f_i f_j: K exponentials per row rather than K^2
-    outer = (v[..., :, None] * v[..., None, :]).reshape(*v.shape[:-1], layer.output_width)
-    return ScaledTensor(outer, 2.0 * f.log_scale)
+    return _outer(f) if layer.squared else f  # f_i f_j: K exponentials per row rather than K^2
+
+
+def _source_layers(circuit):
+    """The layers of the circuit a squared circuit squares, by id
+    (:func:`pcsq.squaring.square` builds squared layer i from source layer
+    i), built once per circuit."""
+    layers = getattr(circuit, "_source_layers", None)
+    if layers is None:
+        layers = [
+            replace(layer, output_width=math.isqrt(layer.output_width), squared=False)
+            for layer in circuit.layers
+        ]
+        circuit._source_layers = layers
+    return layers
+
+
+def _outer(s):
+    """s s^T of each row, flattened row-major: values under twice the
+    scale, or signed_outer in signed log-space."""
+    if not isinstance(s, ScaledTensor):
+        return signed_outer(s, s)
+    v = s.values
+    outer = v[..., :, None] * v[..., None, :]
+    return ScaledTensor(outer.reshape(*v.shape[:-1], v.shape[-1] ** 2), 2.0 * s.log_scale)
+
+
+def _factors(circuit, layer, outputs):
+    """A product layer's two factors from the layer ``outputs``.  A squared
+    layer widens a narrow factor, the source output s of a squared layer
+    whose scope is all evidence, to the s s^T that layer holds."""
+    i, j = layer.inputs
+    a, b = outputs[i], outputs[j]
+    if layer.squared and a.shape[-1] != circuit.layers[i].output_width:
+        a = _outer(a)
+    if layer.squared and b.shape[-1] != circuit.layers[j].output_width:
+        b = _outer(b)
+    return a, b
 
 
 def _sum(weights, x, squared, save_to=None, layer_id=None):
@@ -632,7 +692,7 @@ def path_adjoint(circuit: TensorizedCircuit, outputs, variable):
             weights = circuit.effective_weights(layer)
             adj = _sum(np.ascontiguousarray(weights.T), adj, layer.squared)
         else:
-            factors = (outputs[j] for j in layer.inputs)
+            factors = _factors(circuit, layer, outputs)  # widened where the path meets evidence
             (adj,) = _product_vjp(circuit, layer, adj, *factors, positions=[i])
         layer = circuit.layer(layer.inputs[i])
     return layer, adj

@@ -14,6 +14,7 @@ they hold; ``log_density`` refuses a row where either kind of model is 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,11 +130,13 @@ def partition_function(model, want_tape=False):
             component._z_evals = z_eval_count(component) + 1
     root = result.root
     z = SignedLogTensor(root.log_magnitude[..., 0], root.sign[..., 0])
-    if (z.sign <= 0.0).any():
+    # one Z, or C of a stack: Python-level tests, cheaper than numpy
+    # reductions on a few entries
+    if any(sign <= 0.0 for sign in z.sign.flat):
         raise DegenerateModelError(
             "partition function is zero or negative; the model cannot be normalized"
         )
-    if not np.isfinite(z.log_magnitude).all():
+    if not all(map(math.isfinite, z.log_magnitude.flat)):
         raise NumericError("partition function is not finite")
     if want_tape:
         return z, result
@@ -161,10 +164,16 @@ def marginalize(model, query: Query) -> SignedLogTensor:
     return out
 
 
+# marginal rows, sample rows (continuous columns) or distinct prefixes
+# (discrete columns) evaluated together in one forward pass: a squared
+# pass's live layer outputs take rows x K^2 each
+_CHUNK = 256
+
+
 def marginal_batch(model, x, marginalized) -> SignedLogTensor:
-    """Vectorized marginalization over a batch of evidence rows.  A
-    mixture's marginal is sum_i weight_i m_i(x), over its components'
-    marginals m_i."""
+    """Vectorized marginalization over a batch of evidence rows, _CHUNK
+    rows per forward pass.  A mixture's marginal is sum_i weight_i m_i(x),
+    over its components' marginals m_i."""
     if _is_mixture(model):
         parts = [marginal_batch(c, x, marginalized) for c in model.components]
         stacked = SignedLogTensor(
@@ -173,7 +182,16 @@ def marginal_batch(model, x, marginalized) -> SignedLogTensor:
         )
         return signed_logsumexp(model.weights()[None, :], stacked).reshape(parts[0].shape)
     graph = _graph(model)
-    return engine.forward(graph, x, marginalized=frozenset(marginalized)).root
+    marginalized = frozenset(marginalized)
+    if np.ndim(x) < 2 or len(x) <= _CHUNK:
+        return engine.forward(graph, x, marginalized=marginalized).root
+    parts = [
+        engine.forward(graph, x[start : start + _CHUNK], marginalized=marginalized).root
+        for start in range(0, len(x), _CHUNK)
+    ]
+    return SignedLogTensor(
+        np.concatenate([p.log_magnitude for p in parts]), np.concatenate([p.sign for p in parts])
+    )
 
 
 def _log_partition(model) -> float:
@@ -215,9 +233,6 @@ def _family_for_variable(model, v):
     raise ConfigError(f"no input layer covers variable {v}")
 
 
-# sample rows (continuous columns) or distinct prefixes (discrete columns)
-# conditioned together in one forward pass
-_CHUNK = 256
 # a continuous draw bisects until |CDF - target| <= _CDF_TOL * mass, or _BISECTION_STEPS times
 _CDF_TOL = 1e-9
 _BISECTION_STEPS = 80

@@ -326,6 +326,11 @@ class TestCommands:
         assert timing and all(float(row[z_col]) == 1.0 for row in timing)
         faults = [float(row[fault_col]) for row in timing]
         assert all(np.isfinite(f) and f >= 0 for f in faults)
+        # marginal rows/s per (k, batch) over {0}, the first half and all but the last
+        marg_col, rate_col = header.index("marginalized"), header.index("rows_per_s")
+        marginal = [l.split(",") for l in lines[1:] if l.startswith("marginal_timing")]
+        assert sorted(row[marg_col] for row in marginal) == sorted(["0", "0;1", "0;1;2"] * 2)
+        assert all(float(row[rate_col]) > 0 for row in marginal)
 
 
 class TestExitCodes:

@@ -396,6 +396,101 @@ def test_a_marginal_row_that_cancels_exactly_is_an_exact_zero(monkeypatch):
     assert np.isfinite(got.log_magnitude[1]) and got.sign[1] == -1.0
 
 
+def test_a_marginal_whose_evidence_squares_below_the_scaled_range_stays_scaled(monkeypatch):
+    # x0 and x1 meet at the bottom of the chain (2, 3, 0, 1), with tables
+    # f(0) = (1, 1e-200) and g(0) = (1e-200, 1): the Hadamard product of the
+    # evidence is (1e-200, 1e-200), which the sum above it renormalizes at
+    # width K, while its square (f g)(f g)^T, 1e-400 in every entry,
+    # underflows to 0 and trips that sum's guard.  With x2 and x3
+    # marginalized the square is formed only where the chain meets x3
+    c = from_region_graph(
+        linear_tree_from_order([2, 3, 0, 1]), 2, "hadamard", lambda s, k: EmbeddingFamily(k, 2)
+    )
+    sq = init_parameters(square(c), "uniform(0,1)", seed=3)
+    tables = {layer.scope: layer.family.blocks["values"] for layer in c.input_layers()}
+    c.store.set_free(tables[(0,)], [[1.0, 0.5], [1e-200, 0.5]])
+    c.store.set_free(tables[(1,)], [[1e-200, 0.5], [1.0, 0.5]])
+    c.store.bump()
+    x = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    trips = _watch_trips(monkeypatch, "_forward_scaled")
+    got = marginal_batch(sq, x, {2, 3})
+    assert trips == []
+    assert got.log_magnitude[0] < -700.0 and np.all(got.sign == 1.0)
+    monkeypatch.setattr(engine, "_forward_scaled", _signed_log_only)
+    want = marginal_batch(sq, x, {2, 3})
+    np.testing.assert_array_equal(got.sign, want.sign)
+    # the values underflow in linear space: relative error as a log difference
+    assert np.max(np.abs(got.log_magnitude - want.log_magnitude)) <= 1e-12
+
+
+def _layer_shapes(monkeypatch):
+    """The shape of each layer's output as the forward rules return it, by
+    layer id, filled while the test runs (a later pass overwrites)."""
+    shapes = {}
+
+    def watch(name, layer_id):
+        rule = getattr(engine, name)
+
+        def watched(*args):
+            out = rule(*args)
+            shapes[layer_id(args)] = out.shape
+            return out
+
+        monkeypatch.setattr(engine, name, watched)
+
+    watch("_input", lambda args: args[1].layer_id)
+    watch("_sum", lambda args: args[4])  # the walk passes the layer id
+    watch("_product", lambda args: args[0].layer_id)
+    return shapes
+
+
+@pytest.mark.parametrize("product", ["hadamard", "kronecker"])
+@pytest.mark.parametrize("tree", ["bt", "lt"])
+def test_evidence_only_layers_of_a_squared_marginal_run_at_source_width(
+    rng, monkeypatch, tree, product
+):
+    # a squared layer whose scope is all evidence holds s s^T for the output
+    # s of its source layer: a pass that marginalizes something carries s at
+    # width K and widens it where a reader's scope is partly marginalized; a
+    # layer whose scope is all marginalized is one row, and Z passes and
+    # full-evidence passes keep K^2 at every layer
+    d, rows = 5, 3
+    rg = build_binary_tree(d, 2) if tree == "bt" else build_linear_tree(d, 2)
+    c = from_region_graph(rg, 3, product, lambda s, k: GaussianFamily(k))
+    sq = init_parameters(square(c), "normal(0,1)", seed=4)
+    graph, root = sq.circuit, sq.circuit.output_layer
+    x = rng.normal(size=(rows, d))
+    shapes = _layer_shapes(monkeypatch)
+
+    def expected(marginalized, batch):
+        want = {}
+        for layer in graph.layers:
+            narrow = marginalized and marginalized.isdisjoint(layer.scope)
+            width = c.layer(layer.layer_id).output_width if narrow else layer.output_width
+            want[layer.layer_id] = (1 if set(layer.scope) <= marginalized else batch, width)
+        return want
+
+    def kept(marginalized, evidence):
+        outputs = engine.forward(graph, evidence, marginalized, keep_outputs=True).outputs
+        return {i: out.shape for i, out in enumerate(outputs) if i != root}
+
+    conditionals = [frozenset(range(v, d)) for v in range(1, d)]  # the sampler's
+    for marginalized in [frozenset({0}), frozenset({1, 3}), frozenset()] + conditionals:
+        want = expected(marginalized, rows)
+        assert any(w[1] == 3 for w in want.values()) == bool(marginalized)
+        shapes.clear()
+        marginal_batch(sq, x, marginalized)
+        assert shapes == want, sorted(marginalized)
+        assert kept(marginalized, x) == {i: w for i, w in want.items() if i != root}
+    everything = frozenset(range(d))
+    want = expected(everything, 1)
+    assert all(w == (1, layer.output_width) for w, layer in zip(want.values(), graph.layers))
+    shapes.clear()
+    partition_function(sq)
+    assert shapes == want
+    assert kept(everything, None) == {i: w for i, w in want.items() if i != root}
+
+
 @pytest.mark.parametrize("product", ["hadamard", "kronecker"])
 @pytest.mark.parametrize("family", ["gaussian", "categorical"])
 def test_taped_and_untaped_partition_functions_agree_bitwise(family, product):

@@ -2,6 +2,7 @@
 against enumeration and quadrature oracles."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,15 @@ from pcsq.splines import BSplineBasis
 from pcsq.squaring import square
 
 from conftest import enumerate_assignments, random_discrete_circuit
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _uniform_categorical_model(m=4):
@@ -262,6 +272,22 @@ class TestMarginalize:
         c, d = random_discrete_circuit(rng)
         sq = square(c)
         assert marginal_batch(sq, np.zeros((0, d)), {d - 1}).shape == (0,)
+
+    def test_a_long_batch_runs_in_chunks_of_rows(self):
+        # a squared pass holds rows x K^2 per live layer output, so 3 chunks
+        # of rows evaluated in turn peak as one chunk does, whichever
+        # variables are marginalized, and give one pass's values
+        c = from_region_graph(build_binary_tree(8, 0), 16, "hadamard", lambda s, k: GaussianFamily(k))
+        sq = init_parameters(square(c), "uniform(0,1)", seed=0)
+        rows = inference._CHUNK
+        x = np.random.default_rng(0).normal(size=(3 * rows - 5, 8))
+        for marg in ({0}, {0, 1, 2}, {0, 5}):
+            got = marginal_batch(sq, x, marg)
+            want = engine.forward(sq.circuit, x, marginalized=marg).root
+            np.testing.assert_allclose(got.log_magnitude, want.log_magnitude, rtol=1e-13)
+            np.testing.assert_array_equal(got.sign, want.sign)
+            one = _peak(lambda: marginal_batch(sq, x[:rows], marg))
+            assert _peak(lambda: marginal_batch(sq, x, marg)) < 1.25 * one, sorted(marg)
 
 
 class TestPlainCircuitMarginalization:
