@@ -349,7 +349,8 @@ def _cmd_sample(cfg, out):
 
 
 def _grid_bounds(cfg, model):
-    first = model.components[0] if isinstance(model, CircuitMixture) else model
+    """(lo, hi) of x1 and x2: as set, or else over every component's sample bracket."""
+    components = model.components if isinstance(model, CircuitMixture) else [model]
     bounds = []
     for v, key in ((0, "x1"), (1, "x2")):
         for bound in (f"grid.{key}_lo", f"grid.{key}_hi"):
@@ -358,13 +359,15 @@ def _grid_bounds(cfg, model):
         lo = cfg[f"grid.{key}_lo"]
         hi = cfg[f"grid.{key}_hi"]
         if np.isnan(lo) or np.isnan(hi):
-            fam = inference._family_for_variable(first, v)
             try:
-                lo2, hi2 = fam.sample_bracket(first.store)
+                brackets = [
+                    inference._family_for_variable(c, v).sample_bracket(c.store)
+                    for c in components
+                ]
             except NotImplementedError as exc:
                 raise ConfigError(f"grid bounds for {key} not given and not derivable") from exc
-            lo = lo2 if np.isnan(lo) else lo
-            hi = hi2 if np.isnan(hi) else hi
+            lo = min(b[0] for b in brackets) if np.isnan(lo) else lo
+            hi = max(b[1] for b in brackets) if np.isnan(hi) else hi
         bounds.append((lo, hi))
     return bounds
 
@@ -446,8 +449,8 @@ def _cmd_reduce_mps(cfg, out):
     err2 = float(np.max(np.abs(got2 - want**2)))
     save_model(squared, os.path.join(out, "model.json"))
     cp_errs = ";".join(repr(e) for e in report.cp_errors) or "none"
-    row = [grid.shape[0], err, err2, cp_errs, report.exact_fallbacks]
-    header = "assignments,max_abs_error,squared_max_abs_error,cp_errors,cp_exact_fallbacks"
+    row = [grid.shape[0], err, err2, cp_errs]
+    header = "assignments,max_abs_error,squared_max_abs_error,cp_errors"
     write_csv(os.path.join(out, "verification.csv"), header.split(","), [row])
     print(f"mps reduction: max abs error {err:.3e}; squared {err2:.3e}")
     return 0

@@ -45,17 +45,17 @@ layer's output once it is released.
   layers) and adds scales; a sum layer is one GEMM, or on a squared
   layer's K x K rows X the two of W X W^T, and a renormalization of each
   row to largest |value| 1 (a zero row gets values 0 and scale -inf).
-  Backward, a sum layer's input adjoint is a GEMM with W and a
-  renormalization, and its weight gradient e^C (adj r)^T u, where
-  r_b = exp(c_b - C) for c_b the adjoint's plus the input's row scale and
-  C their maximum.  A squared sum with output adjoint A has input adjoint
-  W^T A W and weight gradient e^C (A^T V + A W X^T), V = W X saved by the
-  forward pass, accumulated by ``slse_pair_accum`` over the rows of A and
-  A^T against those of V and W X^T.  A product adjoint multiplies values
-  and adds scales (a Kronecker adjoint, after un-interleaving a squared
-  one, contracts and renormalizes), and an input layer's VJP sums over
-  the batch under the same row weights, or in a Z pass takes its
-  integral's adjoint as one block under one scale.
+  Backward, a sum layer's input adjoint is its forward rule on W^T
+  (W^T A W for output adjoint A, on a squared one), and its weight
+  gradient e^C (adj r)^T u, where r_b = exp(c_b - C) for c_b the
+  adjoint's plus the input's row scale and C their maximum; a squared
+  one's is e^C (A^T V + A W X^T), V = W X saved by the forward pass,
+  accumulated by ``slse_pair_accum`` over the rows of A and A^T against
+  those of V and W X^T.  A Hadamard adjoint is the forward product of the
+  output adjoint and the other factor (a Kronecker adjoint, after
+  un-interleaving a squared one, contracts and renormalizes), and an
+  input layer's VJP sums over the batch under the same row weights, or
+  in a Z pass takes its integral's adjoint as one block under one scale.
 - Signed log-space values (:class:`pcsq.slog.SignedLogTensor`), by the
   same rules in (log|y|, sign y): passes that keep their outputs for
   :func:`path_adjoint` (the sampler's conditionals), and the rerun of a
@@ -328,11 +328,8 @@ def _walk(circuit, x, marginalized, batch, want_tape, keep, scaled):
         elif layer.kind == SUM:
             weights = circuit.effective_weights(layer)
             out = _sum(weights, outputs[layer.inputs[0]], layer.squared, saved, layer.layer_id)
-        elif sources:  # a factor may be narrow; other passes skip the width tests
-            out = _product(layer, *_factors(circuit, layer, outputs))
         else:
-            i, j = layer.inputs
-            out = _product(layer, outputs[i], outputs[j])
+            out = _product(layer, *_factors(circuit, layer, outputs))
         first, second = vars(out).values()  # values and scales, or log|y| and signs
         if np.isnan(first).any() or np.isnan(second).any():
             raise NumericError(f"NaN produced at layer {layer.layer_id} ({layer.kind})")
@@ -405,9 +402,9 @@ def _factors(circuit, layer, outputs):
 def _sum(weights, x, squared, save_to=None, layer_id=None):
     """A sum layer's rule W x, or W X W^T on the (k, k) blocks X of a
     squared layer's rows; scaled rows are then renormalized.  Called with
-    W^T on an output adjoint, the same rule gives the input adjoint (of a
-    squared layer, only in signed log-space).  A squared layer's first
-    stage V = W X is saved under ``layer_id`` when ``save_to`` is given."""
+    W^T on an output adjoint A, the same rule gives the input adjoint, W^T A
+    or W^T A W.  A squared layer's first stage V = W X is saved under
+    ``layer_id`` when ``save_to`` is given."""
     s, k = weights.shape[-2:]
     if isinstance(x, ScaledTensor):
         if not squared:  # the GEMM's transpose, so its result is column-major
@@ -611,7 +608,7 @@ def _sum_vjp(weights, u, adj, squared, v):
     pb = np.concatenate([v.reshape(*lead, s, k), wxt], axis=-2)
     grad = _pair_accum(pa, pb) * r
     grad *= scale
-    return grad, renormalized((wt @ (a @ weights)).reshape(*lead, 1, k * k), adj.log_scale)
+    return grad, _sum(wt, adj, True)
 
 
 def _pair_accum(a, b):
@@ -629,19 +626,16 @@ def _pair_accum(a, b):
 
 def _product_vjp(circuit, layer, adj, a, b, positions=(0, 1)):
     """Adjoints of the factors at ``positions`` of a product layer with
-    factors a and b, given the adjoint of its output.  A scaled Hadamard
-    adjoint is checked against the exp(-700) row bound where it enters an
-    input layer; a Kronecker adjoint sums, so a scaled one renormalizes."""
+    factors a and b, given the adjoint of its output.  A Hadamard adjoint is
+    :func:`_product` of it and the other factor, and a scaled one entering
+    an input layer is checked against the exp(-700) row bound; a Kronecker
+    adjoint sums, so a scaled one renormalizes."""
     scaled = isinstance(adj, ScaledTensor)
     others = (b, a)
     if layer.kind == HADAMARD:
-        if not scaled:
-            return [signed_mul(adj, others[i]) for i in positions]
-        adjoints = []
-        for i in positions:
-            t = ScaledTensor(adj.values * others[i].values, adj.log_scale + others[i].log_scale)
-            adjoints.append(t.checked() if circuit.layer(layer.inputs[i]).kind == INPUT else t)
-        return adjoints
+        adjoints = [_product(layer, adj, others[i]) for i in positions]
+        entering = [scaled and circuit.layer(layer.inputs[i]).kind == INPUT for i in positions]
+        return [t.checked() if check else t for t, check in zip(adjoints, entering)]
     if layer.squared:  # un-interleave (a1, b1, a2, b2) into (a1, a2) x (b1, b2)
         ka, kb = _squared_widths(a, b)
         shape, blocks = adj.shape, adj.shape[:-1] + (ka, kb, ka, kb)

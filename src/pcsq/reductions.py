@@ -91,7 +91,12 @@ def _shallow_kernel_component(psd: PsdModel, weights):
     return TensorizedCircuit(layers, store).assert_valid()
 
 
-def psd_to_circuit(psd: PsdModel, eig_clip=1e-9) -> CircuitMixture:
+# eigenvalues within this fraction of the largest |eigenvalue| (or of 1)
+# of zero are numerical dust
+_EIG_CLIP = 1e-9
+
+
+def psd_to_circuit(psd: PsdModel) -> CircuitMixture:
     """Express k(x)^T A k(x) as a non-negative mixture of squared
     one-sum-layer circuits sharing the kernel units.
 
@@ -101,9 +106,9 @@ def psd_to_circuit(psd: PsdModel, eig_clip=1e-9) -> CircuitMixture:
     """
     values, vectors = jacobi_eigh(psd.matrix)
     scale = max(np.abs(values).max(initial=0.0), 1.0)
-    if np.any(values < -eig_clip * scale):
+    if np.any(values < -_EIG_CLIP * scale):
         raise ConfigError("matrix has a significantly negative eigenvalue; not PSD")
-    keep = values > eig_clip * scale
+    keep = values > _EIG_CLIP * scale
     if not np.any(keep):
         raise DegenerateModelError("PSD matrix has rank zero")
     components = [
@@ -116,7 +121,14 @@ def psd_to_circuit(psd: PsdModel, eig_clip=1e-9) -> CircuitMixture:
 
 
 # ---------------------------------------------------------------------------
-# CP decomposition (alternating least squares)
+# CP decomposition (index expansion at the maximal rank, else alternating
+# least squares)
+
+# ALS below the maximal rank: seeded restarts of at most _ALS_ITERS sweeps,
+# each stopping once its relative error changes by less than _ALS_TOL
+_ALS_RESTARTS = 5
+_ALS_ITERS = 500
+_ALS_TOL = 1e-10
 
 
 @dataclass
@@ -125,8 +137,7 @@ class CpResult:
     v: np.ndarray          # (m, k) state factor
     c: np.ndarray          # (r, k) right-bond factor
     error: float           # relative Frobenius reconstruction error
-    restarts: int = 0
-    exact_fallback: bool = False
+    restarts: int = 0      # ALS runs made; 0 for the index expansion
 
 
 def _cp_reconstruct(v, b, c):
@@ -134,41 +145,26 @@ def _cp_reconstruct(v, b, c):
 
 
 def _cp_exact(core):
-    """Index-expansion decomposition at the maximal rank min(r^2, m*r)."""
-    m, r, r2 = core.shape
-    if r * r <= m * r:
-        k = r * r
-        b = np.zeros((r, k))
-        c = np.zeros((r, k))
-        v = np.zeros((m, k))
-        for i in range(r):
-            for j in range(r):
-                s = i * r + j
-                b[i, s] = 1.0
-                c[j, s] = 1.0
-                v[:, s] = core[:, i, j]
-    else:
-        k = m * r
-        v = np.zeros((m, k))
-        b = np.zeros((r, k))
-        c = np.zeros((r, k))
-        for x in range(m):
-            for i in range(r):
-                s = x * r + i
-                v[x, s] = 1.0
-                b[i, s] = 1.0
-                c[:, s] = core[x, i, :]
-    return b, v, c
+    """Index-expansion decomposition (b, v, c) at the maximal rank
+    min(r^2, m*r): term s = i*r + j has indicator bond factors and state
+    factor core[:, i, j] (r <= m), or term s = x*r + i has indicator state
+    and left-bond factors and right-bond factor core[x, i, :] (m < r)."""
+    m, r, _ = core.shape
+    if r <= m:
+        return np.repeat(np.eye(r), r, axis=1), core.reshape(m, r * r).copy(), np.tile(np.eye(r), r)
+    return np.tile(np.eye(r), m), np.repeat(np.eye(m), r, axis=1), core.reshape(m * r, r).T.copy()
 
 
-def cp_decompose(core, max_rank=None, iters=500, tol=1e-10, seed=0, restarts=5) -> CpResult:
-    """ALS factorization core[x,i,j] ~= sum_s V[x,s] B[i,s] C[j,s].
+def cp_decompose(core, max_rank=None, seed=0) -> CpResult:
+    """Factorization core[x,i,j] ~= sum_s V[x,s] B[i,s] C[j,s] of rank
+    ``max_rank``, by default the maximal rank min(r^2, m*r).
 
-    Runs seeded restarts, keeps the lowest reconstruction error, and stops
-    a run when the relative-error change drops below ``tol``.  Singular
-    normal equations get a ridge retry.  If ALS stalls above 1e-8 at the
-    maximal rank (where an exact factorization always exists), a
-    deterministic index-expansion construction is substituted and flagged.
+    At the maximal rank the index expansion (:func:`_cp_exact`) is exact:
+    each entry of the core is one term, so the reconstruction error is 0
+    and no ALS solve runs.  A smaller rank runs ALS from ``seed``: seeded
+    restarts, keeping the lowest reconstruction error, each stopping when
+    its relative-error change drops below a tolerance; singular normal
+    equations get a ridge retry.
     """
     core = np.asarray(core, dtype=np.float64)
     if core.ndim != 3 or core.shape[1] != core.shape[2]:
@@ -179,6 +175,10 @@ def cp_decompose(core, max_rank=None, iters=500, tol=1e-10, seed=0, restarts=5) 
     if k < 1 or k > cap:
         raise ConfigError(f"max_rank must be in [1, {cap}]")
     norm = np.linalg.norm(core)
+    if k == cap:
+        b, v, c = _cp_exact(core)
+        error = np.linalg.norm(core - _cp_reconstruct(v, b, c)) / norm if norm else 0.0
+        return CpResult(b, v, c, float(error))
     if norm == 0.0:
         z = np.zeros
         return CpResult(z((r, k)), z((m, k)), z((r, k)), 0.0)
@@ -197,13 +197,13 @@ def cp_decompose(core, max_rank=None, iters=500, tol=1e-10, seed=0, restarts=5) 
             return np.linalg.solve(gram + ridge * np.eye(k), rhs).T
 
     best = None
-    for attempt in range(restarts):
+    for attempt in range(_ALS_RESTARTS):
         rng = np.random.default_rng([seed, attempt])
         v = rng.normal(size=(m, k))
         b = rng.normal(size=(r, k))
         c = rng.normal(size=(r, k))
         prev = np.inf
-        for _ in range(iters):
+        for _ in range(_ALS_ITERS):
             kr = np.einsum("is,js->ijs", b, c).reshape(r * r, k)
             v = solve(kr, unfold0.T)
             kr = np.einsum("xs,js->xjs", v, c).reshape(m * r, k)
@@ -211,7 +211,7 @@ def cp_decompose(core, max_rank=None, iters=500, tol=1e-10, seed=0, restarts=5) 
             kr = np.einsum("xs,is->xis", v, b).reshape(m * r, k)
             c = solve(kr, unfold2.T)
             err = np.linalg.norm(core - _cp_reconstruct(v, b, c)) / norm
-            if abs(prev - err) < tol:
+            if abs(prev - err) < _ALS_TOL:
                 break
             prev = err
         err = float(np.linalg.norm(core - _cp_reconstruct(v, b, c)) / norm)
@@ -219,10 +219,6 @@ def cp_decompose(core, max_rank=None, iters=500, tol=1e-10, seed=0, restarts=5) 
             best = CpResult(b, v, c, err, restarts=attempt + 1)
         if best.error < 1e-12:
             break
-    if best.error > 1e-8 and k == cap:
-        b, v, c = _cp_exact(core)
-        err = float(np.linalg.norm(core - _cp_reconstruct(v, b, c)) / norm)
-        best = CpResult(b, v, c, err, restarts=restarts, exact_fallback=True)
     return best
 
 
@@ -269,13 +265,14 @@ class MpsFactorization:
         return float(vec @ self.cores[-1][x[-1]])
 
     @classmethod
-    def random(cls, d, m, r, seed=0, scale=1.0):
+    def random(cls, d, m, r, seed=0):
+        """Cores of standard normal entries from ``seed``."""
         if d < 2 or m < 1 or r < 1:
             raise ConfigError(f"an MPS needs d >= 2, m >= 1 and r >= 1, got ({d}, {m}, {r})")
         rng = np.random.default_rng(seed)
-        cores = [rng.normal(scale=scale, size=(m, r))]
-        cores += [rng.normal(scale=scale, size=(m, r, r)) for _ in range(d - 2)]
-        cores.append(rng.normal(scale=scale, size=(m, r)))
+        cores = [rng.normal(size=(m, r))]
+        cores += [rng.normal(size=(m, r, r)) for _ in range(d - 2)]
+        cores.append(rng.normal(size=(m, r)))
         return cls(cores)
 
     @classmethod
@@ -314,7 +311,6 @@ class MpsFactorization:
 @dataclass
 class MpsConversionReport:
     cp_errors: list = field(default_factory=list)
-    exact_fallbacks: int = 0
 
 
 def mps_to_circuit(mps: MpsFactorization, cp_config=None, report=None) -> TensorizedCircuit:
@@ -341,7 +337,6 @@ def mps_to_circuit(mps: MpsFactorization, cp_config=None, report=None) -> Tensor
             })
             if report is not None:
                 report.cp_errors.append(res.error)
-                report.exact_fallbacks += int(res.exact_fallback)
             factors.append(res)
             tables.append(res.v.T)
         # chain contractions: W_1 = B_2; W_j = C_j^T B_{j+1}; V_D = (C_{D-1}^T A_D^T)^T

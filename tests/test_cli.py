@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pcsq import cli
+from pcsq import cli, inference
 from pcsq.cli import main, parse_config_text, resolve_config
 from pcsq.modeldoc import load_model
 
@@ -443,6 +443,62 @@ class TestExitCodes:
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "line 4: non-finite cell 'nan'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,schema,standardize,message",
+        [
+            ("", "x1=continuous", "no", "empty file"),
+            (None, "x1=continuous", "no", "No such file"),
+            ("x1\n1\n2\n", "x1=foo", "no", "bad schema entry 'x1': 'foo'"),
+            ("x1,x2\n1,5\n2,5\n3,5\n", "x1=continuous;x2=continuous", "yes", "'x2' is constant"),
+        ],
+        ids=["empty", "unreadable", "unknown-kind", "constant-standardized"],
+    )
+    def test_refused_csv_exits_3(self, tmp_path, capsys, text, schema, standardize, message):
+        csv_path = tmp_path / "rows.csv"
+        if text is not None:
+            csv_path.write_text(text)
+        cfg = _write_config(
+            tmp_path,
+            "ingest.cfg",
+            "dataset.kind = csv\n"
+            f"dataset.path = {csv_path}\n"
+            f"dataset.schema = {schema}\n"
+            f"dataset.standardize = {standardize}\n"
+            "model.family = gaussian\n",
+        )
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ingest error:") and message in err
+        assert not out.exists()
+
+    def test_eval_outside_the_spline_interval_exits_4(self, tmp_path, capsys):
+        # a spline model is defined on the knot interval of its training
+        # rows; a row far outside it is a numeric error
+        rows = np.random.default_rng(0).normal(size=(60, 2))
+        train_csv, eval_csv = tmp_path / "train.csv", tmp_path / "eval.csv"
+        train_csv.write_text("a,b\n" + "".join(f"{a},{b}\n" for a, b in rows))
+        eval_csv.write_text("a,b\n" + "0.0,50.0\n" * 20)
+        schema = "dataset.kind = csv\ndataset.schema = a=continuous;b=continuous\n"
+        train_cfg = _write_config(
+            tmp_path,
+            "t.cfg",
+            schema + f"dataset.path = {train_csv}\n"
+            "model.family = spline\nmodel.k = 2\nmodel.knots = 4\ntrain.max_epochs = 1\n",
+        )
+        run, out = tmp_path / "run", tmp_path / "eval"
+        assert main(["train", "--config", train_cfg, "--out", str(run)]) == 0
+        capsys.readouterr()
+        eval_cfg = _write_config(
+            tmp_path,
+            "e.cfg",
+            schema + f"dataset.path = {eval_csv}\nmodel.path = {run / 'model.json'}\n",
+        )
+        assert main(["eval", "--config", eval_cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error:") and "value 50.0 outside spline interval" in err
+        assert not (out / "metrics.csv").exists()
+
     def test_degenerate_model_code(self, tmp_path, rng):
         # a squared model whose source is identically zero
         from pcsq.circuits import from_region_graph
@@ -663,6 +719,43 @@ def test_hostile_config_value_exits_with_a_documented_code(
     cfg = _write_config(tmp_path, "c.cfg", text)
     argv = [command, "--config", cfg, "--set", f"{key}={value}", "--out", str(tmp_path / "o")]
     assert main(argv) in (0, 2, 3, 4, 5)
+
+
+def test_grid_bounds_of_a_mixture_cover_every_component(tmp_path):
+    # unset bounds are the lowest lo and the highest hi over the components'
+    # sample brackets, here two Gaussian components 100 apart
+    from pcsq.circuits import from_region_graph
+    from pcsq.families import GaussianFamily
+    from pcsq.learning import init_parameters
+    from pcsq.mixtures import CircuitMixture
+    from pcsq.modeldoc import save_model
+    from pcsq.regions import build_linear_tree
+    from pcsq.squaring import square
+
+    comps = []
+    for shift in (0.0, 100.0):
+        c = from_region_graph(
+            build_linear_tree(2, 0), 2, "hadamard", lambda s, k: GaussianFamily(k)
+        )
+        init_parameters(c, "uniform(0,1)", seed=1)
+        for layer in c.input_layers():
+            mean = layer.family.blocks["mean"]
+            c.store.set_free(mean, c.store.free(mean) + shift)
+        comps.append(square(c))
+    mixture = CircuitMixture.from_components(comps)
+    path = tmp_path / "mix.json"
+    save_model(mixture, path)
+    brackets = [
+        [inference._family_for_variable(c, v).sample_bracket(c.store) for c in comps]
+        for v in (0, 1)
+    ]
+    assert all(b[0][1] < b[1][0] for b in brackets)  # the second lies above the first
+    cfg = _write_config(tmp_path, "g.cfg", f"model.path = {path}\ngrid.resolution = 3\n")
+    out = tmp_path / "out"
+    assert main(["grid", "--config", cfg, "--set", "grid.x2_hi=7.5", "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "grid.csv", delimiter=",", skiprows=1)
+    assert (rows[:, 0].min(), rows[:, 0].max()) == (brackets[0][0][0], brackets[0][1][1])
+    assert (rows[:, 1].min(), rows[:, 1].max()) == (brackets[1][0][0], 7.5)
 
 
 @pytest.mark.parametrize("key", ["grid.x1_lo", "grid.x1_hi", "grid.x2_lo", "grid.x2_hi"])

@@ -83,6 +83,22 @@ class TestIngest:
         with pytest.raises(IngestError, match="missing"):
             ingest_csv(path, {"zz": "continuous"})
 
+    @pytest.mark.parametrize(
+        "text,schema,standardize,message",
+        [
+            ("", {"x1": "continuous"}, False, "empty file"),
+            (None, {"x1": "continuous"}, False, "No such file"),
+            ("x1\n1\n2\n", {"x1": "foo"}, False, "bad schema entry 'x1': 'foo'"),
+            ("x1,x2\n1,5\n2,5\n3,5\n", {"x1": "continuous", "x2": "continuous"}, True,
+             "'x2' is constant"),
+        ],
+        ids=["empty", "unreadable", "unknown-kind", "constant-standardized"],
+    )
+    def test_refused_csv_is_an_ingest_error(self, tmp_path, text, schema, standardize, message):
+        path = tmp_path / "missing.csv" if text is None else self._write(tmp_path, text)
+        with pytest.raises(IngestError, match=message):
+            ingest_csv(path, schema, standardize=standardize)
+
     def test_standardization_uses_train_stats(self, tmp_path, rng):
         rows = "\n".join(str(v) for v in rng.normal(3.0, 2.0, size=400))
         path = self._write(tmp_path, "a\n" + rows + "\n")

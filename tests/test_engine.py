@@ -712,6 +712,52 @@ def test_root_is_linear_in_the_path_adjoint(rng, product, squared):
             assert np.all(err <= 1e-12 * np.sum(np.abs(terms), axis=-1)), (v, marginalized)
 
 
+def test_adjoints_run_their_layers_forward_rules(rng, monkeypatch):
+    # a sum layer's input adjoint is _sum on W^T, in a scaled Z sweep over
+    # squared sums too, and a Hadamard adjoint is _product on the output
+    # adjoint and the other factor, scaled in the sweep and in signed
+    # log-space along path_adjoint's path
+    d = 4
+    c = from_region_graph(build_binary_tree(d, 1), 3, "hadamard", lambda s, k: GaussianFamily(k))
+    sq = init_parameters(square(c), "normal(0,1)", seed=2)
+    graph = sq.circuit
+    calls = []
+    sum_rule, product_rule = engine._sum, engine._product
+
+    def spy_sum(weights, x, squared, *args):
+        calls.append(("sum", type(x).__name__, squared))
+        return sum_rule(weights, x, squared, *args)
+
+    def spy_product(layer, a, b):
+        calls.append(("product", type(a).__name__, layer.squared))
+        return product_rule(layer, a, b)
+
+    _, zres = partition_function(sq, want_tape=True)
+    seed = engine.log_grad_seed(zres.root, -np.ones(zres.root.shape))
+    monkeypatch.setattr(engine, "_sum", spy_sum)
+    monkeypatch.setattr(engine, "_product", spy_product)
+    engine.backward(zres.tape, seed)
+    # once per sum layer, and once per factor of every product layer
+    kinds = [layer.kind for layer in graph.layers]
+    sums, products = kinds.count(SUM), kinds.count("hadamard")
+    assert sorted(calls) == sorted(
+        [("sum", "ScaledTensor", True)] * sums + [("product", "ScaledTensor", True)] * 2 * products
+    )
+    x = rng.normal(size=(5, d))
+    for v in range(d):
+        outputs = engine.forward(graph, x, frozenset(range(v, d)), keep_outputs=True).outputs
+        path, layer = [], graph.layer(graph.output_layer)
+        while layer.kind != "input":
+            path.append(layer)
+            layer = graph.layer(next(j for j in layer.inputs if v in graph.layer(j).scope))
+        calls.clear()
+        engine.path_adjoint(graph, outputs, v)
+        want = [
+            ("sum" if layer.kind == SUM else "product", "SignedLogTensor", True) for layer in path
+        ]
+        assert calls == want, v
+
+
 def test_zero_row_batches(rng):
     graph = _random_model(rng, "hadamard", lambda s, k: GaussianFamily(k), True, 4)
     empty = np.zeros((0, 4))

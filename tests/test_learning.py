@@ -554,3 +554,45 @@ def test_a_stacked_rings_mixture_trains_as_its_loop_and_reloads_bit_identically(
     assert path.read_text(encoding="utf-8") == json.dumps(model_to_dict(again)) + "\n"
     x = ds.split("test")
     np.testing.assert_array_equal(log_likelihood(again, x), log_likelihood(models[0], x))
+
+
+def test_a_stacked_step_whose_z_sweep_trips_reruns_per_component(monkeypatch):
+    # the stacked Z sweep leaves the scaled range after the stacked data
+    # sweep has released its gradients: the step restores every store and
+    # Z counter, reruns per component, and ends as the per-component step
+    from pcsq import engine
+    from pcsq.circuits import StackedCircuit
+    from pcsq.slog import OutOfScaledRange
+
+    def mixture():
+        rg = build_binary_tree(4, 1)
+        comps = [
+            square(from_region_graph(rg, 3, "hadamard", lambda s, k: GaussianFamily(k)))
+            for _ in range(2)
+        ]
+        return init_parameters(CircuitMixture.from_components(comps), "uniform(0,1)", seed=3)
+
+    x = np.random.default_rng(3).normal(size=(32, 4))
+    with monkeypatch.context() as m:
+        m.setattr(learning, "_stacked", lambda model: None)
+        loop = mixture()
+        loop_ll = _accumulate_gradients(loop, x)
+
+    model = mixture()
+    assert learning._stacked(model) is not None
+    backward_scaled = engine._backward_scaled
+    released = []
+
+    def tripping_z_sweep(tape, seed):
+        if isinstance(tape.circuit, StackedCircuit) and tape.marginalized:
+            released.append([np.any(c.store.gradients != 0.0) for c in model.components])
+            raise OutOfScaledRange
+        return backward_scaled(tape, seed)
+
+    monkeypatch.setattr(engine, "_backward_scaled", tripping_z_sweep)
+    z_before = [inference.z_eval_count(c) for c in model.components]
+    assert _accumulate_gradients(model, x) == loop_ll
+    assert released == [[True, True]]  # the data sweep had reached both stores
+    assert [inference.z_eval_count(c) for c in model.components] == [z + 1 for z in z_before]
+    for got, want in zip(learning._stores(model), learning._stores(loop)):
+        np.testing.assert_array_equal(got.gradients, want.gradients)

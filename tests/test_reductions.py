@@ -109,6 +109,37 @@ class TestCpDecomposition:
         res = cp_decompose(core, seed=2)  # defaults to min(r^2, m r)
         assert res.error < 1e-8
 
+    @pytest.mark.parametrize("m,r", [(3, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize(
+        "kind", ["random", "one-entry", "zero-slice", "equal-slices", "scaled-slices", "rank-one"]
+    )
+    def test_maximal_rank_is_the_exact_index_expansion(self, rng, monkeypatch, m, r, kind):
+        # at rank min(r^2, m r) each entry of the core is one CP term: the
+        # reconstruction is exact for every seed, and no ALS solve runs
+        core = rng.normal(size=(m, r, r))
+        if kind == "one-entry":
+            core = np.zeros((m, r, r))
+            core[m - 1, 0, r - 1] = -2.5
+        elif kind == "zero-slice":
+            core[1] = 0.0
+        elif kind == "equal-slices":
+            core[:] = core[0]
+        elif kind == "scaled-slices":
+            core *= np.logspace(-8, 8, m)[:, None, None]
+        elif kind == "rank-one":
+            core = np.einsum("x,i,j->xij", *(rng.normal(size=n) for n in (m, r, r)))
+
+        def no_solve(*args):
+            raise AssertionError("an ALS solve ran")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        for seed in (0, 1, 12345):
+            res = cp_decompose(core, seed=seed)
+            assert res.b.shape[1] == min(r * r, m * r) and res.restarts == 0
+            recon = np.einsum("xs,is,js->xij", res.v, res.b, res.c)
+            assert np.linalg.norm(core - recon) / np.linalg.norm(core) == 0.0
+            assert res.error == 0.0
+
     def test_factor_shapes(self, rng):
         core = rng.normal(size=(4, 2, 2))
         res = cp_decompose(core, max_rank=3, seed=0)
