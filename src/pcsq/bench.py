@@ -10,6 +10,8 @@ freed heap pages (see :mod:`pcsq.kernels`); the column is empty where the
 A marginal-timing row gives the rows/s of ``marginal_batch`` on the
 step-timing model of the same width and batch size, with the variables
 ``marginalized`` ({0}, the first half, all but the last) joined by ``;``.
+Its cache of wholly marginalized layers is warm: an untimed call at the
+same parameter version fills it, so the rate excludes their evaluation.
 
 Writes one flat CSV; rows belong to a ``section`` and leave unrelated
 columns empty.  The overflow sweep records the smallest variable count at

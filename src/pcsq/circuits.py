@@ -47,7 +47,9 @@ class ParamBlock:
 class ParameterStore:
     """Flat float64 parameter vector with per-block views and a gradient
     buffer.  Blocks carry a reparameterization tag; gradients are always
-    taken w.r.t. the free (pre-reparameterization) values.
+    taken w.r.t. the free (pre-reparameterization) values.  Every write to
+    ``values`` must ``bump()`` the ``version``: the partition function and
+    every wholly marginalized layer a pass caches are keyed by it.
     """
 
     def __init__(self):

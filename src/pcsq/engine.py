@@ -7,9 +7,11 @@ one reader, and every product layer two factors.  Input layers evaluate
 pointwise on evidence variables and substitute their integral vector
 (plain circuits) or integral matrix (squared circuits) on marginalized
 variables.  Outside the linear space a layer whose whole scope is
-marginalized is constant across the batch, so it is evaluated once, as
-one row; layers mixing one-row and batch inputs broadcast, and only the
-root is broadcast to the batch.
+marginalized holds its subcircuit's integral, the same in every pass,
+so it is evaluated once per parameter version, as one row, which untaped
+passes (marginal chunks, sampler conditionals, Z) share read-only through
+:func:`_constant_layers`.  Layers mixing one-row and batch inputs
+broadcast, and only the root is broadcast to the batch, in new arrays.
 
 A squared layer whose whole scope is evidence holds s s^T, for s the
 output of the source layer it squares: f f^T at an input, (W s)(W s)^T at
@@ -38,7 +40,7 @@ layer's output once it is released.
   et al., ICML 2020).  Every pass that does not keep its outputs
   (densities, marginals, validation, mixture component values, Z, taped
   or not) runs in them.  An input layer exponentiates log f, or its
-  cached integral as one row, once against its row maximum, and a
+  integral as one row, once against its row maximum, and a
   squared one takes the outer product of those values under twice the
   scale; a Hadamard product multiplies values and adds scales, a
   Kronecker product takes outer products (interleaved, on squared
@@ -172,30 +174,6 @@ def _scope_values(x, scope):
     return cols[:, 0] if len(scope) == 1 else cols
 
 
-def _integral_cache(circuit):
-    cache = getattr(circuit, "_integral_cache", None)
-    if cache is None:
-        cache = {}
-        circuit._integral_cache = cache
-    return cache
-
-
-def _input_integral(circuit, layer, matrix):
-    cache = _integral_cache(circuit)
-    key = (layer.layer_id, "mat" if matrix else "vec")
-    version = circuit.store.version
-    entry = cache.get(key)
-    if entry is None or entry[0] != version:
-        if matrix:
-            value = layer.family.integral_matrix(circuit.store)
-        else:
-            value = layer.family.integral_vector(circuit.store)
-        for array in (value.log_magnitude, value.sign):  # shared by every pass
-            array.setflags(write=False)
-        cache[key] = (version, value)
-    return cache[key][1]
-
-
 def _broadcast(slog, batch):
     shape = slog.shape[:-2] + (batch,) + slog.shape[-1:]
     return SignedLogTensor(
@@ -236,22 +214,23 @@ def forward(
     module docstring, or "linear", plain float64 arithmetic at full batch
     width; any other value raises ConfigError.  Outside the linear space
     a layer whose scope is entirely marginalized is constant: it is
-    evaluated once, as one row, and only the root is broadcast to the
-    batch.  Only data passes of unsquared circuits (nothing marginalized)
-    and one-row partition-function passes (everything marginalized) can
-    be taped, never in the linear space; taping any other pass raises
-    ConfigError, and so does marginalizing a non-integer or a variable the
-    circuit does not have.  The pass carries scaled-linear values, or
-    signed log-space ones where a guard trips; either way its root is in
-    signed log-space.
+    evaluated once per parameter version, as one row, and only the root is
+    broadcast to the batch.  Only data passes of unsquared circuits
+    (nothing marginalized) and one-row partition-function passes
+    (everything marginalized) can be taped, never in the linear space;
+    taping any other pass raises ConfigError, and so does marginalizing a
+    non-integer or a variable the circuit does not have.  The pass carries
+    scaled-linear values, or signed log-space ones where a guard trips;
+    either way its root is in signed log-space.
 
     An untaped pass sets each layer's entry of ``outputs`` to None once
     its one reader has run, so only the root is left.
     ``keep_outputs=True`` keeps every entry, in signed log-space, for
     callers that read intermediate outputs (:func:`path_adjoint`); in a
     squared pass with marginalized and evidence variables, an evidence-only
-    layer's entry is its width-K source value (module docstring).  Taped
-    passes and linear passes always keep every output.
+    layer's entry is its width-K source value, and a wholly marginalized
+    layer's entry may be the cache's read-only row (module docstring).
+    Taped passes and linear passes always keep every output.
     """
     if space not in ("slog", "linear"):
         raise ConfigError(f"unknown space {space!r}: expected 'slog' or 'linear'")
@@ -310,7 +289,8 @@ def _forward_slog(circuit, x, marginalized, batch, want_tape=False, keep_outputs
 def _walk(circuit, x, marginalized, batch, want_tape, keep, scaled):
     """Evaluate every layer in scaled-linear values (``scaled``) or in
     signed log-space, releasing each layer's inputs once it has run unless
-    the pass keeps its outputs.  In a squared pass with marginalized and
+    the pass keeps its outputs; an untaped one reads and fills
+    :func:`_constant_layers`.  In a squared pass with marginalized and
     evidence variables, a layer of more than one unit whose scope is all
     evidence runs its source layer's rule at width K, and a squared
     product widens such a factor (:func:`_factors`).  Raises
@@ -320,37 +300,58 @@ def _walk(circuit, x, marginalized, batch, want_tape, keep, scaled):
     sources = None
     if 0 < len(marginalized) < circuit.variable_count and circuit.layers[-1].squared:
         sources = _source_layers(circuit)
+    constants = _constant_layers(circuit, scaled) if marginalized and not want_tape else None
     for layer in circuit.layers:
-        if sources and layer.output_width > 1 and marginalized.isdisjoint(layer.scope):
-            layer = sources[layer.layer_id]  # s, where the squared layer holds s s^T
-        if layer.kind == INPUT:
-            out = _input(circuit, layer, x, marginalized, saved, scaled)
-        elif layer.kind == SUM:
-            weights = circuit.effective_weights(layer)
-            out = _sum(weights, outputs[layer.inputs[0]], layer.squared, saved, layer.layer_id)
-        else:
-            out = _product(layer, *_factors(circuit, layer, outputs))
-        first, second = vars(out).values()  # values and scales, or log|y| and signs
-        if np.isnan(first).any() or np.isnan(second).any():
-            raise NumericError(f"NaN produced at layer {layer.layer_id} ({layer.kind})")
+        constant = constants is not None and marginalized.issuperset(layer.scope)
+        out = constants.get(layer.layer_id) if constant else None
+        if out is None:
+            if sources and layer.output_width > 1 and marginalized.isdisjoint(layer.scope):
+                layer = sources[layer.layer_id]  # s, where the squared layer holds s s^T
+            if layer.kind == INPUT:
+                out = _input(circuit, layer, x, marginalized, saved, scaled)
+            elif layer.kind == SUM:
+                weights = circuit.effective_weights(layer)
+                out = _sum(weights, outputs[layer.inputs[0]], layer.squared, saved, layer.layer_id)
+            else:
+                out = _product(layer, *_factors(circuit, layer, outputs))
+            first, second = vars(out).values()  # values and scales, or log|y| and signs
+            if np.isnan(first).any() or np.isnan(second).any():
+                raise NumericError(f"NaN produced at layer {layer.layer_id} ({layer.kind})")
+            if constant:  # shared by every later pass at this version
+                first.setflags(write=False)
+                second.setflags(write=False)
+                constants[layer.layer_id] = out
         outputs.append(out)
         if not keep:  # the layer was its inputs' one reader
             for j in layer.inputs:
                 outputs[j] = None
     root = outputs[-1].to_slog() if scaled else outputs[-1]
-    outputs[-1] = root if root.shape[-2] == batch else _broadcast(root, batch)
+    # _broadcast copies, so no caller receives the cache's row of a constant root
+    outputs[-1] = root if root.shape[-2] == batch and not constant else _broadcast(root, batch)
     tape = Tape(circuit, marginalized, outputs, saved, x if scaled else None) if want_tape else None
     return EvalResult(outputs, circuit.output_layer, tape)
 
 
+def _constant_layers(circuit, scaled):
+    """The one-row outputs, by layer id, of the layers untaped passes that
+    marginalize their whole scope have evaluated in one value type at the
+    store's version; a new version drops them."""
+    version = circuit.store.version
+    cache = getattr(circuit, "_constant_layers", None)
+    if cache is None or cache[0] != version:
+        cache = circuit._constant_layers = (version, {True: {}, False: {}})
+    return cache[1][scaled]
+
+
 def _input(circuit, layer, x, marginalized, saved, scaled):
-    """An input layer's log f on the evidence, or its cached integral as
-    one row where its scope is marginalized; a scaled pass exponentiates
-    each row once against its maximum.  A squared layer returns the outer
-    product f f^T.  A taped pass saves f and its features, so backward
-    re-derives nothing."""
-    if _whole_scope_marginalized(layer, marginalized):  # the cache is read-only
-        f = _input_integral(circuit, layer, matrix=layer.squared)
+    """An input layer's log f on the evidence, or its integral vector or
+    matrix as one row where its scope is marginalized; a scaled pass
+    exponentiates each row once against its maximum.  A squared layer
+    returns the outer product f f^T.  A taped pass saves f and its
+    features, so backward re-derives nothing."""
+    if _whole_scope_marginalized(layer, marginalized):
+        integral = layer.family.integral_matrix if layer.squared else layer.family.integral_vector
+        f = integral(circuit.store)
         lead = f.shape[: len(f.shape) - (2 if layer.squared else 1)]
         f = f.reshape(*lead, 1, layer.output_width)
         return ScaledTensor.from_slog(f) if scaled else f

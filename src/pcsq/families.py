@@ -129,14 +129,6 @@ class InputFamily:
         """As ``integral_vector_vjp``, for the (K, K) integral matrix."""
         raise NotImplementedError
 
-    def product_integral(self, store, i, j) -> SignedLogTensor:
-        """Integral of f_i * f_j over the variable's domain (one matrix
-        entry; both units must belong to this family)."""
-        if not (0 <= i < self.units and 0 <= j < self.units):
-            raise ConfigError(f"unit index out of range for {self.kind} family")
-        mat = self.integral_matrix(store)
-        return SignedLogTensor(mat.log_magnitude[i, j], mat.sign[i, j])
-
     def sample_bracket(self, store):
         """(lo, hi) interval containing essentially all conditional mass."""
         raise NotImplementedError

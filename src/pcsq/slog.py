@@ -251,8 +251,7 @@ class ScaledTensor:
         """Exponentiate each row once against its largest log-magnitude.
         The values are computed in x's log-magnitude array where it is
         writeable and column-major (as Gaussian and value-table inputs
-        return it); a read-only array, such as a cached integral, is
-        copied and never written."""
+        return it); a read-only array is copied and never written."""
         t = x.log_magnitude.swapaxes(-1, -2)  # (..., width, rows): rows column-major
         if not (t.flags.c_contiguous and t.flags.writeable):
             t = t.copy()

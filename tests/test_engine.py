@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pcsq import engine
-from pcsq.circuits import SUM, from_region_graph
+from pcsq.circuits import INPUT, SUM, from_region_graph
 from pcsq.errors import ConfigError, NumericError
 from pcsq.families import (
     BinomialFamily,
@@ -26,9 +26,9 @@ from pcsq.inference import (
     marginal_batch,
     partition_function,
 )
-from pcsq.learning import init_parameters
+from pcsq.learning import TrainConfig, _Adam, init_parameters
 from pcsq.regions import build_binary_tree, build_linear_tree, linear_tree_from_order
-from pcsq.slog import OutOfScaledRange
+from pcsq.slog import OutOfScaledRange, SignedLogTensor
 from pcsq.splines import BSplineBasis
 from pcsq.squaring import square
 
@@ -423,17 +423,15 @@ def test_a_marginal_whose_evidence_squares_below_the_scaled_range_stays_scaled(m
     assert np.max(np.abs(got.log_magnitude - want.log_magnitude)) <= 1e-12
 
 
-def _layer_shapes(monkeypatch):
-    """The shape of each layer's output as the forward rules return it, by
-    layer id, filled while the test runs (a later pass overwrites)."""
-    shapes = {}
+def _watch_rules(monkeypatch, record):
+    """Call ``record(layer id, output)`` each time a forward rule runs."""
 
     def watch(name, layer_id):
         rule = getattr(engine, name)
 
         def watched(*args):
             out = rule(*args)
-            shapes[layer_id(args)] = out.shape
+            record(layer_id(args), out)
             return out
 
         monkeypatch.setattr(engine, name, watched)
@@ -441,6 +439,13 @@ def _layer_shapes(monkeypatch):
     watch("_input", lambda args: args[1].layer_id)
     watch("_sum", lambda args: args[4])  # the walk passes the layer id
     watch("_product", lambda args: args[0].layer_id)
+
+
+def _layer_shapes(monkeypatch):
+    """The shape of each layer's output as the forward rules return it, by
+    layer id, filled while the test runs (a later pass overwrites)."""
+    shapes = {}
+    _watch_rules(monkeypatch, lambda i, out: shapes.__setitem__(i, out.shape))
     return shapes
 
 
@@ -453,7 +458,9 @@ def test_evidence_only_layers_of_a_squared_marginal_run_at_source_width(
     # s of its source layer: a pass that marginalizes something carries s at
     # width K and widens it where a reader's scope is partly marginalized; a
     # layer whose scope is all marginalized is one row, and Z passes and
-    # full-evidence passes keep K^2 at every layer
+    # full-evidence passes keep K^2 at every layer.  Each query bumps the
+    # store's version first, so no layer comes from the cache of wholly
+    # marginalized layers and every layer's rule runs
     d, rows = 5, 3
     rg = build_binary_tree(d, 2) if tree == "bt" else build_linear_tree(d, 2)
     c = from_region_graph(rg, 3, product, lambda s, k: GaussianFamily(k))
@@ -478,6 +485,7 @@ def test_evidence_only_layers_of_a_squared_marginal_run_at_source_width(
     for marginalized in [frozenset({0}), frozenset({1, 3}), frozenset()] + conditionals:
         want = expected(marginalized, rows)
         assert any(w[1] == 3 for w in want.values()) == bool(marginalized)
+        sq.store.bump()
         shapes.clear()
         marginal_batch(sq, x, marginalized)
         assert shapes == want, sorted(marginalized)
@@ -485,6 +493,7 @@ def test_evidence_only_layers_of_a_squared_marginal_run_at_source_width(
     everything = frozenset(range(d))
     want = expected(everything, 1)
     assert all(w == (1, layer.output_width) for w, layer in zip(want.values(), graph.layers))
+    sq.store.bump()
     shapes.clear()
     partition_function(sq)
     assert shapes == want
@@ -532,6 +541,17 @@ def test_an_untaped_scaled_pass_peaks_no_higher_than_a_signed_log_pass(monkeypat
     assert scaled <= _peak(run)
 
 
+def _cached_arrays(graph):
+    """The arrays of every cached wholly marginalized layer, by (value
+    type, layer id)."""
+    _, caches = graph._constant_layers
+    return {
+        (scaled, i): list(vars(out).values())
+        for scaled, cache in caches.items()
+        for i, out in cache.items()
+    }
+
+
 def test_untaped_passes_leave_the_cached_integrals_unwritten(rng):
     c = _CASES["gaussian-bt-hadamard"]()
     c.store.values[:] = rng.normal(size=c.store.values.size) * 0.6 + 0.3
@@ -541,15 +561,128 @@ def test_untaped_passes_leave_the_cached_integrals_unwritten(rng):
     everything = range(c.variable_count)
     for graph in (c, sq.circuit):
         engine.forward(graph, None, everything)  # fills the cache
-        cache = graph._integral_cache
-        before = {key: entry[1].copy() for key, entry in cache.items()}
+        before = {key: [a.copy() for a in arrays] for key, arrays in _cached_arrays(graph).items()}
         engine.forward(graph, None, everything)
         engine.forward(graph, x, {0, 2})
+        cache = _cached_arrays(graph)
         assert cache.keys() == before.keys()
-        for key, (_, value) in cache.items():
-            assert not value.log_magnitude.flags.writeable
-            np.testing.assert_array_equal(value.log_magnitude, before[key].log_magnitude)
-            np.testing.assert_array_equal(value.sign, before[key].sign)
+        for key, arrays in cache.items():
+            for array, was in zip(arrays, before[key]):
+                assert not array.flags.writeable
+                np.testing.assert_array_equal(array, was)
+
+
+def test_each_value_type_keeps_its_own_cached_layers():
+    # a signed log-space pass after a scaled one at the same version takes
+    # no scaled row from the cache: it gives what it gives on a cold cache
+    c = _CASES["gaussian-bt-hadamard"]()
+    sq = init_parameters(square(c), "normal(0,1)", seed=8)
+    graph, everything = sq.circuit, range(c.variable_count)
+    roots = []
+    for scaled_first in (False, True):
+        sq.store.bump()
+        if scaled_first:
+            engine.forward(graph, None, everything)  # fills the scaled rows
+        outputs = engine.forward(graph, None, everything, keep_outputs=True).outputs
+        assert all(isinstance(out, SignedLogTensor) for out in outputs)
+        roots.append(outputs[-1])
+    np.testing.assert_array_equal(roots[0].log_magnitude, roots[1].log_magnitude)
+    np.testing.assert_array_equal(roots[0].sign, roots[1].sign)
+
+
+def _evaluated_layers(monkeypatch):
+    """The ids of the layers whose forward rules run, in order, as a list
+    that fills while the test runs."""
+    calls = []
+    _watch_rules(monkeypatch, lambda i, out: calls.append(i))
+    return calls
+
+
+def test_each_wholly_marginalized_layer_is_evaluated_once_per_version(rng, monkeypatch):
+    # a 512-row marginal runs in two chunks: the second evaluates only the
+    # layers whose scope holds evidence, as does a second marginal at the
+    # same version; a write through set_free, an Adam step or restore
+    # bumps the version, and the next marginal evaluates every layer again
+    rg = linear_tree_from_order([0, 1, 2, 3, 4])  # x3 and x4 meet at the bottom
+    c = from_region_graph(rg, 3, "hadamard", lambda s, k: GaussianFamily(k))
+    sq = init_parameters(square(c), "normal(0,1)", seed=5)
+    graph, store = sq.circuit, sq.store
+    marginalized = frozenset({2, 3, 4})
+    every = [layer.layer_id for layer in graph.layers]
+    constant = [layer.layer_id for layer in graph.layers if marginalized.issuperset(layer.scope)]
+    live = [i for i in every if i not in constant]
+    assert any(graph.layer(i).kind != INPUT for i in constant)
+    x = rng.normal(size=(512, 5))
+    calls = _evaluated_layers(monkeypatch)
+    want = marginal_batch(sq, x, marginalized)
+    assert calls == every + live
+    calls.clear()
+    got = marginal_batch(sq, x, marginalized)
+    assert calls == live + live
+    np.testing.assert_array_equal(got.log_magnitude, want.log_magnitude)
+    np.testing.assert_array_equal(got.sign, want.sign)
+    snapshot = store.snapshot()
+    opt = _Adam([store], TrainConfig())
+    block = c.layer(constant[-1]).param_block  # a constant layer's weights
+    writes = [
+        lambda: store.set_free(block, store.free(block) * 1.5),
+        lambda: opt.step(),
+        lambda: store.restore(snapshot),
+    ]
+    store.gradients[:] = rng.normal(size=store.gradients.size)
+    for write in writes:
+        write()
+        calls.clear()
+        marginal_batch(sq, x[:256], marginalized)
+        assert calls == every
+    got = marginal_batch(sq, x, marginalized)  # restored: the first bits again
+    np.testing.assert_array_equal(got.log_magnitude, want.log_magnitude)
+
+
+def test_a_taped_partition_function_pass_neither_reads_nor_writes_the_cache(rng, monkeypatch):
+    c = _CASES["gaussian-bt-hadamard"]()
+    sq = init_parameters(square(c), "normal(0,1)", seed=6)
+    untaped = partition_function(sq)  # fills the cache
+    before = {key: list(arrays) for key, arrays in _cached_arrays(sq.circuit).items()}
+    calls = _evaluated_layers(monkeypatch)
+    taped, _ = partition_function(sq, want_tape=True)
+    assert calls == [layer.layer_id for layer in sq.circuit.layers]
+    after = _cached_arrays(sq.circuit)
+    assert after.keys() == before.keys()
+    for key, arrays in after.items():
+        assert all(a is b for a, b in zip(arrays, before[key]))
+    assert (taped.log_magnitude, taped.sign) == (untaped.log_magnitude, untaped.sign)
+
+
+@pytest.mark.parametrize("keep_outputs", [False, True])
+@pytest.mark.parametrize("query", ["z", "marginal"])
+def test_no_caller_receives_an_array_the_cache_holds(rng, query, keep_outputs):
+    # the root comes back in arrays of its own, so writing into it changes
+    # no later result; kept outputs taken from the cache are read-only
+    c = _CASES["gaussian-bt-hadamard"]()
+    sq = init_parameters(square(c), "normal(0,1)", seed=7)
+    graph = sq.circuit
+    if query == "z":
+        x, marginalized = None, frozenset(range(graph.variable_count))
+    else:
+        x, marginalized = rng.normal(size=(1, graph.variable_count)), frozenset({0, 2})
+    results = []
+    for _ in range(2):
+        result = engine.forward(graph, x, marginalized, keep_outputs=keep_outputs)
+        root = result.outputs[graph.output_layer]
+        results.append((root.log_magnitude.copy(), root.sign.copy()))
+        cached = [a for arrays in _cached_arrays(graph).values() for a in arrays]
+        assert cached
+        for array in (root.log_magnitude, root.sign, result.root.log_magnitude, result.root.sign):
+            assert not any(np.shares_memory(array, a) for a in cached)
+        kept = [out for out in result.outputs[: graph.output_layer] if out is not None]
+        for out in kept:  # with keep_outputs
+            if any(np.shares_memory(out.log_magnitude, a) for a in cached):
+                assert not out.log_magnitude.flags.writeable
+        root.log_magnitude[...] = 7.0
+        root.sign[...] = -1.0
+    np.testing.assert_array_equal(results[1][0], results[0][0])
+    np.testing.assert_array_equal(results[1][1], results[0][1])
 
 
 def test_a_partition_function_sweep_that_trips_reruns_the_z_pass(rng, monkeypatch):

@@ -339,17 +339,6 @@ class TestIntegralMatrixProperties:
         mat = fam.integral_matrix(store).to_linear()
         assert np.ptp(mat) < 1e-15
 
-    def test_product_integral_entry_accessor(self, rng):
-        fam = CategoricalFamily(3, 4)
-        store = _make(fam, seed=6)
-        mat = fam.integral_matrix(store).to_linear()
-        for i in range(3):
-            for j in range(3):
-                got = fam.product_integral(store, i, j).to_linear()
-                assert got == pytest.approx(mat[i, j], rel=1e-15)
-        with pytest.raises(Exception):
-            fam.product_integral(store, 0, 3)
-
 
 class TestMonotonicModes:
     def test_monotonic_spline_nonnegative_everywhere(self, rng):

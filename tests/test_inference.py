@@ -10,7 +10,7 @@ from scipy import integrate
 
 from pcsq import engine, inference
 from pcsq.circuits import from_region_graph
-from pcsq.errors import ConfigError, DegenerateModelError, NumericError
+from pcsq.errors import ConfigError, DegenerateModelError, NumericError, UnsupportedStructureError
 from pcsq.families import CategoricalFamily, EmbeddingFamily, GaussianFamily, SplineFamily
 from pcsq.inference import (
     Query,
@@ -395,6 +395,21 @@ def test_far_tail_gaussian_evidence_gives_minus_inf(squared):
     logs = inference.log_value(model, x)
     assert logs[0] == -np.inf
     assert logs[1] == inference.log_value(model, x[1:])[0]
+
+
+def test_marginalizing_one_variable_of_a_two_dimensional_input_layer_is_refused():
+    # the kernel units of a 2-d PSD model form one input layer over (0, 1):
+    # its integral covers both variables, so marginalizing one is refused
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(3, 3))
+    mixture = psd_to_circuit(PsdModel(rng.normal(size=(3, 2)), 1.0, m @ m.T))
+    (layer,) = mixture.components[0].circuit.input_layers()
+    assert layer.scope == (0, 1)
+    x = rng.normal(size=(4, 2))
+    with pytest.raises(
+        UnsupportedStructureError, match=f"input layer {layer.layer_id} is only partially marginalized"
+    ):
+        marginal_batch(mixture, x, {0})
 
 
 def test_far_tail_rbf_evidence_gives_minus_inf():
